@@ -48,7 +48,6 @@ from .spaces import (
     inner_product,
     kernel,
     kernel_d,
-    kernel_dd,
     norm,
     verify_candidate,
     weights_from_generating,

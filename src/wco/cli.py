@@ -9,6 +9,7 @@ overridden per invocation with --order or globally with WCO_DEFAULT_ORDER.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import itertools
@@ -66,12 +67,15 @@ def _default_order() -> int:
 
 
 def parse_complex(text: str) -> complex:
-    """Complex literals: '0.5', '-0.3+0.2i', '1.2i', with i or j."""
+    """Complex literals: '0.5', '-0.3+0.2i', '1.2i', with i or j; finite only."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
+    return value
 
 
 _TERM_RE = re.compile(
@@ -148,8 +152,7 @@ def _space_from_args(args, order: int) -> WeightSequence:
     if family == "binomial":
         if args.lam is None or args.eta is None:
             raise ValueError("--lam and --eta are required for the binomial family")
-        cls = Binomial(lam=args.lam, eta=args.eta, gamma=(args.eta + 1.0) / args.eta)
-        return family_weights(cls, order)
+        return family_weights(Binomial(lam=args.lam, eta=args.eta), order)
     if family == "dirichlet":
         return dirichlet_weights(order)
     if family == "flat":
@@ -248,31 +251,13 @@ def cmd_quad(args) -> int:
         "series_norm": series_norm,
         "series_norm_sq": series_norm**2,
     }
-    if isinstance(cls, Exponential):
-        q = spaces.fock_norm_quadrature(f, cls.b_sq)
-        payload["quadrature"] = "gaussian-plane"
-    elif isinstance(cls, Binomial) and abs(cls.lam - 1.0) < 1e-12:
-        if cls.eta > 1.0 + 1e-9:
-            q = spaces.bergman_norm_quadrature(f, cls.eta)
-            payload["quadrature"] = "disk"
-        elif abs(cls.eta - 1.0) <= 1e-9:
-            q = spaces.hardy_norm_quadrature(f)
-            payload["quadrature"] = "circle"
-        else:
-            raise DomainError(
-                "no integral norm for eta < 1; use the series norm "
-                "(cross-checked by the derivative sandwich)"
-            )
-    else:
-        raise DomainError(
-            "integral norms are available for the fock family and the "
-            "lam = 1 binomial family only"
-        )
+    payload["quadrature"], q = spaces.integral_norm(cls, f)
     payload["quadrature_norm"] = q
     payload["quadrature_norm_sq"] = q**2
     payload["relative_gap"] = abs(q - series_norm) / max(series_norm, 1e-300)
     _print_json(payload)
-    return EXIT_OK if payload["relative_gap"] <= 1e-6 else EXIT_FAIL
+    tol = verify.DEFAULT_TOLERANCES["quadrature"]
+    return EXIT_OK if payload["relative_gap"] <= tol else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +276,30 @@ def _expand_axis(spec) -> list:
 
 def _sweep_cell(payload):
     """One grid cell: synthesize, build, measure.  Must stay importable at
-    module scope for the process pool."""
+    module scope for the process pool.  A cell that cannot be built comes
+    back as a failed row carrying the error, so the rest of the grid stands."""
     (index, family, fam_params, a0_mod, a0_arg, a1_fraction, c, order) = payload
-    if family == "binomial":
-        lam, eta = fam_params
-        cls = Binomial(lam=lam, eta=eta, gamma=(eta + 1.0) / eta)
-        ws = family_weights(cls, order)
+    try:
         a0 = a0_mod * np.exp(1j * a0_arg)
-        interval = symbols.selfmap_interval(a0, lam, 1.0)
-        a1 = symbols.a1_from_fraction(interval, a1_fraction)
+        if family == "binomial":
+            cls = Binomial(*fam_params)
+            interval = symbols.selfmap_interval(a0, cls.lam, 1.0)
+            a1 = symbols.a1_from_fraction(interval, a1_fraction)
+        else:
+            cls = Exponential(b_sq=fam_params[0] ** 2)
+            a1 = a1_fraction * (1.0 - a0_mod)  # keep |a0| + |a1| <= 1
         sp = symbols.synthesize(cls, a0, a1, c, order)
-    else:
-        b_sq = fam_params[0] ** 2
-        cls = Exponential(b_sq=b_sq)
-        ws = family_weights(cls, order)
-        a0 = a0_mod * np.exp(1j * a0_arg)
-        a1 = a1_fraction * (1.0 - a0_mod)  # keep |a0| + |a1| <= 1
-        sp = symbols.synthesize(cls, a0, a1, c, order)
-    matrix = operators.build_matrix(sp, ws, order)
+        matrix = operators.build_matrix(sp, family_weights(cls, order), order)
+    except (ValueError, ArithmeticError) as exc:
+        return {
+            "index": index,
+            "a0_mod": a0_mod,
+            "a0_arg": a0_arg,
+            "a1_fraction": a1_fraction,
+            "c": c,
+            "pass": False,
+            "error": str(exc),
+        }
     deviation = operators.hermitian_deviation(matrix)
     moments = operators.moment_conditions(matrix)
     return {
@@ -322,7 +313,7 @@ def _sweep_cell(payload):
         "m0": moments.m0,
         "m1": moments.m1,
         "m2": moments.m2,
-        "pass": deviation <= 1e-10,
+        "pass": deviation <= verify.DEFAULT_TOLERANCES["identity"],
     }
 
 
@@ -378,7 +369,9 @@ def _rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     if not rows:
         return ""
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    # failed cells carry fewer fields plus "error"; take the union in order
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()

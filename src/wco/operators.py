@@ -15,8 +15,6 @@ is the Gaussian-family estimate in `fock_bound`.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -47,9 +45,6 @@ __all__ = [
     "conjugation_check",
     "fock_bound",
     "finite_section_norm",
-    "matrix_to_json",
-    "matrix_to_csv",
-    "deviation_report",
 ]
 
 
@@ -59,7 +54,6 @@ class OperatorMatrix:
 
     entries: np.ndarray
     beta: WeightSequence
-    exact: bool = True
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=complex)
@@ -180,25 +174,18 @@ def kernel_tail_bound(cls, w: complex, order: int, max_terms: int = 100_000) -> 
     """Sum_{j > N} |w|^(2j) / beta(j)^2 for a family space: the squared-norm
     mass of the kernel tail dropped by truncation."""
     w_sq = abs(complex(w)) ** 2
-    if isinstance(cls, Exponential):
-        def coeff_ratio(j):
-            return 1.0 / (cls.b_sq * (j + 1))
-    elif isinstance(cls, Binomial):
-        def coeff_ratio(j):
-            return cls.lam * (cls.eta + j) / (j + 1)
-    else:
+    if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("tail bounds are available for family spaces only")
     # term_j = |w|^(2j) * khat(j); advance the recurrence past the truncation
     term = 1.0
     for j in range(order + 1):
-        term *= w_sq * coeff_ratio(j)
+        term *= w_sq * cls.coefficient_ratio(j)
         if term == 0.0:
             return 0.0
     total = 0.0
     for j in range(order + 1, order + 1 + max_terms):
         total += term
-        ratio = w_sq * coeff_ratio(j)
-        term *= ratio
+        term *= w_sq * cls.coefficient_ratio(j)
         if term < 1e-30 * max(total, 1.0):
             break
     return total
@@ -248,31 +235,3 @@ def finite_section_norm(m: OperatorMatrix) -> float:
     """Largest singular value of the section: a lower bound for the operator
     norm, nondecreasing in the truncation order."""
     return float(np.linalg.svd(m.entries, compute_uv=False)[0])
-
-
-# ---------------------------------------------------------------------------
-# export formats
-
-
-def matrix_to_json(m: OperatorMatrix) -> dict:
-    return {
-        "order": m.order,
-        "exact": m.exact,
-        "entries": [
-            [[float(v.real), float(v.imag)] for v in row] for row in m.entries
-        ],
-    }
-
-
-def matrix_to_csv(m: OperatorMatrix) -> str:
-    """Row-major CSV; each cell is a quoted "re,im" pair."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_ALL)
-    for row in m.entries:
-        writer.writerow([f"{v.real:.17g},{v.imag:.17g}" for v in row])
-    return buf.getvalue()
-
-
-def deviation_report(m: OperatorMatrix) -> dict:
-    deviation, argmax = hermitian_deviation_argmax(m)
-    return {"deviation": deviation, "argmax": list(argmax), "N": m.order}

@@ -5,9 +5,8 @@ A :class:`TruncatedSeries` of order ``N`` stores the Maclaurin coefficients
 *exact through order N*: coefficient ``j`` of a product depends only on
 coefficients ``0..j`` of the factors, so the stored entries equal the true
 product coefficients whenever the inputs are exact.  Differentiation loses
-the last order; the ``exact_to`` field tracks how far the entries can be
-trusted, and consumers that need second derivatives exact at order ``N``
-should construct their inputs at order ``N + 2``.
+the last order, so consumers that need second derivatives exact at order
+``N`` should construct their inputs at order ``N + 2``.
 
 All values are immutable; every operation returns a fresh series.
 """
@@ -48,21 +47,13 @@ def _as_coeffs(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Degree-N complex polynomial standing for Maclaurin coefficients 0..N.
-
-    ``exact_to`` is the largest index whose entry is guaranteed exact
-    (entries past it may be zeroed truncation artifacts, e.g. after
-    :meth:`derivative`).
-    """
+    """Degree-N complex polynomial standing for Maclaurin coefficients 0..N."""
 
     coeffs: np.ndarray
-    exact_to: int = -1
 
     def __post_init__(self):
         c = _as_coeffs(self.coeffs)
         object.__setattr__(self, "coeffs", c)
-        if self.exact_to < 0:
-            object.__setattr__(self, "exact_to", c.size - 1)
 
     @property
     def order(self) -> int:
@@ -79,17 +70,15 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            return TruncatedSeries(
-                self.coeffs + other.coeffs, min(self.exact_to, other.exact_to)
-            )
+            return TruncatedSeries(self.coeffs + other.coeffs)
         c = self.coeffs.copy()
         c[0] += other
-        return TruncatedSeries(c, self.exact_to)
+        return TruncatedSeries(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(-self.coeffs, self.exact_to)
+        return TruncatedSeries(-self.coeffs)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncatedSeries) else -complex(other))
@@ -99,7 +88,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.coeffs * complex(other), self.exact_to)
+            return TruncatedSeries(self.coeffs * complex(other))
         self._require_same_order(other)
         a, b = self.coeffs, other.coeffs
         # Canonical operand order makes f*g and g*f bitwise identical
@@ -107,7 +96,7 @@ class TruncatedSeries:
         if a.tobytes() > b.tobytes():
             a, b = b, a
         prod = np.convolve(a, b)[: self.order + 1]
-        return TruncatedSeries(prod, min(self.exact_to, other.exact_to))
+        return TruncatedSeries(prod)
 
     __rmul__ = __mul__
 
@@ -123,7 +112,7 @@ class TruncatedSeries:
     def __truediv__(self, other):
         """Series division; the divisor must have a nonzero constant term."""
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.coeffs / complex(other), self.exact_to)
+            return TruncatedSeries(self.coeffs / complex(other))
         self._require_same_order(other)
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("series division requires a nonzero constant term")
@@ -133,22 +122,20 @@ class TruncatedSeries:
         q[0] = num[0] / den[0]
         for i in range(1, n):
             q[i] = (num[i] - np.dot(den[1 : i + 1], q[i - 1 :: -1])) / den[0]
-        return TruncatedSeries(q, min(self.exact_to, other.exact_to))
+        return TruncatedSeries(q)
 
     # -- calculus -----------------------------------------------------------
 
     def derivative(self) -> "TruncatedSeries":
-        """Termwise derivative; the last entry is zero and marked inexact."""
+        """Termwise derivative; the last entry is zero."""
         n = self.order
         d = np.zeros(n + 1, dtype=complex)
         d[:n] = self.coeffs[1:] * np.arange(1, n + 1)
-        return TruncatedSeries(d, min(self.exact_to - 1, n - 1))
+        return TruncatedSeries(d)
 
     def z_times_derivative(self) -> "TruncatedSeries":
         """The series z*f'(z), with coefficients j*f(j); exact wherever f is."""
-        return TruncatedSeries(
-            self.coeffs * np.arange(self.order + 1), self.exact_to
-        )
+        return TruncatedSeries(self.coeffs * np.arange(self.order + 1))
 
     def __call__(self, z):
         """Horner evaluation of the truncation at scalar or array ``z``.
@@ -165,13 +152,10 @@ class TruncatedSeries:
     def truncated(self, order: int) -> "TruncatedSeries":
         """Drop (or zero-pad) to the requested order."""
         if order < self.order:
-            return TruncatedSeries(
-                self.coeffs[: order + 1], min(self.exact_to, order)
-            )
+            return TruncatedSeries(self.coeffs[: order + 1])
         c = np.zeros(order + 1, dtype=complex)
         c[: self.order + 1] = self.coeffs
-        # padded zeros are placeholders, not known coefficients
-        return TruncatedSeries(c, self.exact_to)
+        return TruncatedSeries(c)
 
     def __repr__(self):
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
@@ -226,7 +210,7 @@ def compose_poly(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             out = out + f.coeffs[j] * power
         if j < f.order:
             power = power * g
-    return TruncatedSeries(out.coeffs, min(f.exact_to, g.exact_to))
+    return out
 
 
 def exp_series(a: complex, order: int) -> TruncatedSeries:

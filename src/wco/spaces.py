@@ -52,9 +52,9 @@ __all__ = [
     "weights_from_generating",
     "kernel",
     "kernel_d",
-    "kernel_dd",
     "inner_product",
     "norm",
+    "integral_norm",
     "fock_norm_quadrature",
     "bergman_norm_quadrature",
     "hardy_norm_quadrature",
@@ -95,6 +95,8 @@ class WeightSequence:
         b = np.array(self.beta, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ValueError("beta must be a nonempty one-dimensional sequence")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("all weights must be finite")
         if abs(b[0] - 1.0) > 1e-12:
             raise ValueError(f"beta(0) must be 1 (got {b[0]})")
         b[0] = 1.0
@@ -129,13 +131,9 @@ def weights_from_generating(k: TruncatedSeries) -> WeightSequence:
 
 def family_weights(cls: "SpaceClass", order: int) -> WeightSequence:
     """Weight sequence of a hospitable family member."""
-    if isinstance(cls, Exponential):
-        k = exp_series(1.0 / cls.b_sq, order)
-    elif isinstance(cls, Binomial):
-        k = binomial_series(cls.lam, cls.eta, order)
-    else:
+    if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("family weights exist only for hospitable classes")
-    ws = weights_from_generating(k)
+    ws = weights_from_generating(cls.generating_series(order))
     return WeightSequence(ws.beta, provenance="family")
 
 
@@ -146,7 +144,7 @@ def hardy_weights(order: int) -> WeightSequence:
 
 def bergman_weights(eta: float, order: int) -> WeightSequence:
     """Weights of the space with generating function (1-z)**(-eta)."""
-    return family_weights(Binomial(lam=1.0, eta=float(eta), gamma=(eta + 1.0) / eta), order)
+    return family_weights(Binomial(lam=1.0, eta=float(eta)), order)
 
 
 def fock_weights(b: float, order: int) -> WeightSequence:
@@ -181,16 +179,45 @@ class Exponential:
 
     variant = "Exponential"
 
+    def generating_series(self, order: int, scale: complex = 1.0) -> TruncatedSeries:
+        """k(scale z) truncated at ``order``."""
+        return exp_series(scale / self.b_sq, order)
+
+    def coefficient_ratio(self, j: int) -> float:
+        """Ratio of generating coefficients j + 1 and j."""
+        return 1.0 / (self.b_sq * (j + 1))
+
 
 @dataclass(frozen=True)
 class Binomial:
-    """k(z) = (1 - lam z)**(-eta) with 0 < lam <= 1 and eta = 1/(lam b^2)."""
+    """k(z) = (1 - lam z)**(-eta) with 0 < lam <= 1 and eta = 1/(lam b^2).
+
+    ``gamma`` defaults to its closed form (eta + 1)/eta; `classify_space`
+    passes the value it measured from the weights instead.
+    """
 
     lam: float
     eta: float
-    gamma: float
+    gamma: float | None = None
 
     variant = "Binomial"
+
+    def __post_init__(self):
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", (self.eta + 1.0) / self.eta)
+
+    @property
+    def normal_form(self) -> bool:
+        """lam = 1 (to 1e-12): the undilated kernel (1 - z)**(-eta)."""
+        return abs(self.lam - 1.0) < 1e-12
+
+    def generating_series(self, order: int, scale: complex = 1.0) -> TruncatedSeries:
+        """k(scale z) truncated at ``order``."""
+        return binomial_series(self.lam * scale, self.eta, order)
+
+    def coefficient_ratio(self, j: int) -> float:
+        """Ratio of generating coefficients j + 1 and j."""
+        return self.lam * (self.eta + j) / (j + 1)
 
 
 @dataclass(frozen=True)
@@ -223,6 +250,8 @@ def classify_space(beta1: float, beta2: float, tol: float = CLASSIFICATION_TOL) 
     binomial family, and anything else is inhospitable.  lam within ``tol``
     of 0 is folded into the exponential family (its lam -> 0 limit).
     """
+    if not (math.isfinite(beta1) and math.isfinite(beta2)):
+        raise ValueError("weights must be finite")
     if beta1 <= 0 or beta2 <= 0:
         raise ValueError("weights must be strictly positive")
     b1_sq = float(beta1) * float(beta1)
@@ -251,10 +280,7 @@ def verify_candidate(
     """
     if isinstance(cls, NotHospitable):
         raise ValueError("cannot verify an inhospitable classification")
-    if isinstance(cls, Exponential):
-        candidate = exp_series(1.0 / cls.b_sq, ws.order).coeffs.real
-    else:
-        candidate = binomial_series(cls.lam, cls.eta, ws.order).coeffs.real
+    candidate = cls.generating_series(ws.order).coeffs.real
     actual = ws.generating_coefficients()
     for j in range(ws.order + 1):
         denom = max(abs(actual[j]), abs(candidate[j]))
@@ -320,16 +346,6 @@ def kernel_d(w: complex, ws: WeightSequence, order: int | None = None) -> Trunca
     c = np.zeros(n + 1, dtype=complex)
     j = np.arange(1, n + 1)
     c[1:] = j * np.conj(w) ** (j - 1) / ws.beta[1 : n + 1] ** 2
-    return TruncatedSeries(c)
-
-
-def kernel_dd(w: complex, ws: WeightSequence, order: int | None = None) -> TruncatedSeries:
-    """Kernel reproducing f''(w): coefficient j is j(j-1) conj(w)^(j-2) / beta(j)^2."""
-    w = _check_kernel_point(w)
-    n = _kernel_order(ws, order)
-    c = np.zeros(n + 1, dtype=complex)
-    j = np.arange(2, n + 1)
-    c[2:] = j * (j - 1) * np.conj(w) ** (j - 2) / ws.beta[2 : n + 1] ** 2
     return TruncatedSeries(c)
 
 
@@ -462,6 +478,30 @@ def hardy_norm_quadrature(f: TruncatedSeries, n_angular: int = 512) -> float:
     n_angular = _require_angular_resolution(f, n_angular)
     mean = _eval_on_grid(f, np.ones(1), n_angular)[0]
     return math.sqrt(float(mean))
+
+
+def integral_norm(cls: SpaceClass, f: TruncatedSeries) -> tuple[str, float]:
+    """The norm of ``f`` as an integral, for the family spaces that have one.
+
+    Returns the integration domain and the norm: "gaussian-plane" for the
+    exponential family, and for lam = 1 "disk" when eta > 1 or "circle" when
+    eta = 1.  Every other space has no integral form and raises DomainError.
+    """
+    if isinstance(cls, Exponential):
+        return "gaussian-plane", fock_norm_quadrature(f, cls.b_sq)
+    if isinstance(cls, Binomial) and cls.normal_form:
+        if cls.eta > 1.0 + 1e-9:
+            return "disk", bergman_norm_quadrature(f, cls.eta)
+        if abs(cls.eta - 1.0) <= 1e-9:
+            return "circle", hardy_norm_quadrature(f)
+        raise DomainError(
+            "no integral norm for eta < 1; use the series norm "
+            "(cross-checked by the derivative sandwich)"
+        )
+    raise DomainError(
+        "integral norms are available for the fock family and the "
+        "lam = 1 binomial family only"
+    )
 
 
 # ---------------------------------------------------------------------------

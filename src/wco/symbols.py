@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, binomial_series, exp_series
+from .series import TruncatedSeries
 from .spaces import (
     Binomial,
     DomainError,
@@ -34,7 +34,6 @@ from .spaces import (
     SpaceClass,
     WeightSequence,
     classify_weights,
-    space_class_to_json,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "dilate",
     "mobius_circle_max",
     "a1_from_fraction",
-    "symbol_pair_to_json",
 ]
 
 NONTRIVIAL = "nontrivial"
@@ -117,21 +115,14 @@ def synthesize(
             "cannot synthesize family symbols for an inhospitable space; "
             "use synthesize_from_weights for the general shape"
         )
-    if isinstance(cls, Exponential):
-        psi = c * exp_series(a0_bar / cls.b_sq, order)
-        phi_c = np.zeros(order + 1, dtype=complex)
-        phi_c[0] = a0
-        if order >= 1:
-            phi_c[1] = a1
-        phi = TruncatedSeries(phi_c)
-    else:
-        psi = c * binomial_series(cls.lam * a0_bar, cls.eta, order)
-        phi_c = np.zeros(order + 1, dtype=complex)
-        phi_c[0] = a0
-        if order >= 1:
-            ratio = cls.lam * a0_bar
-            phi_c[1:] = a1 * ratio ** np.arange(order)
-        phi = TruncatedSeries(phi_c)
+    psi = c * cls.generating_series(order, a0_bar)
+    phi_c = np.zeros(order + 1, dtype=complex)
+    phi_c[0] = a0
+    if order >= 1 and isinstance(cls, Exponential):
+        phi_c[1] = a1
+    elif order >= 1:
+        phi_c[1:] = a1 * (cls.lam * a0_bar) ** np.arange(order)
+    phi = TruncatedSeries(phi_c)
     return SymbolPair(
         a0=a0, a1=a1, c=c, cls=cls, psi=psi, phi=phi, trivial=triviality(a0, a1, c)
     )
@@ -169,7 +160,7 @@ def synthesize_from_weights(
         phi = (a1 * beta1_sq / a0_bar) * quotient
         phi_c = phi.coeffs.copy()
         phi_c[0] = a0
-        phi = TruncatedSeries(phi_c, phi.exact_to)
+        phi = TruncatedSeries(phi_c)
     return SymbolPair(
         a0=a0, a1=a1, c=c, cls=cls, psi=psi, phi=phi, trivial=triviality(a0, a1, c)
     )
@@ -299,19 +290,5 @@ def dilate(sp: SymbolPair, order: int | None = None) -> SymbolPair:
     if not isinstance(cls, Binomial):
         raise ValueError("dilation applies to binomial-family pairs only")
     n = sp.order if order is None else order
-    target = Binomial(lam=1.0, eta=cls.eta, gamma=(cls.eta + 1.0) / cls.eta)
+    target = Binomial(lam=1.0, eta=cls.eta)
     return synthesize(target, math.sqrt(cls.lam) * sp.a0, sp.a1, sp.c, n)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-
-def symbol_pair_to_json(sp: SymbolPair) -> dict:
-    return {
-        "a0": [sp.a0.real, sp.a0.imag],
-        "a1": sp.a1.real if sp.a1.imag == 0 else [sp.a1.real, sp.a1.imag],
-        "c": sp.c.real if sp.c.imag == 0 else [sp.c.real, sp.c.imag],
-        "class": space_class_to_json(sp.cls),
-        "trivial": sp.trivial,
-    }

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators, spaces, symbols
-from .series import TruncatedSeries, binomial_series, exp_series
+from .series import TruncatedSeries
 from .spaces import (
     Binomial,
     DomainError,
@@ -364,11 +364,7 @@ def full_report(
     # inhospitable spaces use the weights' own coefficients: violations are
     # orders of magnitude above any truncation effect.
     if hospitable:
-        ext = max(n, 128) + 2
-        if isinstance(cls, Exponential):
-            k_series = exp_series(1.0 / cls.b_sq, ext)
-        else:
-            k_series = binomial_series(cls.lam, cls.eta, ext)
+        k_series = cls.generating_series(max(n, 128) + 2)
         ode_note = "family closed form at extended order"
     else:
         k_series = TruncatedSeries(ws.generating_coefficients().astype(complex))
@@ -420,79 +416,17 @@ def full_report(
     return VerificationReport(subject=subject, checks=checks)
 
 
+#: report oracle names of the `spaces.integral_norm` domains
+_QUADRATURE_ORACLES = {
+    "gaussian-plane": "Gaussian-plane quadrature",
+    "disk": "disk quadrature",
+    "circle": "circle quadrature",
+}
+
+
 def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
     checks: list[Check] = []
-    probe = _probe_polynomial(n)
-    if isinstance(cls, Exponential):
-        series_norm = spaces.norm(probe, ws)
-        quad_norm = spaces.fock_norm_quadrature(probe, cls.b_sq)
-        checks.append(
-            _residual_check(
-                "quadrature-vs-series-norm",
-                abs(series_norm - quad_norm) / series_norm,
-                tol["quadrature"],
-                "Gaussian-plane quadrature",
-            )
-        )
-        if 0 < abs(sp.a1) < 1:
-            bound = operators.fock_bound(sp)
-            sigma = operators.finite_section_norm(m)
-            checks.append(
-                _residual_check(
-                    "norm-bound-dominance",
-                    max(0.0, sigma * sigma - bound),
-                    1e-12 * max(1.0, bound),
-                    "closed-form bound vs largest singular value",
-                    f"sigma_max^2 = {sigma * sigma:.6g} <= bound = {bound:.6g}",
-                )
-            )
-    elif isinstance(cls, Binomial):
-        if abs(cls.lam - 1.0) < 1e-12:
-            if cls.eta > 1.0 + 1e-9:
-                series_norm = spaces.norm(probe, ws)
-                quad_norm = spaces.bergman_norm_quadrature(probe, cls.eta)
-                checks.append(
-                    _residual_check(
-                        "quadrature-vs-series-norm",
-                        abs(series_norm - quad_norm) / series_norm,
-                        tol["quadrature"],
-                        "disk quadrature",
-                    )
-                )
-            elif abs(cls.eta - 1.0) <= 1e-9:
-                series_norm = spaces.norm(probe, ws)
-                quad_norm = spaces.hardy_norm_quadrature(probe)
-                checks.append(
-                    _residual_check(
-                        "quadrature-vs-series-norm",
-                        abs(series_norm - quad_norm) / series_norm,
-                        tol["quadrature"],
-                        "circle quadrature",
-                    )
-                )
-            else:
-                bounds = spaces.derivative_norm_bounds(probe, cls.eta)
-                violation = max(bounds.lower - bounds.value, bounds.value - bounds.upper, 0.0)
-                checks.append(
-                    _residual_check(
-                        "derivative-norm-sandwich",
-                        violation,
-                        1e-12 * max(1.0, bounds.upper),
-                        "series norms in the shifted space",
-                        "no disk-integral form for eta < 1; sandwich cross-check instead",
-                    )
-                )
-        else:
-            conj_res = operators.conjugation_check(sp, n)
-            checks.append(
-                _residual_check(
-                    "dilation-conjugation",
-                    conj_res,
-                    tol["identity"],
-                    "matrix identity across the dilation unitary",
-                )
-            )
-    else:
+    if isinstance(cls, NotHospitable):
         # inhospitable with a constant weight tail: the norms are equivalent
         # to the Hardy norm, so bounded psi and a disk self-map phi still give
         # a bounded (just never nontrivially Hermitian) operator
@@ -512,6 +446,58 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
                     ),
                 )
             )
+        return checks
+
+    probe = _probe_polynomial(n)
+    try:
+        domain, quad_norm = spaces.integral_norm(cls, probe)
+    except DomainError:
+        domain = None
+    if domain is not None:
+        series_norm = spaces.norm(probe, ws)
+        checks.append(
+            _residual_check(
+                "quadrature-vs-series-norm",
+                abs(series_norm - quad_norm) / series_norm,
+                tol["quadrature"],
+                _QUADRATURE_ORACLES[domain],
+            )
+        )
+    elif cls.normal_form:
+        bounds = spaces.derivative_norm_bounds(probe, cls.eta)
+        violation = max(bounds.lower - bounds.value, bounds.value - bounds.upper, 0.0)
+        checks.append(
+            _residual_check(
+                "derivative-norm-sandwich",
+                violation,
+                1e-12 * max(1.0, bounds.upper),
+                "series norms in the shifted space",
+                "no disk-integral form for eta < 1; sandwich cross-check instead",
+            )
+        )
+    else:
+        conj_res = operators.conjugation_check(sp, n)
+        checks.append(
+            _residual_check(
+                "dilation-conjugation",
+                conj_res,
+                tol["identity"],
+                "matrix identity across the dilation unitary",
+            )
+        )
+
+    if isinstance(cls, Exponential) and 0 < abs(sp.a1) < 1:
+        bound = operators.fock_bound(sp)
+        sigma = operators.finite_section_norm(m)
+        checks.append(
+            _residual_check(
+                "norm-bound-dominance",
+                max(0.0, sigma * sigma - bound),
+                1e-12 * max(1.0, bound),
+                "closed-form bound vs largest singular value",
+                f"sigma_max^2 = {sigma * sigma:.6g} <= bound = {bound:.6g}",
+            )
+        )
     return checks
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wco.cli import main, parse_complex, parse_polynomial
+from wco.spaces import Binomial
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,12 @@ class TestClassifyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_non_finite_weights_are_usage_errors(self, capsys):
+        for argv in (("nan", "1"), ("1", "inf")):
+            code, out, err = run_cli(capsys, "classify", *argv)
+            assert code == 2 and out == ""
+            assert "finite" in err
+
 
 class TestCheckCommand:
     def test_hardy_pass(self, capsys):
@@ -91,6 +98,13 @@ class TestCheckCommand:
         assert code == 1
         failing = [c["name"] for c in payload["checks"] if not c["pass"]]
         assert "moment-0" in failing
+
+    def test_non_finite_symbol_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--family", "hardy", "--a0", "nan", "--a1", "0.2", "--c", "1"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert "not finite" in captured.err
 
     def test_fock_pass(self, capsys):
         code, out, _ = run_cli(
@@ -196,21 +210,33 @@ class TestSweepCommand:
         assert "deviation" in header and "m2" in header
 
     def test_deterministic_across_workers(self, capsys, tmp_path):
-        config = {
+        good = {
             "space": {"family": "binomial", "lambda": 1.0, "eta": 2.0},
             "grid": {"a0_mod": [0.2, 0.5], "a0_arg": [0.0, 1.0], "a1_fraction": [0.7], "c": [1.0]},
             "order": 16,
         }
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(config))
-        outputs = []
-        for workers in ("1", "2"):
-            code, out, _ = run_cli(
-                capsys, "sweep", "--config", str(cfg), "--workers", workers
-            )
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+        # a fraction outside [-1, 1] fails its own cells and no others
+        bad = {
+            "space": {"family": "binomial", "lambda": 0.5, "eta": 1.0},
+            "grid": {"a0_mod": [0.3], "a1_fraction": [0.5, 1.5]},
+            "order": 16,
+        }
+        for config, expected_code in ((good, 0), (bad, 1)):
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps(config))
+            outputs = []
+            for workers in ("1", "2"):
+                code, out, _ = run_cli(
+                    capsys, "sweep", "--config", str(cfg), "--workers", workers
+                )
+                assert code == expected_code
+                outputs.append(out)
+            assert outputs[0] == outputs[1]
+        rows = json.loads(outputs[0])["rows"]
+        assert [r["pass"] for r in rows] == [True, False]
+        assert "error" not in rows[0] and rows[0]["deviation"] <= 1e-10
+        assert rows[1]["a1_fraction"] == 1.5
+        assert "fraction must lie in [-1, 1]" in rows[1]["error"]
 
 
 def test_default_order_env(monkeypatch, capsys):
@@ -220,3 +246,44 @@ def test_default_order_env(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out)["subject"]["order"] == 24
+
+
+#: report oracle for each integral-norm domain `wco quad` names
+QUAD_ORACLES = {
+    "gaussian-plane": "Gaussian-plane quadrature",
+    "disk": "disk quadrature",
+    "circle": "circle quadrature",
+}
+
+
+@pytest.mark.parametrize(
+    "space_args, fallback_check",
+    [
+        (["--family", "fock", "--b", "1.2"], None),
+        (["--family", "hardy"], None),
+        (["--family", "bergman", "--eta", "2"], None),
+        (["--family", "bergman", "--eta", "0.5"], "derivative-norm-sandwich"),
+        (["--family", "binomial", "--lam", "0.5", "--eta", "2"], "dilation-conjugation"),
+    ],
+    ids=["fock", "hardy", "bergman-2", "bergman-0.5", "binomial-lam-0.5"],
+)
+def test_quad_and_report_share_the_integral_norm(capsys, space_args, fallback_check):
+    code, out, _ = run_cli(capsys, "quad", *space_args, "--order", "24", "--f", "1+0.5*z-z^3")
+    code_report, report_out, _ = run_cli(
+        capsys, "check", *space_args, "--order", "24",
+        "--a0", "0.4", "--a1", "0.1", "--c", "1",
+    )
+    assert code_report == 0
+    checks = {c["name"]: c for c in json.loads(report_out)["checks"]}
+    if fallback_check is None:
+        assert code == 0
+        oracle = QUAD_ORACLES[json.loads(out)["quadrature"]]
+        assert checks["quadrature-vs-series-norm"]["oracle"] == oracle
+    else:
+        assert code == 2
+        assert "quadrature-vs-series-norm" not in checks
+        assert fallback_check in checks
+    if "--eta" in space_args:
+        eta = float(space_args[space_args.index("--eta") + 1])
+        lam = float(space_args[space_args.index("--lam") + 1]) if "--lam" in space_args else 1.0
+        assert Binomial(lam, eta).gamma == (eta + 1) / eta

@@ -74,6 +74,8 @@ class TestBuildMatrix:
         assert operators.hermitian_deviation(m) > 1e-3
         # the (0,0) entry alone shows the defect: |c - conj(c)| = 2
         assert abs(m.entries[0, 0] - np.conj(m.entries[0, 0])) == pytest.approx(2.0)
+        deviation, argmax = operators.hermitian_deviation_argmax(m)
+        assert deviation == operators.hermitian_deviation(m) and argmax == (0, 0)
 
     def test_flat_weights_never_hermitian(self):
         ws = flat_weights(64)
@@ -269,31 +271,3 @@ class TestStressOrder:
         m = operators.build_matrix(sp, ws)
         assert np.all(np.isfinite(ws.beta))
         assert operators.hermitian_deviation(m) <= 1e-10
-
-
-class TestExports:
-    def test_csv_shape(self):
-        sp, ws = hardy_pair(order=3)
-        m = operators.build_matrix(sp, ws)
-        text = operators.matrix_to_csv(m)
-        rows = [r for r in text.strip().split("\n")]
-        assert len(rows) == 4
-        first_cell = rows[0].split('","')[0].strip('"')
-        re_part, im_part = first_cell.split(",")
-        assert float(re_part) == pytest.approx(1.0)
-        assert float(im_part) == 0.0
-
-    def test_deviation_report(self):
-        sp, ws = hardy_pair(c=1j, order=8)
-        m = operators.build_matrix(sp, ws)
-        report = operators.deviation_report(m)
-        assert report["N"] == 8
-        assert report["deviation"] > 1e-3
-        assert report["argmax"] == [0, 0]
-
-    def test_json_round_trip_values(self):
-        sp, ws = hardy_pair(order=4)
-        m = operators.build_matrix(sp, ws)
-        payload = operators.matrix_to_json(m)
-        assert payload["order"] == 4
-        assert payload["entries"][0][0] == [1.0, 0.0]

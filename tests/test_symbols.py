@@ -18,7 +18,6 @@ from wco.symbols import (
     is_selfmap,
     mobius_circle_max,
     selfmap_interval,
-    symbol_pair_to_json,
     synthesize,
     synthesize_from_weights,
     triviality,
@@ -214,14 +213,6 @@ class TestDilate:
         sp = synthesize(Exponential(b_sq=1.0), 0.3, 0.2, 1.0, 8)
         with pytest.raises(ValueError):
             dilate(sp)
-
-
-def test_symbol_pair_json():
-    sp = synthesize(HARDY, 0.5 + 0.1j, 0.1, 1.0, 8)
-    payload = symbol_pair_to_json(sp)
-    assert payload["a0"] == [0.5, 0.1]
-    assert payload["trivial"] == "nontrivial"
-    assert payload["class"]["variant"] == "Binomial"
 
 
 def test_conjugate_convention_nonreal_a0():
