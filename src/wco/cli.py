@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -75,6 +76,25 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
     if not cmath.isfinite(value):
         raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """Real literals for the float options and positionals; finite only."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"number {text!r} is not finite")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A finite float above zero (tolerances)."""
+    value = finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"number {text!r} must be positive")
     return value
 
 
@@ -164,7 +184,7 @@ def _space_from_args(args, order: int) -> WeightSequence:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=False))
+    print(json.dumps(payload, indent=2, sort_keys=False, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +380,7 @@ def cmd_sweep(args) -> int:
         text = _rows_to_csv(rows)
         _write_or_print(args.output or (config.get("output") or None), text)
     else:
-        text = json.dumps(result, indent=2)
+        text = json.dumps(result, indent=2, allow_nan=False)
         _write_or_print(args.output or (config.get("output") or None), text)
     return EXIT_OK if result["pass"] else EXIT_FAIL
 
@@ -400,10 +420,11 @@ def _add_order_option(cmd) -> None:
 def _add_space_options(cmd) -> None:
     cmd.add_argument("--family", type=str, default=None,
                      help="hardy | bergman | fock | binomial | dirichlet | flat")
-    cmd.add_argument("--eta", type=float, default=None, help="binomial/bergman exponent")
-    cmd.add_argument("--lam", type=float, default=None, help="binomial lambda in (0, 1]")
-    cmd.add_argument("--b", type=float, default=None, help="fock scale (default 1)")
-    cmd.add_argument("--level", type=float, default=None, help="flat weight level (default 2)")
+    cmd.add_argument("--eta", type=finite_float, default=None, help="binomial/bergman exponent")
+    cmd.add_argument("--lam", type=finite_float, default=None, help="binomial lambda in (0, 1]")
+    cmd.add_argument("--b", type=finite_float, default=None, help="fock scale (default 1)")
+    cmd.add_argument("--level", type=finite_float, default=None,
+                     help="flat weight level (default 2)")
     cmd.add_argument("--beta-file", type=str, default=None,
                      help='JSON weight file {"order": N, "beta": [...]}')
 
@@ -420,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", type=int, default=None,
         help="truncate a --beta-file to this order before verification",
     )
-    classify_cmd.add_argument("beta1", type=float, nargs="?", default=None)
-    classify_cmd.add_argument("beta2", type=float, nargs="?", default=None)
+    classify_cmd.add_argument("beta1", type=finite_float, nargs="?", default=None)
+    classify_cmd.add_argument("beta2", type=finite_float, nargs="?", default=None)
     classify_cmd.add_argument("--beta-file", type=str, default=None)
-    classify_cmd.add_argument("--tol", type=float, default=None,
+    classify_cmd.add_argument("--tol", type=positive_float, default=None,
                               help="override the classification tolerance")
     classify_cmd.set_defaults(func=cmd_classify)
 
@@ -437,15 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--a0", type=parse_complex, required=True, help="phi(0), complex like 0.5 or 0.3+0.2i")
         cmd.add_argument("--a1", type=parse_complex, required=True, help="phi'(0)")
         cmd.add_argument("--c", type=parse_complex, required=True, help="psi(0)")
-        cmd.add_argument("--tol", type=float, default=None, help="override the identity tolerance")
+        cmd.add_argument("--tol", type=positive_float, default=None,
+                         help="override the identity tolerance")
         if name == "report":
             cmd.add_argument("--output", type=str, default=None, help="also write the JSON report here")
         cmd.set_defaults(func=func)
 
     region_cmd = sub.add_parser("region", help="exact self-map interval for a1")
     region_cmd.add_argument("a0", type=parse_complex)
-    region_cmd.add_argument("lam", type=float)
-    region_cmd.add_argument("rho", type=float, nargs="?", default=1.0)
+    region_cmd.add_argument("lam", type=finite_float)
+    region_cmd.add_argument("rho", type=finite_float, nargs="?", default=1.0)
     region_cmd.set_defaults(func=cmd_region)
 
     sweep_cmd = sub.add_parser("sweep", help="grid sweep driven by a JSON config")

@@ -11,6 +11,13 @@ entry of the infinite matrix: Hermitian-ness certified here is exact, not
 an artifact of truncation.  Operator norms, in contrast, are only reached
 from below by finite sections; the one quantitative upper bound available
 is the Gaussian-family estimate in `fock_bound`.
+
+`build_matrix` walks the power chain once: column j + 1 is column j times
+phi, one convolution per column, whose summation order does not depend on
+N.  The section is the one power table of a pair: `kernel_identity_residual`
+reads W K_w off it as a matrix-vector product and `conjugation_check`
+compares it with the dilated pair's section, so a caller that already holds
+the section passes it in rather than walking the chain again.
 """
 
 from __future__ import annotations
@@ -70,24 +77,28 @@ class OperatorMatrix:
 def build_matrix(
     sp: SymbolPair, ws: WeightSequence, order: int | None = None
 ) -> OperatorMatrix:
-    """Assemble the section column by column: column j is psi * phi^j."""
+    """Assemble the section column by column: column j is psi * phi^j.
+
+    Column 0 is psi and column j + 1 is column j times phi, truncated at
+    order N; every coefficient is summed in an order that does not depend
+    on N, so the section at order N is bitwise the top-left block of the
+    section at 2N.  The normalization (x * beta(i)) / beta(j) is applied in
+    place once the chain is done.
+    """
     n = sp.order if order is None else order
     if ws.order < n or sp.order < n:
         raise ValueError(
             f"need symbols and weights at order >= {n} "
             f"(got symbols {sp.order}, weights {ws.order})"
         )
-    psi = sp.psi.truncated(n)
-    phi = sp.phi.truncated(n)
+    phi = sp.phi.truncated(n).coeffs
     beta = ws.beta[: n + 1]
     entries = np.empty((n + 1, n + 1), dtype=complex)
-    power = np.zeros(n + 1, dtype=complex)
-    power[0] = 1.0
-    for j in range(n + 1):
-        column = np.convolve(psi.coeffs, power)[: n + 1]
-        entries[:, j] = column * beta / beta[j]
-        if j < n:
-            power = np.convolve(power, phi.coeffs)[: n + 1]
+    entries[:, 0] = sp.psi.truncated(n).coeffs
+    for j in range(n):
+        entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
+    entries *= beta[:, None]
+    entries /= beta[None, :]
     return OperatorMatrix(entries=entries, beta=WeightSequence(beta, ws.provenance))
 
 
@@ -149,12 +160,20 @@ def adjoint_on_kernel(
 
 
 def kernel_identity_residual(
-    sp: SymbolPair, ws: WeightSequence, w: complex, order: int | None = None
+    sp: SymbolPair,
+    ws: WeightSequence,
+    w: complex,
+    order: int | None = None,
+    section: OperatorMatrix | None = None,
 ) -> float:
     """H^2(beta)-norm of (W - W*) applied to the truncated kernel at w.
 
     Zero (up to truncation and roundoff) exactly when the operator is
     Hermitian; `kernel_tail_bound` quantifies what truncating K_w dropped.
+    The forward side W K_w = sum_j K_w(j) psi phi^j is the section applied
+    to the kernel in the normalized basis, M (K_w * beta); pass the pair's
+    `section` at this order to reuse it.  The backward side
+    conj(psi(w)) K_{phi(w)} is evaluated in closed form.
     """
     w = complex(w)
     if abs(w) > 0.8:
@@ -162,12 +181,14 @@ def kernel_identity_residual(
             "kernel points are restricted to |w| <= 0.8 to keep the truncation tail controlled"
         )
     n = sp.order if order is None else order
-    k_w = kernel(w, ws, n)
-    forward = sp.psi.truncated(n) * compose_poly(k_w, sp.phi.truncated(n))
-    backward = adjoint_on_kernel(sp, w, ws, n)
-    diff = forward - backward
     beta = ws.beta[: n + 1]
-    return float(np.sqrt(np.sum(np.abs(diff.coeffs) ** 2 * beta**2)))
+    k_w = kernel(w, ws, n)
+    backward = adjoint_on_kernel(sp, w, ws, n).coeffs * beta
+    m = build_matrix(sp, ws, n) if section is None else section
+    # einsum's own loop, not BLAS gemv: threaded gemv is slower at these
+    # sizes and leaves its worker threads spinning
+    forward = np.einsum("ij,j->i", m.entries, k_w.coeffs * beta)
+    return float(np.sqrt(np.sum(np.abs(forward - backward) ** 2)))
 
 
 def kernel_tail_bound(cls, w: complex, order: int, max_terms: int = 100_000) -> float:
@@ -191,23 +212,25 @@ def kernel_tail_bound(cls, w: complex, order: int, max_terms: int = 100_000) -> 
     return total
 
 
-def conjugation_check(sp: SymbolPair, order: int | None = None) -> float:
+def conjugation_check(
+    sp: SymbolPair, order: int | None = None, section: OperatorMatrix | None = None
+) -> float:
     """Entrywise residual of the dilation conjugation identity.
 
     The pair over the lam < 1 space and its dilated lam = 1 counterpart are
     intertwined by the (unitary) dilation z -> sqrt(lam) z, whose matrix in
     the two normalized bases is the identity; the two sections must agree
-    entry by entry.
+    entry by entry.  `section` is the pair's own section at this order (a
+    report passes the one it already built); without it the section is
+    built over the family weights.
     """
     cls = sp.cls
     if not isinstance(cls, Binomial):
         raise ValueError("the conjugation identity applies to binomial pairs")
     n = sp.order if order is None else order
-    ws_lam = family_weights(cls, n)
-    m_lam = build_matrix(sp, ws_lam, n)
+    m_lam = build_matrix(sp, family_weights(cls, n), n) if section is None else section
     tilted = dilate(sp, n)
-    ws_one = family_weights(tilted.cls, n)
-    m_one = build_matrix(tilted, ws_one, n)
+    m_one = build_matrix(tilted, family_weights(tilted.cls, n), n)
     return float(np.max(np.abs(m_lam.entries - m_one.entries)))
 
 

@@ -378,12 +378,14 @@ def _eval_on_grid(f: TruncatedSeries, radii: np.ndarray, n_angular: int) -> np.n
 
     Evaluates f pointwise by Horner on the full polar grid; deliberately
     does *not* shortcut through the coefficient formula, so the quadrature
-    stays an independent check on the series-side norms.
+    stays an independent check on the series-side norms.  Horner starts at
+    the last nonzero coefficient: the zero padding of a low-degree f would
+    only multiply zeros, and the result is bitwise the same.
     """
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     grid = radii[:, None] * np.exp(1j * theta)[None, :]
     vals = np.zeros_like(grid)
-    for c in f.coeffs[::-1]:
+    for c in np.trim_zeros(f.coeffs, "b")[::-1]:
         vals = vals * grid + c
     return np.mean(vals.real**2 + vals.imag**2, axis=1)
 

@@ -62,6 +62,15 @@ DEFAULT_TOLERANCES = {
     "violation": 1e-3,
 }
 
+#: floating-point slack of the affine self-map bound |a0| + |a1| <= 1
+AFFINE_SELFMAP_SLACK = 1e-12
+#: relative slack of the norm comparisons (sigma_max^2 against the Gaussian
+#: bound, the derivative-norm sandwich, the flat-weight norm equivalence),
+#: scaled by max(1, bound)
+NORM_BOUND_SLACK = 1e-12
+#: largest max|phi| - 1 on the 0.999-radius grid that still counts as a self-map
+BOUNDARY_GRID_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # ODE oracle
@@ -168,7 +177,7 @@ def norm_equivalence_check(f: TruncatedSeries, level: float = 2.0) -> NormEquiva
     ws_f = flat_weights(f.order, level=level)
     h = spaces.norm(f, ws_h)
     fl = spaces.norm(f, ws_f)
-    slack = 1e-12 * max(1.0, h)
+    slack = NORM_BOUND_SLACK * max(1.0, h)
     ok = (h - slack <= fl) and (fl <= level * h + slack)
     return NormEquivalence(hardy=h, flat=fl, ratio_ok=ok)
 
@@ -187,9 +196,11 @@ class Check:
     notes: str = ""
 
     def to_dict(self) -> dict:
+        """JSON shape of the check; a non-finite residual (a skipped or
+        failed oracle) becomes null, so the output stays strict JSON."""
         return {
             "name": self.name,
-            "residual": self.residual,
+            "residual": self.residual if math.isfinite(self.residual) else None,
             "tolerance": self.tolerance,
             "pass": self.passed,
             "oracle": self.oracle,
@@ -215,7 +226,7 @@ class VerificationReport:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     def lines(self) -> list[str]:
         out = []
@@ -258,14 +269,16 @@ def _selfmap_check(sp: SymbolPair) -> Check:
         )
     if isinstance(cls, Exponential) and sp.a1.imag == 0:
         residual = max(0.0, abs(sp.a0) + abs(a1r) - 1.0)
-        return _residual_check("selfmap", residual, 1e-12, "affine bound", notes)
+        return _residual_check(
+            "selfmap", residual, AFFINE_SELFMAP_SLACK, "affine bound", notes
+        )
     grid_max = float(
         np.max(np.abs(sp.phi(0.999 * np.exp(2j * np.pi * np.arange(1024) / 1024))))
     )
     return _residual_check(
         "selfmap",
         max(0.0, grid_max - 1.0),
-        1e-9,
+        BOUNDARY_GRID_TOL,
         "boundary grid on the truncated phi",
         notes or "grid estimate; truncation tail not included",
     )
@@ -389,7 +402,7 @@ def full_report(
         )
 
     try:
-        kernel_res = operators.kernel_identity_residual(sp, ws, kernel_point, n)
+        kernel_res = operators.kernel_identity_residual(sp, ws, kernel_point, n, section=m)
         notes = ""
         if hospitable:
             tail = operators.kernel_tail_bound(cls, kernel_point, n)
@@ -470,13 +483,13 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
             _residual_check(
                 "derivative-norm-sandwich",
                 violation,
-                1e-12 * max(1.0, bounds.upper),
+                NORM_BOUND_SLACK * max(1.0, bounds.upper),
                 "series norms in the shifted space",
                 "no disk-integral form for eta < 1; sandwich cross-check instead",
             )
         )
     else:
-        conj_res = operators.conjugation_check(sp, n)
+        conj_res = operators.conjugation_check(sp, n, section=m)
         checks.append(
             _residual_check(
                 "dilation-conjugation",
@@ -493,7 +506,7 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
             _residual_check(
                 "norm-bound-dominance",
                 max(0.0, sigma * sigma - bound),
-                1e-12 * max(1.0, bound),
+                NORM_BOUND_SLACK * max(1.0, bound),
                 "closed-form bound vs largest singular value",
                 f"sigma_max^2 = {sigma * sigma:.6g} <= bound = {bound:.6g}",
             )

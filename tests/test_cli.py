@@ -15,6 +15,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_usage_error(capsys, *argv):
+    """Run an argv the argument parser must reject; return its exit code."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity literals."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestParsers:
     def test_complex_forms(self):
         assert parse_complex("0.5") == 0.5
@@ -73,10 +89,17 @@ class TestClassifyCommand:
         assert "error" in err
 
     def test_non_finite_weights_are_usage_errors(self, capsys):
+        # rejected by the argument parser, like every other float argument
         for argv in (("nan", "1"), ("1", "inf")):
-            code, out, err = run_cli(capsys, "classify", *argv)
+            code, out, err = run_usage_error(capsys, "classify", *argv)
             assert code == 2 and out == ""
             assert "finite" in err
+
+    def test_tolerance_must_be_finite_and_positive(self, capsys):
+        for tol in ("nan", "inf", "0", "-1e-6"):
+            code, out, err = run_usage_error(capsys, "classify", "1", "1", "--tol", tol)
+            assert code == 2 and out == ""
+            assert "--tol" in err
 
 
 class TestCheckCommand:
@@ -106,6 +129,27 @@ class TestCheckCommand:
         assert exit_info.value.code == 2 and captured.out == ""
         assert "not finite" in captured.err
 
+    def test_tolerance_must_be_finite_and_positive(self, capsys):
+        for tol in ("nan", "inf", "0"):
+            code, out, err = run_usage_error(
+                capsys, "check", "--family", "hardy",
+                "--a0", "0.3", "--a1", "0.2", "--c", "1", "--tol", tol,
+            )
+            assert code == 2 and out == ""
+            assert "--tol" in err
+
+    def test_skipped_kernel_identity_is_strict_json(self, capsys):
+        # phi(w) leaves the disk, so the kernel oracle is skipped
+        code, out, _ = run_cli(
+            capsys, "check", "--family", "hardy",
+            "--a0", "0.5", "--a1", "2", "--c", "1",
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        kernel_check = checks["kernel-identity"]
+        assert kernel_check["residual"] is None and kernel_check["pass"] is False
+        assert kernel_check["notes"].startswith("skipped:")
+
     def test_fock_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--family", "fock", "--b", "1",
@@ -126,6 +170,25 @@ class TestCheckCommand:
         saved = json.loads(out_path.read_text())
         assert saved["pass"] is True
 
+    def test_report_float_options_must_be_finite(self, capsys):
+        for option in (["--eta", "nan"], ["--lam", "inf"], ["--tol", "-inf"]):
+            code, out, err = run_usage_error(
+                capsys, "report", "--family", "binomial", "--lam", "0.5", "--eta", "1",
+                *option, "--a0", "0.3", "--a1", "0.2", "--c", "1",
+            )
+            assert code == 2 and out == ""
+            assert option[0] in err
+
+    def test_report_output_is_strict_json(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "report", "--family", "hardy", "--order", "32",
+            "--a0", "0.5", "--a1", "2", "--c", "1", "--output", str(out_path),
+        )
+        assert code == 1
+        saved = strict_json(out_path.read_text())
+        assert [c["residual"] for c in saved["checks"] if c["name"] == "kernel-identity"] == [None]
+
 
 class TestRegionCommand:
     def test_interval_values(self, capsys):
@@ -139,6 +202,12 @@ class TestRegionCommand:
         code, _, err = run_cli(capsys, "region", "0.5", "1.5")
         assert code == 2
         assert "error" in err
+
+    def test_non_finite_lambda_or_radius_is_usage_error(self, capsys):
+        for argv in (("0.3", "0.5", "nan"), ("0.3", "inf"), ("0.3", "nan", "1")):
+            code, out, err = run_usage_error(capsys, "region", *argv)
+            assert code == 2 and out == ""
+            assert "not finite" in err
 
 
 class TestQuadCommand:
@@ -158,6 +227,12 @@ class TestQuadCommand:
         )
         assert code == 2
         assert "error" in err
+
+    def test_non_finite_space_options_are_usage_errors(self, capsys):
+        for option in (["--family", "fock", "--b", "nan"], ["--family", "flat", "--level", "inf"]):
+            code, out, err = run_usage_error(capsys, "quad", *option, "--f", "z")
+            assert code == 2 and out == ""
+            assert "not finite" in err
 
     def test_series_json_file_input(self, capsys, tmp_path):
         payload = {"order": 3, "coeffs": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from wco import operators
-from wco.series import TruncatedSeries, monomial
+from wco.series import TruncatedSeries, compose_poly, monomial
 from wco.spaces import (
     Binomial,
     DomainError,
     Exponential,
     bergman_weights,
+    dirichlet_weights,
     family_weights,
     flat_weights,
     fock_weights,
@@ -54,6 +55,24 @@ class TestBuildMatrix:
         sp128, ws128 = hardy_pair(order=128)
         m64 = operators.build_matrix(sp64, ws64)
         m128 = operators.build_matrix(sp128, ws128)
+        assert np.array_equal(m64.entries, m128.entries[:65, :65])
+
+    @pytest.mark.parametrize(
+        "cls, weights",
+        [
+            (Binomial(lam=0.5, eta=1.7), lambda n: family_weights(Binomial(lam=0.5, eta=1.7), n)),
+            (Exponential(b_sq=1.0), lambda n: fock_weights(1.0, n)),
+        ],
+        ids=["binomial-lam-0.5", "fock"],
+    )
+    def test_entries_stable_across_truncation_order_beyond_hardy(self, cls, weights):
+        a0 = 0.45 * np.exp(0.7j)
+        if isinstance(cls, Binomial):
+            a1 = a1_from_fraction(selfmap_interval(a0, cls.lam, 1.0), 0.6)
+        else:
+            a1 = 0.4
+        m64 = operators.build_matrix(synthesize(cls, a0, a1, -1.2, 64), weights(64))
+        m128 = operators.build_matrix(synthesize(cls, a0, a1, -1.2, 128), weights(128))
         assert np.array_equal(m64.entries, m128.entries[:65, :65])
 
     def test_hermitian_across_families_and_lambdas(self):
@@ -201,6 +220,52 @@ class TestKernelIdentity:
         with pytest.raises(DomainError):
             operators.kernel_identity_residual(sp, ws, 0.9)
 
+    @staticmethod
+    def composed_forward(sp, ws, w, n):
+        """W K_w = psi * (K_w o phi) by series composition, in the
+        normalized basis: an evaluation that never forms the section."""
+        k_w = kernel(w, ws, n)
+        forward = sp.psi.truncated(n) * compose_poly(k_w, sp.phi.truncated(n))
+        return forward.coeffs * ws.beta[: n + 1]
+
+    @pytest.mark.parametrize(
+        "cls, weights",
+        [
+            (HARDY, hardy_weights),
+            (Binomial(lam=1.0, eta=2.0), lambda n: bergman_weights(2.0, n)),
+            (Binomial(lam=0.5, eta=1.0), lambda n: family_weights(Binomial(lam=0.5, eta=1.0), n)),
+            (Exponential(b_sq=1.0), lambda n: fock_weights(1.0, n)),
+        ],
+        ids=["hardy", "bergman-2", "binomial-lam-0.5", "fock"],
+    )
+    @pytest.mark.parametrize("a1_imag", [0.0, 0.05], ids=["hermitian", "perturbed"])
+    def test_section_forward_side_matches_composition(self, cls, weights, a1_imag):
+        n, w = 64, 0.3 + 0.2j
+        a0 = 0.4 * np.exp(0.3j)
+        lam = cls.lam if isinstance(cls, Binomial) else 0.0
+        a1 = (0.5 * (1.0 - abs(a0)) * (1.0 - lam * abs(a0))) + 1j * a1_imag
+        sp, ws = synthesize(cls, a0, a1, 1.3, n), weights(n)
+        m = operators.build_matrix(sp, ws, n)
+        forward = self.composed_forward(sp, ws, w, n)
+        backward = operators.adjoint_on_kernel(sp, w, ws, n).coeffs * ws.beta[: n + 1]
+        via_composition = float(np.linalg.norm(forward - backward))
+        via_section = operators.kernel_identity_residual(sp, ws, w, n, section=m)
+        assert abs(via_section - via_composition) <= 1e-13
+        assert operators.kernel_identity_residual(sp, ws, w, n) == via_section
+        if a1_imag:
+            assert via_section > 1e-3
+
+    def test_section_forward_side_rejects_dirichlet_pair(self):
+        n, w = 64, 0.3 + 0.2j
+        ws = dirichlet_weights(n)
+        sp = synthesize_from_weights(ws, 0.6, 0.3, 1.0)
+        forward = self.composed_forward(sp, ws, w, n)
+        backward = operators.adjoint_on_kernel(sp, w, ws, n).coeffs * ws.beta[: n + 1]
+        via_composition = float(np.linalg.norm(forward - backward))
+        via_section = operators.kernel_identity_residual(sp, ws, w, n)
+        assert via_composition > 1e-3 and via_section > 1e-3
+        assert via_section == pytest.approx(via_composition, rel=1e-12)
+
 
 class TestConjugation:
     def test_lambda_one_identity(self):
@@ -219,6 +284,12 @@ class TestConjugation:
         ws_one = family_weights(Binomial(1.0, eta, (eta + 1) / eta), 20)
         j = np.arange(21)
         assert np.allclose(ws_lam.beta, ws_one.beta * lam ** (-j / 2.0), rtol=1e-12)
+
+    def test_given_section_matches_built_one(self):
+        cls = Binomial(lam=0.5, eta=1.0)
+        sp = synthesize(cls, 0.4, 0.1, 1.0, 64)
+        section = operators.build_matrix(sp, family_weights(cls, 64), 64)
+        assert operators.conjugation_check(sp, 64, section=section) == operators.conjugation_check(sp)
 
     def test_exponential_rejected(self):
         sp = synthesize(Exponential(b_sq=1.0), 0.3, 0.2, 1.0, 8)

@@ -33,6 +33,7 @@ from wco.spaces import (
     weights_from_json,
     weights_to_json,
 )
+from wco.spaces import _eval_on_grid
 
 
 class TestClassify:
@@ -252,6 +253,13 @@ class TestFockQuadrature:
                 got = fock_norm_quadrature(f, b * b)
                 want = norm(f, ws)
                 assert abs(got - want) <= 1e-6 * want
+
+
+def test_grid_evaluation_ignores_zero_padding():
+    probe = polynomial([1.0, 0.5, -0.25, 1 / 3, 0.0, -0.125, 0.2])
+    radii = np.sqrt(np.linspace(0.05, 0.95, 7))
+    padded = _eval_on_grid(probe.truncated(512), radii, 1025)
+    assert np.array_equal(padded, _eval_on_grid(probe, radii, 1025))
 
 
 class TestDiskQuadrature:

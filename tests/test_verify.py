@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wco import operators
+from wco import operators, series
 from wco.series import TruncatedSeries, binomial_series, exp_series, monomial, polynomial
 from wco.spaces import (
     Binomial,
@@ -118,6 +118,33 @@ class TestNormEquivalence:
 
 
 class TestFullReport:
+    @pytest.mark.parametrize(
+        "cls, chains",
+        [(Binomial(lam=0.6, eta=1.5), 2), (Binomial(lam=1.0, eta=2.0), 1)],
+        ids=["lam-below-1", "lam-1"],
+    )
+    def test_one_power_chain_per_section(self, monkeypatch, cls, chains):
+        """The report's section serves the kernel identity and the dilation
+        check; only the dilated pair needs a chain of its own."""
+        calls = {"build_matrix": 0, "compose_poly": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            operators, "build_matrix", counted("build_matrix", operators.build_matrix)
+        )
+        compose = counted("compose_poly", series.compose_poly)
+        monkeypatch.setattr(series, "compose_poly", compose)
+        monkeypatch.setattr(operators, "compose_poly", compose)
+        report = full_report(family_weights(cls, 48), 0.5 * np.exp(0.4j), 0.1, 1.0)
+        assert report.passed, report.to_json()
+        assert calls == {"build_matrix": chains, "compose_poly": 0}
+
     def test_hardy_pair_passes_everything(self):
         report = full_report(hardy_weights(64), 0.5, 0.1, 1.0)
         assert report.passed, report.to_json()
