@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -337,10 +336,26 @@ def _sweep_cell(payload):
     }
 
 
+def _require_finite(value, key: str) -> None:
+    """Reject a NaN or infinite number anywhere in a config section, naming
+    its key (``grid.a0_mod[1]``, ``space.lambda``)."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _require_finite(item, f"{key}.{name}")
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            _require_finite(item, f"{key}[{idx}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"sweep config value {key} is not finite ({value})")
+
+
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     space = config.get("space", {})
+    grid = config.get("grid", {})
+    _require_finite(space, "space")
+    _require_finite(grid, "grid")
     family = space.get("family", "binomial")
     if family == "binomial":
         fam_params = (float(space.get("lambda", 1.0)), float(space.get("eta", 1.0)))
@@ -348,7 +363,6 @@ def cmd_sweep(args) -> int:
         fam_params = (float(space.get("b", 1.0)),)
     else:
         raise ValueError(f"sweep supports binomial and fock families (got {family!r})")
-    grid = config.get("grid", {})
     axes = [
         _expand_axis(grid.get("a0_mod", [0.3])),
         _expand_axis(grid.get("a0_arg", [0.0])),
@@ -362,6 +376,10 @@ def cmd_sweep(args) -> int:
     ]
     workers = args.workers
     if workers > 1:
+        # imported here: only a parallel sweep needs it, and every other
+        # command would pay for the import at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

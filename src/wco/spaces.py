@@ -22,11 +22,11 @@ moments the classifier sees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .series import OrderMismatchError, TruncatedSeries, binomial_series, exp_series
 
@@ -249,14 +249,21 @@ def classify_space(beta1: float, beta2: float, tol: float = CLASSIFICATION_TOL) 
     family; otherwise lam = (gamma - 1) / beta1^2 must land in (0, 1] for the
     binomial family, and anything else is inhospitable.  lam within ``tol``
     of 0 is folded into the exponential family (its lam -> 0 limit).
+    Weights whose gamma or lam overflows (or whose squares underflow to 0)
+    cannot be classified in floating point and raise ValueError.
     """
     if not (math.isfinite(beta1) and math.isfinite(beta2)):
         raise ValueError("weights must be finite")
     if beta1 <= 0 or beta2 <= 0:
         raise ValueError("weights must be strictly positive")
     b1_sq = float(beta1) * float(beta1)
-    gamma = 2.0 * b1_sq * b1_sq / (float(beta2) * float(beta2))
-    lam = (gamma - 1.0) / b1_sq
+    b2_sq = float(beta2) * float(beta2)
+    gamma = 2.0 * b1_sq * b1_sq / b2_sq if b2_sq else math.inf
+    lam = (gamma - 1.0) / b1_sq if b1_sq else math.nan
+    if not (math.isfinite(gamma) and math.isfinite(lam)):
+        raise ValueError(
+            f"weights {beta1!r}, {beta2!r} put gamma or lambda outside the floating-point range"
+        )
     if abs(gamma - 1.0) <= tol or abs(lam) <= tol:
         return Exponential(b_sq=b1_sq, gamma=gamma)
     if lam < 0.0:
@@ -397,6 +404,73 @@ def _require_angular_resolution(f: TruncatedSeries, n_angular: int) -> int:
     return max(n_angular, needed)
 
 
+def _jacobi_scaled(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) / P_n(1) and its derivative for the Jacobi polynomial
+    P_n = P_n^(alpha, 0), by the three-term recurrence.
+
+    Every P_k is divided by P_k(1) = binom(k + alpha, k), so the values stay
+    of moderate size for large n and alpha.
+    """
+    p_prev, d_prev = np.ones_like(x), np.zeros_like(x)
+    p = ((alpha + 2.0) * x + alpha) / (2.0 * (alpha + 1.0))
+    d = np.full_like(x, (alpha + 2.0) / (2.0 * (alpha + 1.0)))
+    for k in range(2, n + 1):
+        den = 2.0 * (k + alpha) ** 2 * (2 * k + alpha - 2.0)
+        slope = (2 * k + alpha - 1.0) * (2 * k + alpha) * (2 * k + alpha - 2.0) / den
+        shift = (2 * k + alpha - 1.0) * alpha * alpha / den
+        back = 2.0 * (k - 1) ** 2 * (2 * k + alpha) / den
+        line = slope * x + shift
+        p_prev, p = p, line * p - back * p_prev
+        d_prev, d = d, slope * p_prev + line * d - back * d_prev
+    return p, d
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [0, 1] for the weight (1 - s)^alpha, alpha > -1.
+
+    Returns increasing nodes s and positive weights w (read-only, shared by
+    every caller) with sum w g(s) = integral_0^1 (1 - s)^alpha g(s) ds for
+    every polynomial g of degree below 2n.  The nodes are the roots of
+    P_n^(alpha, 0)(2s - 1), found by simultaneous (Aberth) Newton steps
+    from cos((k + alpha/2 - 1/4) pi / (n + (alpha + 1)/2)): the repulsion
+    term keeps each iterate on its own root, where plain Newton from the
+    same start makes two iterates meet (n = 200 at eta = alpha + 2 = 10).
+    The weights are the closed form 1/((1 - x^2) P_n'(x)^2) at x = 2s - 1,
+    with P_n(1) from math.lgamma.  Only elementwise numpy runs here, no
+    LAPACK or BLAS routine: a Golub-Welsch eigensolve of the same size
+    leaves OpenBLAS worker threads spinning (CPU time above wall time).
+
+    Against 40-digit mpmath roots at n = 200 and eta from 1.01 to 30, the
+    nodes are within 6e-17 and the weights within 7e-13 relative; the
+    largest errors sit at the two end nodes.
+    """
+    k = np.arange(1, n + 1)
+    x = np.cos((k + 0.5 * alpha - 0.25) * np.pi / (n + 0.5 * (alpha + 1.0)))
+    for _ in range(200):
+        p, d = _jacobi_scaled(n, alpha, x)
+        newton = p / d
+        gaps = x[:, None] - x[None, :]
+        np.fill_diagonal(gaps, np.inf)
+        moved = x - newton / (1.0 - newton * np.sum(1.0 / gaps, axis=1))
+        # every root lies in (-1, 1); a step past an end goes halfway to it
+        moved = np.where(np.abs(moved) < 1.0, moved, 0.5 * (x + np.sign(moved)))
+        step = np.max(np.abs(moved - x))
+        x = moved
+        if step <= 1e-15:
+            break
+    else:
+        raise QuadratureError(f"Gauss-Jacobi nodes did not converge: n={n}, alpha={alpha}")
+    x = np.sort(x)
+    _, d = _jacobi_scaled(n, alpha, x)
+    log_p_at_1 = math.lgamma(n + alpha + 1.0) - math.lgamma(alpha + 1.0) - math.lgamma(n + 1.0)
+    weights = np.exp(-2.0 * (log_p_at_1 + np.log(np.abs(d))) - np.log((1.0 - x) * (1.0 + x)))
+    nodes = 0.5 * (x + 1.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def fock_norm_quadrature(
     f: TruncatedSeries,
     b_sq: float,
@@ -406,20 +480,21 @@ def fock_norm_quadrature(
     """Gaussian-integral norm of a polynomial: the radial-angular quadrature of
     (1/(pi b^2)) * integral |f(z)|^2 exp(-|z|^2/b^2) dA over the plane.
 
-    The radial domain is truncated at |z|^2 = b^2 (60 + 2 N); the dropped
-    tail is bounded and must be negligible relative to the result, else a
-    QuadratureError reports the node configuration.
+    The radial factor is integrated in u = |z|^2 / b^2 by the n_radial-point
+    Gauss-Legendre rule (`_gauss_jacobi` with alpha = 0; nodes within 6e-17
+    of 40-digit roots at n = 200) on [0, 60 + 2 N]; the dropped tail is
+    bounded by `_fock_tail_bound` and must be negligible relative to the
+    result, else a QuadratureError reports the node configuration.
     """
     if b_sq <= 0:
         raise DomainError("b_sq must be positive")
     n_angular = _require_angular_resolution(f, n_angular)
     u_max = 60.0 + 2.0 * f.order
-    x, v = roots_legendre(n_radial)
-    u = 0.5 * u_max * (x + 1.0)
-    vw = 0.5 * u_max * v
+    s, w = _gauss_jacobi(n_radial, 0.0)
+    u = u_max * s
     b = math.sqrt(b_sq)
     means = _eval_on_grid(f, b * np.sqrt(u), n_angular)
-    value = float(np.sum(vw * np.exp(-u) * means))
+    value = float(u_max * np.sum(w * np.exp(-u) * means))
     tail = _fock_tail_bound(f, b, u_max)
     if not np.isfinite(value) or tail > 1e-9 * max(value, 1e-300):
         raise QuadratureError(
@@ -429,18 +504,28 @@ def fock_norm_quadrature(
     return math.sqrt(value)
 
 
-def _fock_tail_bound(f: TruncatedSeries, b: float, u_max: float) -> float:
-    """Upper bound for the dropped radial tail of the Gaussian integral."""
-    from scipy.special import gammaincc, gamma as gamma_fn
+def _log_upper_gamma_bound(s: np.ndarray, u: float) -> np.ndarray:
+    """log of u^(s-1) e^(-u) u/(u - s + 1), which bounds the upper
+    incomplete gamma function Gamma(s, u) from above for 1 <= s < u + 1
+    (substitute t = u + tau and use (1 + tau/u)^(s-1) <= exp((s-1) tau/u))."""
+    return s * math.log(u) - u - np.log(u - s + 1.0)
 
+
+def _fock_tail_bound(f: TruncatedSeries, b: float, u_max: float) -> float:
+    """Upper bound for the dropped radial tail of the Gaussian integral:
+    the sum over p, q of |f_p| |f_q| b^(p+q) Gamma((p+q)/2 + 1, u_max).
+
+    Terms are grouped by m = p + q (a convolution of the moduli) and summed
+    from log space, so neither b^m nor Gamma(s) overflows.  The incomplete
+    gamma bound applies because u_max = 60 + 2N exceeds s - 1 <= N.
+    """
     mags = np.abs(f.coeffs)
-    nz = np.nonzero(mags)[0]
-    total = 0.0
-    for p in nz:
-        for q in nz:
-            s = 0.5 * (p + q) + 1.0
-            total += mags[p] * mags[q] * b ** (p + q) * gamma_fn(s) * gammaincc(s, u_max)
-    return float(total)
+    grouped = np.convolve(mags, mags)
+    m = np.flatnonzero(grouped)
+    log_terms = (
+        np.log(grouped[m]) + m * math.log(b) + _log_upper_gamma_bound(0.5 * m + 1.0, u_max)
+    )
+    return float(np.sum(np.exp(log_terms)))
 
 
 def bergman_norm_quadrature(
@@ -452,8 +537,10 @@ def bergman_norm_quadrature(
     """Disk-integral norm for the eta > 1 family:
     (eta - 1)/pi * integral |f(z)|^2 (1 - |z|^2)^(eta-2) dA over the disk.
 
-    Uses Gauss-Jacobi nodes in s = |z|^2 (exact for the polynomial radial
-    factor, including the integrable boundary singularity when eta < 2).
+    Uses the n_radial-point Gauss-Jacobi rule for (1 - s)^(eta - 2) in
+    s = |z|^2 (`_gauss_jacobi`; exact for the polynomial radial factor,
+    including the integrable boundary singularity when eta < 2; nodes within
+    6e-17 and weights within 7e-13 of 40-digit values at n = 200).
     The eta <= 1 spaces have no such integral form and are refused; their
     norms are series-side only, cross-checked by `derivative_norm_bounds`.
     """
@@ -463,10 +550,9 @@ def bergman_norm_quadrature(
             "for eta <= 1 use the series norm and the derivative sandwich"
         )
     n_angular = _require_angular_resolution(f, n_angular)
-    x, w = roots_jacobi(n_radial, eta - 2.0, 0.0)
-    s = 0.5 * (x + 1.0)
+    s, w = _gauss_jacobi(n_radial, eta - 2.0)
     means = _eval_on_grid(f, np.sqrt(s), n_angular)
-    value = float((eta - 1.0) * 2.0 ** (-(eta - 1.0)) * np.sum(w * means))
+    value = float((eta - 1.0) * np.sum(w * means))
     if not np.isfinite(value):
         raise QuadratureError(
             f"disk norm quadrature failed: nodes {n_radial}x{n_angular}, eta={eta}"

@@ -1,10 +1,19 @@
 """Command-line surface: outputs, exit codes, config handling."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wco
 from wco.cli import main, parse_complex, parse_polynomial
 from wco.spaces import Binomial
 
@@ -100,6 +109,13 @@ class TestClassifyCommand:
             code, out, err = run_usage_error(capsys, "classify", "1", "1", "--tol", tol)
             assert code == 2 and out == ""
             assert "--tol" in err
+
+    def test_weights_beyond_float_range_are_usage_errors(self, capsys):
+        # beta2^2 underflows to 0 and beta1^4 / beta2^2 is inf / inf
+        for beta1, beta2 in (("1", "1e-170"), ("1e100", "1e160")):
+            code, out, err = run_cli(capsys, "classify", beta1, beta2)
+            assert code == 2 and out == ""
+            assert "floating-point range" in err
 
 
 class TestCheckCommand:
@@ -312,6 +328,67 @@ class TestSweepCommand:
         assert "error" not in rows[0] and rows[0]["deviation"] <= 1e-10
         assert rows[1]["a1_fraction"] == 1.5
         assert "fraction must lie in [-1, 1]" in rows[1]["error"]
+
+    def test_non_finite_config_value_names_its_key(self, capsys, tmp_path):
+        base = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16}
+        cases = (
+            ({"grid": {"a0_mod": [0.3, float("nan")]}}, "grid.a0_mod[1]"),
+            ({"space": {"family": "binomial", "lambda": float("nan")}}, "space.lambda"),
+            ({"grid": {"a0_arg": {"start": 0.0, "stop": float("inf"), "count": 2}}},
+             "grid.a0_arg.stop"),
+        )
+        for change, key in cases:
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps({**base, **change}))
+            code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+            assert code == 2 and out == ""
+            assert key in err and "not finite" in err
+
+
+#: one space per family the CLI builds
+FAMILY_ARGS = [
+    ["--family", "hardy"],
+    ["--family", "fock", "--b", "1.2"],
+    ["--family", "bergman", "--eta", "2"],
+    ["--family", "binomial", "--lam", "0.5", "--eta", "1"],
+    ["--family", "dirichlet"],
+    ["--family", "flat"],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    space=st.sampled_from(FAMILY_ARGS),
+    order=st.sampled_from(["0", "1"]),
+    a0=st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False),
+    a1=st.floats(-1.0, 1.0),
+    c=st.floats(-2.0, 2.0),
+)
+def test_check_below_order_two_is_usage_error(space, order, a0, a1, c):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "check", *space, "--order", order,
+            f"--a0={a0!r}", f"--a1={a1!r}", f"--c={c!r}",
+        ])
+    assert code == 2 and out.getvalue() == ""
+    assert "error" in err.getvalue()
+
+
+def test_cli_import_loads_no_scipy_or_process_pool():
+    src = str(Path(wco.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, wco.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_default_order_env(monkeypatch, capsys):

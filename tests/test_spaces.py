@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wco.series import TruncatedSeries, monomial, polynomial
 from wco.spaces import (
@@ -33,7 +35,7 @@ from wco.spaces import (
     weights_from_json,
     weights_to_json,
 )
-from wco.spaces import _eval_on_grid
+from wco.spaces import _eval_on_grid, _fock_tail_bound, _gauss_jacobi, _log_upper_gamma_bound
 
 
 class TestClassify:
@@ -101,6 +103,31 @@ class TestClassify:
             cls = classify_space(float(ws.beta[1]), float(ws.beta[2]))
             assert isinstance(cls, Exponential)
             assert abs(cls.b_sq - b * b) < 1e-9 * max(1, b * b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        beta1=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        beta2=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_every_finite_positive_pair_gets_one_variant(self, beta1, beta2):
+        try:
+            cls = classify_space(beta1, beta2)
+        except ValueError as exc:
+            # only where gamma or lambda cannot be held in a double
+            assert "floating-point range" in str(exc)
+            assert not (1e-50 <= beta1 <= 1e50 and 1e-50 <= beta2 <= 1e50)
+            return
+        kinds = [isinstance(cls, kind) for kind in (Exponential, Binomial, NotHospitable)]
+        assert kinds.count(True) == 1
+        assert math.isfinite(cls.gamma)
+        if isinstance(cls, Exponential):
+            assert 0.0 < cls.b_sq < math.inf
+        elif isinstance(cls, Binomial):
+            assert 0.0 < cls.lam <= 1.0 and 0.0 < cls.eta < math.inf
+        elif cls.reason == "lambda-negative":
+            assert -math.inf < cls.lam < 0.0
+        else:
+            assert cls.reason == "lambda-exceeds-one" and 1.0 < cls.lam < math.inf
 
 
 class TestVerifyCandidate:
@@ -253,6 +280,76 @@ class TestFockQuadrature:
                 got = fock_norm_quadrature(f, b * b)
                 want = norm(f, ws)
                 assert abs(got - want) <= 1e-6 * want
+
+
+class TestFockTailBound:
+    """The closed-form tail bound against 30-digit mpmath incomplete gammas."""
+
+    @pytest.mark.parametrize("order", [12, 64, 170])
+    def test_incomplete_gamma_bound(self, order):
+        import mpmath
+
+        u = 60.0 + 2.0 * order
+        s = 0.5 * np.arange(2 * order + 1) + 1.0
+        bound = _log_upper_gamma_bound(s, u)
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.log(mpmath.gammainc(sk, u))) for sk in s])
+        # at s = 1 the bound is exact: allow rounding of the float logarithm
+        assert np.all(bound >= exact - 1e-12)
+        assert np.all(bound <= exact + math.log(2.0))
+
+    @pytest.mark.parametrize("order", [12, 64, 170])
+    def test_polynomial_tail(self, order):
+        import mpmath
+
+        rng = np.random.default_rng(order)
+        coeffs = rng.standard_normal(order + 1) * 0.7 ** np.arange(order + 1)
+        coeffs[order // 3] = 0.0
+        b, u = 1.3, 60.0 + 2.0 * order
+        with mpmath.workdps(30):
+            tails = [mpmath.gammainc(0.5 * m + 1, u) for m in range(2 * order + 1)]
+            exact = mpmath.fsum(
+                abs(coeffs[p]) * abs(coeffs[q]) * mpmath.mpf(b) ** (p + q) * tails[p + q]
+                for p in range(order + 1)
+                for q in range(order + 1)
+            )
+            ratio = float(_fock_tail_bound(TruncatedSeries(coeffs), b, u) / exact)
+        assert 1.0 - 1e-12 <= ratio <= 2.0
+
+
+#: alpha = eta - 2 for the disk norms, and alpha = 0 (Gauss-Legendre)
+GAUSS_JACOBI_ALPHAS = [eta - 2.0 for eta in (1.01, 1.5, 3.0, 5.5, 10.0, 30.0)] + [0.0]
+
+
+class TestGaussJacobi:
+    """The LAPACK-free Gauss-Jacobi rule against closed-form Beta moments."""
+
+    @pytest.mark.parametrize("n", [7, 50, 200])
+    @pytest.mark.parametrize("alpha", GAUSS_JACOBI_ALPHAS)
+    def test_nodes_weights_and_moments(self, alpha, n):
+        s, w = _gauss_jacobi(n, alpha)
+        assert s.shape == w.shape == (n,)
+        x = 2.0 * s - 1.0
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+        assert np.all(w > 0.0)
+        assert not (s.flags.writeable or w.flags.writeable)
+        worst = 0.0
+        for m in range(min(2 * n - 1, 60) + 1):
+            # integral_0^1 s^m (1 - s)^alpha ds = B(m + 1, alpha + 1)
+            beta_fn = math.exp(
+                math.lgamma(m + 1.0) + math.lgamma(alpha + 1.0) - math.lgamma(m + alpha + 2.0)
+            )
+            worst = max(worst, abs(float(np.sum(w * s**m)) - beta_fn) / beta_fn)
+        print(f"alpha={alpha:g} n={n}: worst moment relative error {worst:.2e}")
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("alpha", GAUSS_JACOBI_ALPHAS)
+    def test_matches_scipy(self, alpha):
+        special = pytest.importorskip("scipy.special")
+        x, v = special.roots_jacobi(200, alpha, 0.0)
+        s, w = _gauss_jacobi(200, alpha)
+        assert np.max(np.abs((2.0 * s - 1.0) - x)) <= 1e-15
+        np.testing.assert_allclose(w * 2.0 ** (alpha + 1.0), v, rtol=1e-7)
 
 
 def test_grid_evaluation_ignores_zero_padding():
