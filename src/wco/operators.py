@@ -12,9 +12,17 @@ an artifact of truncation.  Operator norms, in contrast, are only reached
 from below by finite sections; the one quantitative upper bound available
 is the Gaussian-family estimate in `fock_bound`.
 
-`build_matrix` walks the power chain once: column j + 1 is column j times
-phi, one convolution per column, whose summation order does not depend on
-N.  The section is the one power table of a pair: `kernel_identity_residual`
+`build_matrix` walks the power chain once.  On the hospitable families phi
+is linear-fractional, so the columns psi phi^j obey a three-term recurrence
+and the section is filled one anti-diagonal at a time in O(N^2); a pair
+whose phi is only a series (the general shape over arbitrary weights) is
+convolved column by column in O(N^3).  Both summation orders are
+independent of N.  Against a 50-digit reference (tests/test_operators.py)
+the entries at N = 40 are within 2.0e-16 in the normalized basis on both
+paths, and at N = 256 the two paths agree to 1.3e-16 of the largest entry,
+with subnormal tails (lam |a0| = 0.05) or without.
+
+The section is the one power table of a pair: `kernel_identity_residual`
 reads W K_w off it as a matrix-vector product and `conjugation_check`
 compares it with the dilated pair's section, so a caller that already holds
 the section passes it in rather than walking the chain again.
@@ -63,7 +71,7 @@ class OperatorMatrix:
     beta: WeightSequence
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=complex)
+        e = np.asarray(self.entries, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must form a square matrix")
         e.setflags(write=False)
@@ -77,13 +85,27 @@ class OperatorMatrix:
 def build_matrix(
     sp: SymbolPair, ws: WeightSequence, order: int | None = None
 ) -> OperatorMatrix:
-    """Assemble the section column by column: column j is psi * phi^j.
+    """Assemble the section: column j is psi * phi^j, normalized.
 
-    Column 0 is psi and column j + 1 is column j times phi, truncated at
-    order N; every coefficient is summed in an order that does not depend
-    on N, so the section at order N is bitwise the top-left block of the
-    section at 2N.  The normalization (x * beta(i)) / beta(j) is applied in
-    place once the chain is done.
+    A family pair (``sp.phi_pole`` set) has phi = a0 + a1 z / (1 - q z), so
+    phi (1 - q z) = a0 + d z with d = a1 - a0 q, and the columns
+    P_j = psi phi^j obey P_{j+1} (1 - q z) = P_j (a0 + d z).  Reading off
+    coefficient i gives the three-term recurrence
+
+        E[i, j+1] = q E[i-1, j+1] + a0 E[i, j] + d E[i-1, j]
+
+    from column 0 = psi (E[-1, .] = 0): three multiply-adds per entry.
+    Entry (i, j+1) reads anti-diagonals i + j and i + j - 1 only, so the
+    table is filled one anti-diagonal at a time (`_linear_fractional_table`).
+    Any other pair (phi known only as a series) takes column j + 1 as
+    column j convolved with phi, truncated at order N.
+
+    Either way every coefficient is computed from entries with smaller i
+    and j in an order that does not depend on N, so the section at order N
+    is bitwise the top-left block of the section at 2N.  The normalization
+    (x * beta(i)) / beta(j) is applied in place once the table is done.
+    Measured entry error against a 50-digit reference: at most 2.0e-16 at
+    N = 40 on Hardy, Bergman, binomial, Fock and Dirichlet pairs.
     """
     n = sp.order if order is None else order
     if ws.order < n or sp.order < n:
@@ -91,15 +113,50 @@ def build_matrix(
             f"need symbols and weights at order >= {n} "
             f"(got symbols {sp.order}, weights {ws.order})"
         )
-    phi = sp.phi.truncated(n).coeffs
+    psi = sp.psi.truncated(n).coeffs
     beta = ws.beta[: n + 1]
-    entries = np.empty((n + 1, n + 1), dtype=complex)
-    entries[:, 0] = sp.psi.truncated(n).coeffs
-    for j in range(n):
-        entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
+    if sp.phi_pole is None:
+        phi = sp.phi.truncated(n).coeffs
+        entries = np.empty((n + 1, n + 1), dtype=complex)
+        entries[:, 0] = psi
+        for j in range(n):
+            entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
+    else:
+        entries = _linear_fractional_table(psi, sp.a0, sp.a1, sp.phi_pole)
     entries *= beta[:, None]
     entries /= beta[None, :]
     return OperatorMatrix(entries=entries, beta=WeightSequence(beta, ws.provenance))
+
+
+def _linear_fractional_table(
+    psi: np.ndarray, a0: complex, a1: complex, q: complex
+) -> np.ndarray:
+    """Coefficients [z^i](psi phi^j), i, j <= N, for phi = a0 + a1 z/(1 - q z).
+
+    The table sits below one zero row that stands for E[-1, .], so the
+    recurrence needs no edge case.  In the flattened row-major buffer the
+    entries (i, s - i) of anti-diagonal s are a basic slice of stride N;
+    its three inputs are the same slice shifted one row up, one column
+    left, and both.  Two scratch buffers hold the partial sums.
+    """
+    n = psi.size - 1
+    d = a1 - a0 * q
+    padded = np.zeros((n + 2, n + 1), dtype=complex)
+    padded[1:, 0] = psi
+    flat = padded.reshape(-1)
+    up, left = n + 1, 1
+    buf_a = np.empty(n + 1, dtype=complex)
+    buf_b = np.empty(n + 1, dtype=complex)
+    for s in range(1, 2 * n + 1):
+        lo, hi = max(0, s - n), min(s - 1, n)  # rows of entries (i, s - i), s - i >= 1
+        start = (lo + 1) * (n + 1) + s - lo
+        stop = start + (hi - lo) * n + 1
+        a = np.multiply(flat[start - up : stop - up : n], q, out=buf_a[: hi - lo + 1])
+        b = np.multiply(flat[start - left : stop - left : n], a0, out=buf_b[: hi - lo + 1])
+        np.add(a, b, out=a)
+        np.multiply(flat[start - up - left : stop - up - left : n], d, out=b)
+        np.add(a, b, out=flat[start:stop:n])
+    return padded[1:]
 
 
 def hermitian_deviation(m: OperatorMatrix) -> float:

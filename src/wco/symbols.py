@@ -84,6 +84,9 @@ class SymbolPair:
 
     a1 and c are real for genuine Hermitian candidates; complex values are
     accepted so perturbation tests can demonstrate that realness is sharp.
+    ``phi_pole`` is q in the closed form phi = a0 + a1 z / (1 - q z) of a
+    family pair (lam conj(a0) for binomial, 0 for exponential) and None
+    when phi is only known as a series.
     """
 
     a0: complex
@@ -93,6 +96,7 @@ class SymbolPair:
     psi: TruncatedSeries
     phi: TruncatedSeries
     trivial: str
+    phi_pole: complex | None = None
 
     @property
     def order(self) -> int:
@@ -116,15 +120,17 @@ def synthesize(
             "use synthesize_from_weights for the general shape"
         )
     psi = c * cls.generating_series(order, a0_bar)
+    pole = 0j if isinstance(cls, Exponential) else cls.lam * a0_bar
     phi_c = np.zeros(order + 1, dtype=complex)
     phi_c[0] = a0
     if order >= 1 and isinstance(cls, Exponential):
         phi_c[1] = a1
     elif order >= 1:
-        phi_c[1:] = a1 * (cls.lam * a0_bar) ** np.arange(order)
+        phi_c[1:] = a1 * pole ** np.arange(order)
     phi = TruncatedSeries(phi_c)
     return SymbolPair(
-        a0=a0, a1=a1, c=c, cls=cls, psi=psi, phi=phi, trivial=triviality(a0, a1, c)
+        a0=a0, a1=a1, c=c, cls=cls, psi=psi, phi=phi,
+        trivial=triviality(a0, a1, c), phi_pole=pole,
     )
 
 

@@ -128,6 +128,17 @@ class TestCheckCommand:
         assert code == 0
         assert payload["pass"] is True
 
+    def test_large_eta_bergman_pair_passes(self, capsys):
+        # k(0.5) = 2^30: the ODE residual is judged relative to its terms
+        code, out, _ = run_cli(
+            capsys, "check", "--family", "bergman", "--eta", "30",
+            "--a0", "0.3", "--a1", "0.2", "--c", "1",
+        )
+        payload = strict_json(out)
+        assert code == 0, [c for c in payload["checks"] if not c["pass"]]
+        ode = next(c for c in payload["checks"] if c["name"] == "generating-ode")
+        assert ode["residual"] <= 1e-15
+
     def test_nonreal_c_fails(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--family", "hardy", "--order", "32",

@@ -1,5 +1,8 @@
 """Finite-section matrices: assembly, Hermitian checks, bounds."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,6 +52,14 @@ class TestBuildMatrix:
         for i, j in ((0, 0), (1, 3), (5, 2)):
             conv = np.convolve(sp.psi.coeffs, (sp.phi ** j).coeffs)[i]
             assert abs(m.entries[i, j] - conv * ws.beta[i] / ws.beta[j]) < 1e-14
+
+    def test_section_is_read_only_and_not_copied(self):
+        entries = np.eye(3, dtype=complex)
+        m = operators.OperatorMatrix(entries=entries, beta=hardy_weights(2))
+        assert np.shares_memory(m.entries, entries)
+        assert not m.entries.flags.writeable
+        sp, ws = hardy_pair(order=8)
+        assert not operators.build_matrix(sp, ws).entries.flags.writeable
 
     def test_entries_stable_across_truncation_order(self):
         sp64, ws64 = hardy_pair(order=64)
@@ -101,6 +112,86 @@ class TestBuildMatrix:
         sp = synthesize_from_weights(ws, 0.5, 0.1, 1.0)
         m = operators.build_matrix(sp, ws)
         assert operators.hermitian_deviation(m) > 1e-3
+
+
+def _mp_section(cls_khat, a0, a1, c, n):
+    """50-digit section of the candidate shape psi = c k(conj(a0) z),
+    phi = a0 + (a1 beta(1)^2 / conj(a0)) z k'(conj(a0) z) / k(conj(a0) z),
+    built from the generating coefficients khat(j) alone: the series
+    quotient and every column psi * phi^j are summed term by term with
+    `mpmath.fsum`, sharing no code with either construction."""
+    with mpmath.workdps(50):
+        a0, a1, c = mpmath.mpc(a0), mpmath.mpc(a1), mpmath.mpc(c)
+        khat = [cls_khat(j) for j in range(n + 1)]
+        kappa = [khat[j] * mpmath.conj(a0) ** j for j in range(n + 1)]
+        quotient = []  # z kappa' / kappa
+        for i in range(n + 1):
+            acc = mpmath.fsum(quotient[k] * kappa[i - k] for k in range(i))
+            quotient.append((i * kappa[i] - acc) / kappa[0])
+        scale = a1 / (khat[1] * mpmath.conj(a0))
+        phi = [a0] + [scale * quotient[i] for i in range(1, n + 1)]
+        columns = [[c * x for x in kappa]]
+        for _ in range(n):
+            prev = columns[-1]
+            columns.append(
+                [mpmath.fsum(prev[k] * phi[i - k] for k in range(i + 1)) for i in range(n + 1)]
+            )
+        beta = [1 / mpmath.sqrt(x) for x in khat]
+        return np.array(
+            [[complex(columns[j][i] * beta[i] / beta[j]) for j in range(n + 1)] for i in range(n + 1)]
+        )
+
+
+def _binomial_khat(lam, eta):
+    return lambda j: mpmath.mpf(lam) ** j * mpmath.rf(eta, j) / mpmath.factorial(j)
+
+
+class TestEntryError:
+    """How far the "exact" entries are from the exact section."""
+
+    CASES = {
+        "hardy": (HARDY, _binomial_khat(1.0, 1.0)),
+        "bergman-2": (Binomial(lam=1.0, eta=2.0), _binomial_khat(1.0, 2.0)),
+        "binomial-lam-0.5": (Binomial(lam=0.5, eta=1.7), _binomial_khat(0.5, 1.7)),
+        "fock": (Exponential(b_sq=1.0), lambda j: 1 / mpmath.factorial(j)),
+        "dirichlet": (None, lambda j: 1 / mpmath.mpf(j + 1)),
+    }
+
+    def test_entries_against_50_digit_reference(self):
+        n = 40
+        a0, a1, c = 0.45 * np.exp(0.7j), 0.3, -1.2
+        errors = {}
+        for name, (cls, khat) in self.CASES.items():
+            if cls is None:  # general shape: the convolution path
+                ws = dirichlet_weights(n)
+                sp = synthesize_from_weights(ws, a0, a1, c)
+                assert sp.phi_pole is None
+            else:
+                ws = family_weights(cls, n)
+                sp = synthesize(cls, a0, a1, c, n)
+                assert sp.phi_pole is not None
+            got = operators.build_matrix(sp, ws).entries
+            errors[name] = float(np.max(np.abs(got - _mp_section(khat, a0, a1, c, n))))
+        worst = max(errors, key=errors.get)
+        print(f"max entry error at N = {n}: {errors} (worst: {worst})")
+        assert errors[worst] <= 1e-13
+
+    @pytest.mark.parametrize("lam_a0", [0.55, 0.05], ids=["normal", "subnormal-tails"])
+    def test_recurrence_matches_convolution(self, lam_a0):
+        n, lam = 256, 0.75
+        cls = Binomial(lam=lam, eta=1.5)
+        a0 = (lam_a0 / lam) * np.exp(2.1j)
+        a1 = a1_from_fraction(selfmap_interval(a0, lam, 1.0), -0.7)
+        sp = synthesize(cls, a0, a1, 0.9, n)
+        ws = family_weights(cls, n)
+        recurrence = operators.build_matrix(sp, ws).entries
+        convolution = operators.build_matrix(dataclasses.replace(sp, phi_pole=None), ws).entries
+        # unit weights leave the raw coefficients [z^i](psi phi^j)
+        raw = operators.build_matrix(sp, hardy_weights(n)).entries.view(float)
+        subnormal = np.count_nonzero((raw != 0) & (np.abs(raw) < np.finfo(float).tiny))
+        assert (subnormal > 0) == (lam_a0 < 0.1)
+        scale = np.max(np.abs(convolution))
+        assert np.max(np.abs(recurrence - convolution)) <= 1e-13 * scale
 
 
 class TestMoments:

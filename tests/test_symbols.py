@@ -59,6 +59,17 @@ class TestSynthesize:
         direct = a0 + a1 * z / (1.0 - cls.lam * np.conj(a0) * z)
         assert np.max(np.abs(sp.phi(z) - direct)) <= 1e-12
 
+    def test_phi_pole_is_the_closed_form_pole(self):
+        a0, a1 = 0.4 - 0.3j, 0.2
+        sp = synthesize(Binomial(lam=0.5, eta=1.7), a0, a1, 1.0, 24)
+        assert sp.phi_pole == 0.5 * np.conj(a0)
+        z = 0.3 + 0.1j
+        assert abs(sp.phi(z) - (a0 + a1 * z / (1.0 - sp.phi_pole * z))) < 1e-14
+        assert synthesize(Exponential(b_sq=1.0), a0, a1, 1.0, 24).phi_pole == 0
+        assert dilate(sp).phi_pole == pytest.approx(math.sqrt(0.5) * np.conj(a0), abs=1e-16)
+        # a phi known only as a series quotient has no closed-form pole
+        assert synthesize_from_weights(dirichlet_weights(24), a0, a1, 1.0).phi_pole is None
+
     def test_inhospitable_family_rejected(self):
         from wco.spaces import NotHospitable
 

@@ -9,6 +9,7 @@ from wco import operators, series
 from wco.series import TruncatedSeries, binomial_series, exp_series, monomial, polynomial
 from wco.spaces import (
     Binomial,
+    Exponential,
     bergman_weights,
     dirichlet_weights,
     family_weights,
@@ -18,6 +19,7 @@ from wco.spaces import (
 )
 from wco.symbols import synthesize, synthesize_from_weights
 from wco.verify import (
+    _ode_series_order,
     default_ode_samples,
     full_report,
     norm_equivalence_check,
@@ -45,6 +47,23 @@ class TestOdeResidual:
     def test_dirichlet_violates(self):
         k = TruncatedSeries((1.0 / (np.arange(131) + 1.0)).astype(complex))
         assert ode_residual(k, math.sqrt(2.0), math.sqrt(3.0)) > 1e-2
+
+    @pytest.mark.parametrize(
+        "cls",
+        [Binomial(1.0, eta) for eta in (0.5, 1.0, 2.0, 30.0, 60.0, 100.0)]
+        + [Binomial(0.5, 1.7), Exponential(b_sq=0.01), Exponential(b_sq=1.0)],
+        ids=lambda cls: repr(cls),
+    )
+    def test_family_series_order_converges_at_half_radius(self, cls):
+        order = _ode_series_order(cls)
+        terms = np.abs(cls.generating_series(2 * order).coeffs) * 0.5 ** np.arange(2 * order + 1)
+        j = np.arange(2 * order + 1)
+        tail = np.sum((j * j * terms)[order - 1 :])  # k'' terms, up to 0.5^-2
+        assert tail <= 1e-17 * np.sum(terms)
+        # relative residual at the rounding level, although k(0.5) reaches 2^100
+        k = cls.generating_series(order)
+        beta = family_weights(cls, 2).beta
+        assert ode_residual(k, float(beta[1]), float(beta[2])) <= 1e-15
 
     def test_initial_conditions_enforced(self):
         k = binomial_series(1.0, 1.0, 16)
@@ -152,6 +171,20 @@ class TestFullReport:
         assert {"hospitable-classification", "selfmap", "hermitian-deviation",
                 "moment-0", "moment-1", "moment-2", "generating-ode",
                 "kernel-identity", "quadrature-vs-series-norm"} <= names
+
+    @pytest.mark.parametrize("eta", [60.0, 100.0])
+    def test_generating_ode_passes_for_large_eta(self, eta):
+        checks = {c.name: c for c in full_report(bergman_weights(eta, 64), 0.3, 0.2, 1.0).checks}
+        assert checks["generating-ode"].passed, checks["generating-ode"].residual
+        assert checks["hermitian-deviation"].passed
+        # kernel-identity is not asserted: at order 64 it still sees the
+        # truncation of K_w (eta = 100: residual ~2e-6 against 1e-8)
+
+    @pytest.mark.parametrize("weights", [dirichlet_weights, flat_weights], ids=["dirichlet", "flat"])
+    def test_generating_ode_fails_off_the_families(self, weights):
+        checks = {c.name: c for c in full_report(weights(64), 0.3, 0.2, 1.0).checks}
+        assert not checks["generating-ode"].passed
+        assert checks["generating-ode"].residual > 1e-2
 
     def test_nonreal_c_fails_moment_zero(self):
         report = full_report(hardy_weights(64), 0.5, 0.1, 1.0 + 0.2j)
