@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import operators, spaces, symbols, verify
-from .series import TruncatedSeries, series_from_json
+from .series import TruncatedSeries, is_json_number, series_from_json
 from .spaces import (
     Binomial,
     DomainError,
@@ -49,15 +49,20 @@ EXIT_USAGE = 2
 DEFAULT_ORDER = 64
 
 
+def valid_order(value, name: str) -> int:
+    """A truncation order: an integer >= 2, since classification reads
+    beta(2).  ``name`` is the option or config key the value came from."""
+    if type(value) is not int or value < 2:  # bool is not an order either
+        raise ValueError(f"{name} must be an integer >= 2 (got {value!r})")
+    return value
+
+
 def _default_order() -> int:
     env = os.environ.get("WCO_DEFAULT_ORDER")
     if env is None:
         return DEFAULT_ORDER
     try:
-        value = int(env)
-        if value < 2:
-            raise ValueError
-        return value
+        return valid_order(int(env), "WCO_DEFAULT_ORDER")
     except ValueError:
         raise SystemExit(f"WCO_DEFAULT_ORDER must be an integer >= 2 (got {env!r})")
 
@@ -110,8 +115,9 @@ _TERM_RE = re.compile(
 def parse_polynomial(text: str, order: int) -> TruncatedSeries:
     """Tiny polynomial grammar: sums of coeff*z^k terms.
 
-    Coefficients are real or complex literals ('2', '-0.5', '(1+2i)');
-    examples: 'z^3', '1 + 0.5*z - (0.25+1i)*z^2'.
+    Coefficients are finite real or complex literals ('2', '-0.5',
+    '(1+2i)'); examples: 'z^3', '1 + 0.5*z - (0.25+1i)*z^2'.  A power named
+    once gets its coefficient bitwise, signed zeros included.
     """
     stripped = text.replace(" ", "")
     if not stripped:
@@ -132,11 +138,11 @@ def parse_polynomial(text: str, order: int) -> TruncatedSeries:
     terms.append(stripped[start:])
 
     coeffs = np.zeros(order + 1, dtype=complex)
+    seen: set[int] = set()
     for term in terms:
         match = _TERM_RE.match(term)
         if not match or (not match.group("coeff") and not match.group("z")):
             raise ValueError(f"cannot parse polynomial term {term!r}")
-        sign = -1.0 if match.group("sign") == "-" else 1.0
         coeff_text = (match.group("coeff") or "").strip("()")
         if not coeff_text:
             coeff = 1.0 + 0j
@@ -145,13 +151,19 @@ def parse_polynomial(text: str, order: int) -> TruncatedSeries:
                 coeff = complex(coeff_text.replace("i", "j"))
             except ValueError:
                 raise ValueError(f"cannot parse coefficient in term {term!r}")
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"coefficient in term {term!r} is not finite")
+        if match.group("sign") == "-":
+            coeff = -coeff
         if match.group("z"):
             power = int(match.group("pow") or 1)
         else:
             power = 0
         if power > order:
             raise ValueError(f"term {term!r} exceeds the truncation order {order}")
-        coeffs[power] += sign * coeff
+        # assigned on first sight: 0 + (-0.0) would drop the sign of a zero
+        coeffs[power] = coeffs[power] + coeff if power in seen else coeff
+        seen.add(power)
     return TruncatedSeries(coeffs)
 
 
@@ -283,14 +295,33 @@ def cmd_quad(args) -> int:
 # parameter sweeps
 
 
-def _expand_axis(spec) -> list:
+def _config_number(value, key: str) -> float:
+    if not is_json_number(value):
+        raise ValueError(f"sweep config value {key} must be a number (got {value!r})")
+    return float(value)
+
+
+def _config_object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"sweep config {key} must be a JSON object")
+    return value
+
+
+def _expand_axis(grid: dict, name: str, default: float) -> list[float]:
+    """One grid axis: a number, a list of numbers, or
+    {"start": a, "stop": b, "count": n} for n points spaced evenly."""
+    spec, key = grid.get(name, [default]), f"grid.{name}"
     if isinstance(spec, list):
-        return list(spec)
+        return [_config_number(v, f"{key}[{i}]") for i, v in enumerate(spec)]
     if isinstance(spec, dict):
-        return list(
-            np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
-        )
-    return [spec]
+        missing = [part for part in ("start", "stop", "count") if part not in spec]
+        if missing:
+            raise ValueError(f'sweep config {key} has no "{missing[0]}" key')
+        if type(spec["count"]) is not int or spec["count"] < 0:
+            raise ValueError(f"sweep config value {key}.count must be an integer >= 0")
+        start, stop = (_config_number(spec[p], f"{key}.{p}") for p in ("start", "stop"))
+        return [float(v) for v in np.linspace(start, stop, spec["count"])]
+    return [_config_number(spec, key)]
 
 
 def _sweep_cell(payload):
@@ -319,8 +350,7 @@ def _sweep_cell(payload):
             "pass": False,
             "error": str(exc),
         }
-    deviation = operators.hermitian_deviation(matrix)
-    moments = operators.moment_conditions(matrix)
+    deviation, _, (m0, m1, m2) = operators.hermitian_deviation(matrix)
     return {
         "index": index,
         "a0_mod": a0_mod,
@@ -329,9 +359,9 @@ def _sweep_cell(payload):
         "a1_fraction": a1_fraction,
         "c": c,
         "deviation": deviation,
-        "m0": moments.m0,
-        "m1": moments.m1,
-        "m2": moments.m2,
+        "m0": m0,
+        "m1": m1,
+        "m2": m2,
         "pass": deviation <= verify.DEFAULT_TOLERANCES["identity"],
     }
 
@@ -351,27 +381,31 @@ def _require_finite(value, key: str) -> None:
 
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
-    space = config.get("space", {})
-    grid = config.get("grid", {})
+        config = _config_object(json.load(handle), "file")
+    space = _config_object(config.get("space", {}), "space")
+    grid = _config_object(config.get("grid", {}), "grid")
     _require_finite(space, "space")
     _require_finite(grid, "grid")
     family = space.get("family", "binomial")
     if family == "binomial":
-        fam_params = (float(space.get("lambda", 1.0)), float(space.get("eta", 1.0)))
+        fam_params = tuple(
+            _config_number(space.get(key, 1.0), f"space.{key}") for key in ("lambda", "eta")
+        )
     elif family == "fock":
-        fam_params = (float(space.get("b", 1.0)),)
+        fam_params = (_config_number(space.get("b", 1.0), "space.b"),)
     else:
         raise ValueError(f"sweep supports binomial and fock families (got {family!r})")
     axes = [
-        _expand_axis(grid.get("a0_mod", [0.3])),
-        _expand_axis(grid.get("a0_arg", [0.0])),
-        _expand_axis(grid.get("a1_fraction", [0.5])),
-        _expand_axis(grid.get("c", [1.0])),
+        _expand_axis(grid, "a0_mod", 0.3),
+        _expand_axis(grid, "a0_arg", 0.0),
+        _expand_axis(grid, "a1_fraction", 0.5),
+        _expand_axis(grid, "c", 1.0),
     ]
-    order = int(config.get("order", args.order))
+    order = args.order
+    if "order" in config:
+        order = valid_order(config["order"], "sweep config value order")
     cells = [
-        (idx, family, fam_params, float(m), float(arg), float(frac), float(cc), order)
+        (idx, family, fam_params, m, arg, frac, cc, order)
         for idx, (m, arg, frac, cc) in enumerate(itertools.product(*axes))
     ]
     workers = args.workers
@@ -510,6 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "order", None) is not None:
+            valid_order(args.order, "--order")
         return args.func(args)
     except (ValueError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,17 +22,16 @@ the entries at N = 40 are within 2.0e-16 in the normalized basis on both
 paths, and at N = 256 the two paths agree to 1.3e-16 of the largest entry,
 with subnormal tails (lam |a0| = 0.05) or without.
 
-The section is the one power table of a pair: `kernel_identity_residual`
-reads W K_w off it as a matrix-vector product and `conjugation_check`
-compares it with the dilated pair's section, so a caller that already holds
-the section passes it in rather than walking the chain again.
+The section is the one power table of a pair, a read-only square complex
+array: `hermitian_deviation` reads |M - M*| off it in one pass,
+`kernel_identity_residual` reads W K_w off it as a matrix-vector product,
+and `conjugation_check` compares it with the dilated pair's section.  Each
+check takes the section and reads the order from its shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .series import TruncatedSeries, compose_poly
@@ -47,12 +46,8 @@ from .spaces import (
 from .symbols import SymbolPair, dilate
 
 __all__ = [
-    "OperatorMatrix",
     "build_matrix",
     "hermitian_deviation",
-    "hermitian_deviation_argmax",
-    "MomentResiduals",
-    "moment_conditions",
     "apply",
     "adjoint_on_kernel",
     "kernel_identity_residual",
@@ -63,29 +58,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Finite section in the normalized basis, with its weight sequence."""
-
-    entries: np.ndarray
-    beta: WeightSequence
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must form a square matrix")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0] - 1
+#: terms of the kernel tail summed at most by `kernel_tail_bound`
+KERNEL_TAIL_TERMS = 100_000
 
 
-def build_matrix(
-    sp: SymbolPair, ws: WeightSequence, order: int | None = None
-) -> OperatorMatrix:
-    """Assemble the section: column j is psi * phi^j, normalized.
+def build_matrix(sp: SymbolPair, ws: WeightSequence, order: int | None = None) -> np.ndarray:
+    """Assemble the section: column j is psi * phi^j, normalized, as a
+    read-only (N+1) x (N+1) complex array.
 
     A family pair (``sp.phi_pole`` set) has phi = a0 + a1 z / (1 - q z), so
     phi (1 - q z) = a0 + d z with d = a1 - a0 q, and the columns
@@ -125,7 +104,8 @@ def build_matrix(
         entries = _linear_fractional_table(psi, sp.a0, sp.a1, sp.phi_pole)
     entries *= beta[:, None]
     entries /= beta[None, :]
-    return OperatorMatrix(entries=entries, beta=WeightSequence(beta, ws.provenance))
+    entries.setflags(write=False)
+    return entries
 
 
 def _linear_fractional_table(
@@ -159,41 +139,20 @@ def _linear_fractional_table(
     return padded[1:]
 
 
-def hermitian_deviation(m: OperatorMatrix) -> float:
-    """max |M - M*| over all entries; zero iff the section is Hermitian."""
-    return float(np.max(np.abs(m.entries - m.entries.conj().T)))
+def hermitian_deviation(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[float, ...]]:
+    """max |M - M*|, an entry where it is attained, and the three moments.
 
-
-def hermitian_deviation_argmax(m: OperatorMatrix) -> tuple[float, tuple[int, int]]:
-    diff = np.abs(m.entries - m.entries.conj().T)
-    flat = int(np.argmax(diff))
-    i, j = divmod(flat, diff.shape[1])
-    return float(diff[i, j]), (i, j)
-
-
-@dataclass(frozen=True)
-class MomentResiduals:
-    m0: float
-    m1: float
-    m2: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.m0, self.m1, self.m2)
-
-
-def moment_conditions(m: OperatorMatrix) -> MomentResiduals:
-    """Self-adjointness restricted to the first three basis vectors.
-
-    m_j = max_i |M[i,j] - conj(M[j,i])|.  The first two vanish for any
+    The deviation is zero iff the section is Hermitian.  The moments are
+    self-adjointness restricted to the first three basis vectors,
+    m_j = max_i |M[i,j] - conj(M[j,i])|: the first two vanish for any
     weight sequence once the symbols have the required closed-form shape;
     the third is the discriminating condition that forces the generating
-    function's differential equation.
+    function's differential equation.  One |M - M*| table serves all three.
     """
-    residuals = [
-        float(np.max(np.abs(m.entries[:, j] - np.conj(m.entries[j, :]))))
-        for j in range(3)
-    ]
-    return MomentResiduals(*residuals)
+    diff = np.abs(m - m.conj().T)
+    i, j = divmod(int(np.argmax(diff)), diff.shape[1])
+    m0, m1, m2 = (float(x) for x in diff[:, :3].max(axis=0))
+    return float(diff[i, j]), (i, j), (m0, m1, m2)
 
 
 def apply(sp: SymbolPair, f: TruncatedSeries) -> TruncatedSeries:
@@ -217,38 +176,33 @@ def adjoint_on_kernel(
 
 
 def kernel_identity_residual(
-    sp: SymbolPair,
-    ws: WeightSequence,
-    w: complex,
-    order: int | None = None,
-    section: OperatorMatrix | None = None,
+    m: np.ndarray, sp: SymbolPair, ws: WeightSequence, w: complex
 ) -> float:
     """H^2(beta)-norm of (W - W*) applied to the truncated kernel at w.
 
     Zero (up to truncation and roundoff) exactly when the operator is
     Hermitian; `kernel_tail_bound` quantifies what truncating K_w dropped.
-    The forward side W K_w = sum_j K_w(j) psi phi^j is the section applied
-    to the kernel in the normalized basis, M (K_w * beta); pass the pair's
-    `section` at this order to reuse it.  The backward side
-    conj(psi(w)) K_{phi(w)} is evaluated in closed form.
+    The forward side W K_w = sum_j K_w(j) psi phi^j is the pair's section
+    ``m`` applied to the kernel in the normalized basis, M (K_w * beta), at
+    the order of ``m``.  The backward side conj(psi(w)) K_{phi(w)} is
+    evaluated in closed form.
     """
     w = complex(w)
     if abs(w) > 0.8:
         raise DomainError(
             "kernel points are restricted to |w| <= 0.8 to keep the truncation tail controlled"
         )
-    n = sp.order if order is None else order
+    n = m.shape[0] - 1
     beta = ws.beta[: n + 1]
     k_w = kernel(w, ws, n)
     backward = adjoint_on_kernel(sp, w, ws, n).coeffs * beta
-    m = build_matrix(sp, ws, n) if section is None else section
     # einsum's own loop, not BLAS gemv: threaded gemv is slower at these
     # sizes and leaves its worker threads spinning
-    forward = np.einsum("ij,j->i", m.entries, k_w.coeffs * beta)
+    forward = np.einsum("ij,j->i", m, k_w.coeffs * beta)
     return float(np.sqrt(np.sum(np.abs(forward - backward) ** 2)))
 
 
-def kernel_tail_bound(cls, w: complex, order: int, max_terms: int = 100_000) -> float:
+def kernel_tail_bound(cls, w: complex, order: int) -> float:
     """Sum_{j > N} |w|^(2j) / beta(j)^2 for a family space: the squared-norm
     mass of the kernel tail dropped by truncation."""
     w_sq = abs(complex(w)) ** 2
@@ -261,7 +215,7 @@ def kernel_tail_bound(cls, w: complex, order: int, max_terms: int = 100_000) -> 
         if term == 0.0:
             return 0.0
     total = 0.0
-    for j in range(order + 1, order + 1 + max_terms):
+    for j in range(order + 1, order + 1 + KERNEL_TAIL_TERMS):
         total += term
         term *= w_sq * cls.coefficient_ratio(j)
         if term < 1e-30 * max(total, 1.0):
@@ -269,26 +223,20 @@ def kernel_tail_bound(cls, w: complex, order: int, max_terms: int = 100_000) -> 
     return total
 
 
-def conjugation_check(
-    sp: SymbolPair, order: int | None = None, section: OperatorMatrix | None = None
-) -> float:
+def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:
     """Entrywise residual of the dilation conjugation identity.
 
     The pair over the lam < 1 space and its dilated lam = 1 counterpart are
     intertwined by the (unitary) dilation z -> sqrt(lam) z, whose matrix in
-    the two normalized bases is the identity; the two sections must agree
-    entry by entry.  `section` is the pair's own section at this order (a
-    report passes the one it already built); without it the section is
-    built over the family weights.
+    the two normalized bases is the identity; the pair's section ``m`` and
+    the dilated pair's section at the same order must agree entry by entry.
     """
-    cls = sp.cls
-    if not isinstance(cls, Binomial):
+    if not isinstance(sp.cls, Binomial):
         raise ValueError("the conjugation identity applies to binomial pairs")
-    n = sp.order if order is None else order
-    m_lam = build_matrix(sp, family_weights(cls, n), n) if section is None else section
+    n = m.shape[0] - 1
     tilted = dilate(sp, n)
     m_one = build_matrix(tilted, family_weights(tilted.cls, n), n)
-    return float(np.max(np.abs(m_lam.entries - m_one.entries)))
+    return float(np.max(np.abs(m - m_one)))
 
 
 def fock_bound(sp: SymbolPair) -> float:
@@ -311,7 +259,7 @@ def fock_bound(sp: SymbolPair) -> float:
     return float(abs(sp.c) ** 2 / (a1 * a1) * math.exp(sup_exponent / b_sq))
 
 
-def finite_section_norm(m: OperatorMatrix) -> float:
+def finite_section_norm(m: np.ndarray) -> float:
     """Largest singular value of the section: a lower bound for the operator
     norm, nondecreasing in the truncation order."""
-    return float(np.linalg.svd(m.entries, compute_uv=False)[0])
+    return float(np.linalg.svd(m, compute_uv=False)[0])

@@ -13,6 +13,7 @@ All values are immutable; every operation returns a fresh series.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +29,8 @@ __all__ = [
     "compose_poly",
     "exp_series",
     "binomial_series",
-    "series_to_json",
+    "is_json_number",
+    "json_order",
     "series_from_json",
 ]
 
@@ -239,16 +241,29 @@ def binomial_series(lam: complex, eta: complex, order: int) -> TruncatedSeries:
 # -- JSON wire format ---------------------------------------------------------
 
 
-def series_to_json(f: TruncatedSeries) -> dict:
-    """JSON shape {"order": N, "coeffs": [[re, im], ...]}."""
-    return {
-        "order": f.order,
-        "coeffs": [[float(c.real), float(c.imag)] for c in f.coeffs],
-    }
+def is_json_number(value) -> bool:
+    """A number `json.load` returned that converts to a double: a float, or
+    an int inside the double range (a bool is neither)."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def series_from_json(obj: dict) -> TruncatedSeries:
-    coeffs = [complex(re, im) for re, im in obj["coeffs"]]
-    if len(coeffs) != int(obj["order"]) + 1:
+def json_order(obj, what: str) -> int:
+    """The "order" key of a JSON object; ValueError names what is wrong."""
+    if not isinstance(obj, dict) or "order" not in obj:
+        raise ValueError(f'{what} must be a JSON object with an "order" key')
+    if type(obj["order"]) is not int or obj["order"] < 0:
+        raise ValueError(f'{what} key "order" must be an integer >= 0 (got {obj["order"]!r})')
+    return obj["order"]
+
+
+def series_from_json(obj) -> TruncatedSeries:
+    """Series from the JSON shape {"order": N, "coeffs": [[re, im], ...]}."""
+    order = json_order(obj, "series file")
+    pairs = obj.get("coeffs")
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(is_json_number, p)) for p in pairs
+    ):
+        raise ValueError('series file key "coeffs" must be a list of [re, im] number pairs')
+    if len(pairs) != order + 1:
         raise ValueError("coefficient count does not match the declared order")
-    return TruncatedSeries(np.asarray(coeffs, dtype=complex))
+    return TruncatedSeries(np.asarray([complex(re, im) for re, im in pairs], dtype=complex))

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import OrderMismatchError, TruncatedSeries, binomial_series, exp_series
+from .series import (
+    OrderMismatchError,
+    TruncatedSeries,
+    binomial_series,
+    exp_series,
+    is_json_number,
+    json_order,
+)
 
 __all__ = [
     "DomainError",
@@ -49,10 +56,7 @@ __all__ = [
     "fock_weights",
     "dirichlet_weights",
     "flat_weights",
-    "weights_from_generating",
     "kernel",
-    "kernel_d",
-    "inner_product",
     "norm",
     "integral_norm",
     "fock_norm_quadrature",
@@ -60,7 +64,6 @@ __all__ = [
     "hardy_norm_quadrature",
     "DerivativeNormBounds",
     "derivative_norm_bounds",
-    "weights_to_json",
     "weights_from_json",
     "space_class_to_json",
 ]
@@ -78,6 +81,12 @@ class QuadratureError(RuntimeError):
 #: families are well separated; anything closer than this to a boundary is
 #: treated as sitting on it.
 CLASSIFICATION_TOL = 1e-9
+#: relative tolerance of `verify_candidate`'s coefficient-by-coefficient fit
+FIT_TOL = 1e-10
+#: radial Gauss nodes of the disk and Gaussian-plane quadratures
+QUAD_RADIAL_NODES = 200
+#: least angular nodes of every quadrature (raised to 2 N + 1 for order N)
+QUAD_ANGULAR_NODES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -114,27 +123,17 @@ class WeightSequence:
         return 1.0 / self.beta**2
 
 
-def weights_from_generating(k: TruncatedSeries) -> WeightSequence:
-    """Weights with 1/beta(j)^2 equal to the coefficients of ``k``.
-
-    Requires every coefficient to be real and strictly positive.
-    """
-    c = k.coeffs
-    if np.any(np.abs(c.imag) > 1e-14 * (1 + np.abs(c.real))):
-        raise ValueError("generating coefficients must be real")
-    re = c.real
-    if np.any(re <= 0.0):
-        bad = int(np.argmax(re <= 0.0))
-        raise ValueError(f"generating coefficient {bad} is not positive: {re[bad]}")
-    return WeightSequence(1.0 / np.sqrt(re), provenance="generating-function")
-
-
 def family_weights(cls: "SpaceClass", order: int) -> WeightSequence:
-    """Weight sequence of a hospitable family member."""
+    """Weight sequence of a hospitable family member: 1/beta(j)^2 are the
+    coefficients of its generating function, which must all be positive
+    (a Fock coefficient that underflows to 0 is refused)."""
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("family weights exist only for hospitable classes")
-    ws = weights_from_generating(cls.generating_series(order))
-    return WeightSequence(ws.beta, provenance="family")
+    khat = cls.generating_series(order).coeffs.real
+    if np.any(khat <= 0.0):
+        bad = int(np.argmax(khat <= 0.0))
+        raise ValueError(f"generating coefficient {bad} is not positive: {khat[bad]}")
+    return WeightSequence(1.0 / np.sqrt(khat), provenance="family")
 
 
 def hardy_weights(order: int) -> WeightSequence:
@@ -274,14 +273,12 @@ def classify_space(beta1: float, beta2: float, tol: float = CLASSIFICATION_TOL) 
     return Binomial(lam=lam, eta=1.0 / (lam * b1_sq), gamma=gamma)
 
 
-def verify_candidate(
-    ws: WeightSequence, cls: SpaceClass, tol: float = 1e-10
-) -> CoefficientMismatch | None:
+def verify_candidate(ws: WeightSequence, cls: SpaceClass) -> CoefficientMismatch | None:
     """Check every weight against the classified family's closed form.
 
     The classifier only sees beta(1) and beta(2); this compares 1/beta(j)^2
     with the candidate generating coefficients for all j up to the order.
-    Returns None when all coefficients agree to relative ``tol``, else the
+    Returns None when all coefficients agree to relative `FIT_TOL`, else the
     first mismatch (``expected`` is what the weights say, ``found`` what the
     family predicts).
     """
@@ -291,25 +288,21 @@ def verify_candidate(
     actual = ws.generating_coefficients()
     for j in range(ws.order + 1):
         denom = max(abs(actual[j]), abs(candidate[j]))
-        if abs(actual[j] - candidate[j]) > tol * denom:
+        if abs(actual[j] - candidate[j]) > FIT_TOL * denom:
             return CoefficientMismatch(
                 index=j, expected=float(actual[j]), found=float(candidate[j])
             )
     return None
 
 
-def classify_weights(
-    ws: WeightSequence,
-    tol_class: float = CLASSIFICATION_TOL,
-    tol_fit: float = 1e-10,
-) -> SpaceClass:
+def classify_weights(ws: WeightSequence, tol_class: float = CLASSIFICATION_TOL) -> SpaceClass:
     """Classify from beta(1), beta(2) and then vet the whole sequence."""
     if ws.order < 2:
         raise ValueError("classification needs weights up to index 2")
     cls = classify_space(float(ws.beta[1]), float(ws.beta[2]), tol=tol_class)
     if isinstance(cls, NotHospitable):
         return cls
-    mismatch = verify_candidate(ws, cls, tol=tol_fit)
+    mismatch = verify_candidate(ws, cls)
     if mismatch is not None:
         return NotHospitable(
             reason="coefficient-mismatch",
@@ -321,58 +314,27 @@ def classify_weights(
 
 
 # ---------------------------------------------------------------------------
-# kernels and inner products
-
-
-def _check_kernel_point(w: complex) -> complex:
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise DomainError(f"kernel points must lie in the open unit disk (|w| = {abs(w)})")
-    return w
-
-
-def _kernel_order(ws: WeightSequence, order: int | None) -> int:
-    n = ws.order if order is None else order
-    if n > ws.order:
-        raise ValueError("kernel order exceeds the weight sequence order")
-    return n
+# kernels and norms
 
 
 def kernel(w: complex, ws: WeightSequence, order: int | None = None) -> TruncatedSeries:
     """Reproducing kernel K_w: coefficient j is conj(w)^j / beta(j)^2."""
-    w = _check_kernel_point(w)
-    n = _kernel_order(ws, order)
+    w = complex(w)
+    if abs(w) >= 1.0:
+        raise DomainError(f"kernel points must lie in the open unit disk (|w| = {abs(w)})")
+    n = ws.order if order is None else order
+    if n > ws.order:
+        raise ValueError("kernel order exceeds the weight sequence order")
     j = np.arange(n + 1)
     return TruncatedSeries(np.conj(w) ** j / ws.beta[: n + 1] ** 2)
 
 
-def kernel_d(w: complex, ws: WeightSequence, order: int | None = None) -> TruncatedSeries:
-    """Kernel reproducing f'(w): coefficient j is j conj(w)^(j-1) / beta(j)^2."""
-    w = _check_kernel_point(w)
-    n = _kernel_order(ws, order)
-    c = np.zeros(n + 1, dtype=complex)
-    j = np.arange(1, n + 1)
-    c[1:] = j * np.conj(w) ** (j - 1) / ws.beta[1 : n + 1] ** 2
-    return TruncatedSeries(c)
-
-
-def _require_weight_order(f: TruncatedSeries, ws: WeightSequence) -> None:
+def norm(f: TruncatedSeries, ws: WeightSequence) -> float:
+    """The H^2(beta) norm sqrt(sum |f(j)|^2 beta(j)^2)."""
     if f.order != ws.order:
         raise OrderMismatchError(
             f"series order {f.order} does not match weight order {ws.order}"
         )
-
-
-def inner_product(f: TruncatedSeries, g: TruncatedSeries, ws: WeightSequence) -> complex:
-    """<f, g> = sum_j f(j) conj(g(j)) beta(j)^2."""
-    f._require_same_order(g)
-    _require_weight_order(f, ws)
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs) * ws.beta**2))
-
-
-def norm(f: TruncatedSeries, ws: WeightSequence) -> float:
-    """The H^2(beta) norm sqrt(sum |f(j)|^2 beta(j)^2)."""
-    _require_weight_order(f, ws)
     return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 * ws.beta**2)))
 
 
@@ -397,11 +359,10 @@ def _eval_on_grid(f: TruncatedSeries, radii: np.ndarray, n_angular: int) -> np.n
     return np.mean(vals.real**2 + vals.imag**2, axis=1)
 
 
-def _require_angular_resolution(f: TruncatedSeries, n_angular: int) -> int:
+def _angular_nodes(f: TruncatedSeries) -> int:
     # the angular factor of |f|^2 has modes up to +/- order; a uniform rule
     # with more points than that integrates it exactly
-    needed = 2 * f.order + 1
-    return max(n_angular, needed)
+    return max(QUAD_ANGULAR_NODES, 2 * f.order + 1)
 
 
 def _jacobi_scaled(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,26 +432,22 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def fock_norm_quadrature(
-    f: TruncatedSeries,
-    b_sq: float,
-    n_radial: int = 200,
-    n_angular: int = 512,
-) -> float:
+def fock_norm_quadrature(f: TruncatedSeries, b_sq: float) -> float:
     """Gaussian-integral norm of a polynomial: the radial-angular quadrature of
     (1/(pi b^2)) * integral |f(z)|^2 exp(-|z|^2/b^2) dA over the plane.
 
-    The radial factor is integrated in u = |z|^2 / b^2 by the n_radial-point
-    Gauss-Legendre rule (`_gauss_jacobi` with alpha = 0; nodes within 6e-17
-    of 40-digit roots at n = 200) on [0, 60 + 2 N]; the dropped tail is
-    bounded by `_fock_tail_bound` and must be negligible relative to the
-    result, else a QuadratureError reports the node configuration.
+    The radial factor is integrated in u = |z|^2 / b^2 by the
+    `QUAD_RADIAL_NODES`-point Gauss-Legendre rule (`_gauss_jacobi` with
+    alpha = 0; nodes within 6e-17 of 40-digit roots at n = 200) on
+    [0, 60 + 2 N]; the dropped tail is bounded by `_fock_tail_bound` and
+    must be negligible relative to the result, else a QuadratureError
+    reports the node configuration.
     """
     if b_sq <= 0:
         raise DomainError("b_sq must be positive")
-    n_angular = _require_angular_resolution(f, n_angular)
+    n_angular = _angular_nodes(f)
     u_max = 60.0 + 2.0 * f.order
-    s, w = _gauss_jacobi(n_radial, 0.0)
+    s, w = _gauss_jacobi(QUAD_RADIAL_NODES, 0.0)
     u = u_max * s
     b = math.sqrt(b_sq)
     means = _eval_on_grid(f, b * np.sqrt(u), n_angular)
@@ -498,7 +455,7 @@ def fock_norm_quadrature(
     tail = _fock_tail_bound(f, b, u_max)
     if not np.isfinite(value) or tail > 1e-9 * max(value, 1e-300):
         raise QuadratureError(
-            f"Gaussian norm quadrature not converged: nodes {n_radial}x{n_angular}, "
+            f"Gaussian norm quadrature not converged: nodes {QUAD_RADIAL_NODES}x{n_angular}, "
             f"radial cutoff u={u_max:.1f}, tail bound {tail:.3e}, value {value:.3e}"
         )
     return math.sqrt(value)
@@ -528,16 +485,11 @@ def _fock_tail_bound(f: TruncatedSeries, b: float, u_max: float) -> float:
     return float(np.sum(np.exp(log_terms)))
 
 
-def bergman_norm_quadrature(
-    f: TruncatedSeries,
-    eta: float,
-    n_radial: int = 200,
-    n_angular: int = 512,
-) -> float:
+def bergman_norm_quadrature(f: TruncatedSeries, eta: float) -> float:
     """Disk-integral norm for the eta > 1 family:
     (eta - 1)/pi * integral |f(z)|^2 (1 - |z|^2)^(eta-2) dA over the disk.
 
-    Uses the n_radial-point Gauss-Jacobi rule for (1 - s)^(eta - 2) in
+    Uses the `QUAD_RADIAL_NODES`-point Gauss-Jacobi rule for (1 - s)^(eta - 2) in
     s = |z|^2 (`_gauss_jacobi`; exact for the polynomial radial factor,
     including the integrable boundary singularity when eta < 2; nodes within
     6e-17 and weights within 7e-13 of 40-digit values at n = 200).
@@ -549,22 +501,21 @@ def bergman_norm_quadrature(
             "the disk-integral norm requires eta > 1; "
             "for eta <= 1 use the series norm and the derivative sandwich"
         )
-    n_angular = _require_angular_resolution(f, n_angular)
-    s, w = _gauss_jacobi(n_radial, eta - 2.0)
+    n_angular = _angular_nodes(f)
+    s, w = _gauss_jacobi(QUAD_RADIAL_NODES, eta - 2.0)
     means = _eval_on_grid(f, np.sqrt(s), n_angular)
     value = float((eta - 1.0) * np.sum(w * means))
     if not np.isfinite(value):
         raise QuadratureError(
-            f"disk norm quadrature failed: nodes {n_radial}x{n_angular}, eta={eta}"
+            f"disk norm quadrature failed: nodes {QUAD_RADIAL_NODES}x{n_angular}, eta={eta}"
         )
     return math.sqrt(value)
 
 
-def hardy_norm_quadrature(f: TruncatedSeries, n_angular: int = 512) -> float:
+def hardy_norm_quadrature(f: TruncatedSeries) -> float:
     """Circle-average norm (1/2pi) * integral |f(e^it)|^2 dt, by the uniform
     rule, which is exact once the node count exceeds twice the degree."""
-    n_angular = _require_angular_resolution(f, n_angular)
-    mean = _eval_on_grid(f, np.ones(1), n_angular)[0]
+    mean = _eval_on_grid(f, np.ones(1), _angular_nodes(f))[0]
     return math.sqrt(float(mean))
 
 
@@ -640,16 +591,15 @@ def derivative_norm_bounds(f: TruncatedSeries, eta: float) -> DerivativeNormBoun
 # JSON wire formats
 
 
-def weights_to_json(ws: WeightSequence) -> dict:
-    """JSON shape {"order": N, "beta": [...]}."""
-    return {"order": ws.order, "beta": [float(b) for b in ws.beta]}
-
-
-def weights_from_json(obj: dict) -> WeightSequence:
-    beta = np.asarray(obj["beta"], dtype=float)
-    if beta.size != int(obj["order"]) + 1:
+def weights_from_json(obj) -> WeightSequence:
+    """Weights from the JSON shape {"order": N, "beta": [...]}."""
+    order = json_order(obj, "weight file")
+    beta = obj.get("beta")
+    if not isinstance(beta, list) or not all(map(is_json_number, beta)):
+        raise ValueError('weight file key "beta" must be a list of numbers')
+    if len(beta) != order + 1:
         raise ValueError("weight count does not match the declared order")
-    return WeightSequence(beta)
+    return WeightSequence(np.asarray(beta, dtype=float))
 
 
 def space_class_to_json(cls: SpaceClass) -> dict:

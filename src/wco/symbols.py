@@ -61,6 +61,10 @@ RANK_ONE = "rank-one"
 
 #: absolute slack for closed-interval membership at the self-map boundary
 ENDPOINT_SLACK = 1e-12
+#: distance in a1 within which `SelfMapInterval.at_endpoint` flags an endpoint
+ENDPOINT_FLAG_TOL = 1e-9
+#: uniform circle points of `mobius_circle_max`, besides the two extremal ones
+CIRCLE_GRID = 4096
 
 
 def triviality(a0: complex, a1: complex, c: complex) -> str:
@@ -187,12 +191,15 @@ class SelfMapInterval:
     a1_max: float
     admissible: bool
 
-    def contains(self, a1: float, slack: float = ENDPOINT_SLACK) -> bool:
-        return self.admissible and (self.a1_min - slack <= a1 <= self.a1_max + slack)
-
-    def at_endpoint(self, a1: float, tol: float = 1e-9) -> bool:
+    def contains(self, a1: float) -> bool:
         return self.admissible and (
-            abs(a1 - self.a1_min) <= tol or abs(a1 - self.a1_max) <= tol
+            self.a1_min - ENDPOINT_SLACK <= a1 <= self.a1_max + ENDPOINT_SLACK
+        )
+
+    def at_endpoint(self, a1: float) -> bool:
+        return self.admissible and (
+            abs(a1 - self.a1_min) <= ENDPOINT_FLAG_TOL
+            or abs(a1 - self.a1_max) <= ENDPOINT_FLAG_TOL
         )
 
 
@@ -260,9 +267,7 @@ def a1_from_fraction(interval: SelfMapInterval, fraction: float) -> float:
     return fraction * interval.a1_max if fraction >= 0 else -fraction * interval.a1_min
 
 
-def mobius_circle_max(
-    a0: complex, a1: float, lam: float, rho: float = 1.0, n_grid: int = 4096
-) -> float:
+def mobius_circle_max(a0: complex, a1: float, lam: float, rho: float = 1.0) -> float:
     """Maximum of |phi| over the circle |z| = rho, by direct evaluation.
 
     The grid is augmented with the two analytically-extremal directions
@@ -270,7 +275,7 @@ def mobius_circle_max(
     sharp at interval endpoints without a fine grid.
     """
     m = _check_region_preconditions(a0, lam, rho)
-    t = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    t = 2.0 * np.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID
     z = rho * np.exp(1j * t)
     if m > 0:
         direction = complex(a0) / m

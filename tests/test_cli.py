@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,42 @@ class TestParsers:
     def test_polynomial_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_polynomial("z**2", 4)
+
+    @pytest.mark.parametrize("text, term", [
+        ("nan", "nan"),
+        ("1 + 1e400*z", "+1e400*z"),
+        ("z - (1+nanj)*z^2", "-(1+nanj)*z^2"),
+    ])
+    def test_polynomial_rejects_non_finite_coefficients(self, text, term):
+        with pytest.raises(ValueError, match=re.escape(f"{term!r} is not finite")):
+            parse_polynomial(text, 4)
+
+
+def complex_bits(z) -> bytes:
+    """The bytes of a complex double: equal values with different signed
+    zeros differ."""
+    return np.complex128(z).tobytes()
+
+
+finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=finite_complex)
+def test_parse_complex_round_trips_repr(z):
+    assert complex_bits(parse_complex(repr(z))) == complex_bits(z)
+    assert complex_bits(parse_complex(repr(z).replace("j", "i"))) == complex_bits(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.dictionaries(st.integers(0, 12), finite_complex, min_size=1), star=st.booleans())
+def test_parse_polynomial_round_trips_rendered_terms(terms, star):
+    times = "*" if star else ""
+    text = "+".join(f"({z.real!r}{z.imag:+}i){times}z^{k}" for k, z in terms.items())
+    want = np.zeros(13, dtype=complex)
+    for k, z in terms.items():
+        want[k] = z
+    assert parse_polynomial(text, 12).coeffs.tobytes() == want.tobytes()
 
 
 class TestClassifyCommand:
@@ -354,6 +391,55 @@ class TestSweepCommand:
             code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
             assert code == 2 and out == ""
             assert key in err and "not finite" in err
+
+
+PAIR = ["--a0", "0.3", "--a1", "0.2", "--c", "1"]
+SWEEP = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16}
+
+
+@pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        ({"beta": [1, 1, 1]}, ["check", "--beta-file", "{file}", *PAIR], '"order" key'),
+        ({"beta": [1, 1, 1]}, ["classify", "--beta-file", "{file}"], '"order" key'),
+        ([1, 1, 1], ["check", "--beta-file", "{file}", *PAIR], "JSON object"),
+        ({"order": 2, "beta": [1, 1, 10**400]}, ["classify", "--beta-file", "{file}"], '"beta"'),
+        ({"coeffs": [[0, 0], [1, 0]]}, ["quad", "--family", "hardy", "--f", "{file}"],
+         '"order" key'),
+        ([SWEEP], ["sweep", "--config", "{file}"], "JSON object"),
+        ({**SWEEP, "space": [1]}, ["sweep", "--config", "{file}"], "space must be a JSON object"),
+        ({**SWEEP, "grid": {"c": [10**400]}}, ["sweep", "--config", "{file}"], "grid.c[0]"),
+        ({**SWEEP, "grid": {"a0_mod": {"start": 0.1}}}, ["sweep", "--config", "{file}"],
+         'grid.a0_mod has no "stop" key'),
+        ({**SWEEP, "order": 1}, ["sweep", "--config", "{file}"], "order must be an integer >= 2"),
+        ({**SWEEP, "order": -1}, ["sweep", "--config", "{file}"], "order must be an integer >= 2"),
+        ({**SWEEP, "order": 2.5}, ["sweep", "--config", "{file}"], "order must be an integer >= 2"),
+        (None, ["check", "--family", "hardy", "--order", "-3", *PAIR],
+         "--order must be an integer >= 2"),
+    ],
+    ids=[
+        "check-beta-file-without-order", "classify-beta-file-without-order",
+        "beta-file-list", "beta-file-int-beyond-double", "series-file-without-order",
+        "sweep-config-list", "sweep-space-list", "sweep-int-beyond-double",
+        "sweep-axis-without-stop", "sweep-order-1", "sweep-order-negative",
+        "sweep-order-fractional", "negative-order-option",
+    ],
+)
+def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, *(str(path) if a == "{file}" else a for a in argv))
+    assert code == 2 and out == ""
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_underflowing_fock_weight_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--family", "fock", *PAIR, "--order", "200"
+    )
+    assert code == 2 and out == ""
+    assert "error: generating coefficient 178 is not positive" in err
 
 
 #: one space per family the CLI builds

@@ -13,7 +13,6 @@ from wco.series import (
     one,
     polynomial,
     series_from_json,
-    series_to_json,
 )
 
 
@@ -199,10 +198,22 @@ class TestConstructors:
 
 class TestJson:
     def test_round_trip(self):
-        rng = np.random.default_rng(23)
-        f = rand_series(rng, 9)
-        back = series_from_json(series_to_json(f))
-        assert np.allclose(back.coeffs, f.coeffs)
+        f = series_from_json({"order": 2, "coeffs": [[1, 0.5], [0.0, -2.0], [3.0, 0]]})
+        assert f.coeffs.tolist() == [1 + 0.5j, -2j, 3 + 0j]
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"coeffs": [[1, 0]]}, '"order" key'),
+            ([[1, 0]], '"order" key'),
+            ({"order": -1, "coeffs": []}, "integer >= 0"),
+            ({"order": 0, "coeffs": [1]}, "pairs"),
+            ({"order": 0, "coeffs": [[1, "0"]]}, "pairs"),
+        ],
+    )
+    def test_shape_rejected(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            series_from_json(obj)
 
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):

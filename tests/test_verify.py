@@ -1,4 +1,4 @@
-"""Cross-oracle checks: ODE residual, symbol recovery, reports."""
+"""Cross-oracle checks: ODE residual, norm equivalence, reports."""
 
 import math
 
@@ -17,14 +17,15 @@ from wco.spaces import (
     fock_weights,
     hardy_weights,
 )
-from wco.symbols import synthesize, synthesize_from_weights
+from wco.symbols import synthesize_from_weights
 from wco.verify import (
+    NORM_BOUND_SLACK,
+    NormEquivalence,
+    ODE_SAMPLES,
     _ode_series_order,
-    default_ode_samples,
     full_report,
     norm_equivalence_check,
     ode_residual,
-    recover_symbols,
 )
 
 HARDY = Binomial(lam=1.0, eta=1.0, gamma=2.0)
@@ -71,50 +72,8 @@ class TestOdeResidual:
             ode_residual(k, 2.0, 1.0)  # k'(0) != 1/beta1^2
 
     def test_default_samples_inside_half_disk(self):
-        samples = default_ode_samples()
-        assert samples.size == 36
-        assert np.max(np.abs(samples)) <= 0.5 + 1e-15
-
-
-class TestRecoverSymbols:
-    def test_round_trip_on_families(self):
-        cases = [
-            (HARDY, hardy_weights(48), 0.5, 0.1, 1.0),
-            (Binomial(0.5, 2.0, 1.5), family_weights(Binomial(0.5, 2.0, 1.5), 48), 0.4 + 0.2j, 0.15, -0.7),
-        ]
-        for cls, ws, a0, a1, c in cases:
-            sp = synthesize(cls, a0, a1, c, 48)
-            m = operators.build_matrix(sp, ws)
-            rec = recover_symbols(m)
-            assert abs(rec.a0 - a0) <= 1e-10
-            assert abs(rec.a1 - a1) <= 1e-10
-            assert abs(rec.c - c) <= 1e-10
-            assert np.max(np.abs(rec.psi.coeffs - sp.psi.coeffs)) <= 1e-10
-            assert np.max(np.abs(rec.phi.coeffs - sp.phi.coeffs)) <= 1e-10
-
-    def test_fixed_origin(self):
-        sp = synthesize(HARDY, 0.0, 0.5, 2.0, 16)
-        rec = recover_symbols(operators.build_matrix(sp, hardy_weights(16)))
-        assert rec.a0 == 0.0
-        assert np.max(np.abs(rec.psi.coeffs[1:])) == 0.0
-
-    def test_hermitian_matrix_gives_real_parameters(self):
-        sp = synthesize(HARDY, 0.5 * np.exp(1.1j), 0.12, 0.9, 48)
-        m = operators.build_matrix(sp, hardy_weights(48))
-        assert operators.hermitian_deviation(m) <= 1e-12
-        rec = recover_symbols(m)
-        assert abs(rec.c.imag) <= 1e-10
-        assert abs(rec.a1.imag) <= 1e-10
-
-    def test_zero_weight_rejected(self):
-        sp = synthesize(HARDY, 0.5, 0.1, 0.0, 8)
-        with pytest.raises(ValueError):
-            recover_symbols(operators.build_matrix(sp, hardy_weights(8)))
-
-    def test_tiny_a1_reports_conditioning(self):
-        sp = synthesize(HARDY, 0.5, 1e-8, 1.0, 16)
-        rec = recover_symbols(operators.build_matrix(sp, hardy_weights(16)))
-        assert "conditioning" in rec.condition_note
+        assert ODE_SAMPLES.size == 36
+        assert np.max(np.abs(ODE_SAMPLES)) <= 0.5 + 1e-15
 
 
 class TestNormEquivalence:
@@ -134,6 +93,11 @@ class TestNormEquivalence:
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             out = norm_equivalence_check(TruncatedSeries(coeffs))
             assert out.ratio_ok
+
+    def test_violation_is_relative_to_the_hardy_norm(self):
+        assert NormEquivalence(hardy=4.0, flat=9.0, level=2.0).violation == 0.25
+        assert NormEquivalence(hardy=0.5, flat=0.25, level=2.0).violation == 0.25
+        assert not NormEquivalence(hardy=1.0, flat=1.0 - 1e-9, level=2.0).ratio_ok
 
 
 class TestFullReport:
@@ -205,8 +169,10 @@ class TestFullReport:
         assert not by_name["hospitable-classification"].passed
         assert not by_name["hermitian-deviation"].passed
         assert not by_name["generating-ode"].passed
-        # the flat space is still norm-equivalent to Hardy: boundedness note
-        assert by_name["hardy-norm-equivalence"].passed
+        # the flat space is still norm-equivalent to Hardy, measured on the probe
+        equivalence = by_name["hardy-norm-equivalence"]
+        assert equivalence.passed and equivalence.tolerance == NORM_BOUND_SLACK
+        assert 0.0 <= equivalence.residual <= NORM_BOUND_SLACK
 
     def test_dirichlet_oracles_agree_in_rejecting(self):
         report = full_report(dirichlet_weights(64), 0.6, 0.3, 1.0)
@@ -284,7 +250,5 @@ def test_rejection_gallery_grid():
                 for a1 in (0.05, 0.2, 0.4):
                     a0 = a0_mod * np.exp(1j * a0_arg)
                     sp = synthesize_from_weights(ws, a0, a1, 1.0)
-                    m2 = operators.moment_conditions(
-                        operators.build_matrix(sp, ws)
-                    ).m2
+                    m2 = operators.hermitian_deviation(operators.build_matrix(sp, ws))[2][2]
                     assert max(m2, ode) > 1e-3, (name, a0, a1)
