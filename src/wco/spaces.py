@@ -85,7 +85,7 @@ CLASSIFICATION_TOL = 1e-9
 FIT_TOL = 1e-10
 #: radial Gauss nodes of the disk and Gaussian-plane quadratures
 QUAD_RADIAL_NODES = 200
-#: least angular nodes of every quadrature (raised to 2 N + 1 for order N)
+#: least angular nodes of every quadrature (raised to 2 d + 1 for degree d)
 QUAD_ANGULAR_NODES = 512
 
 
@@ -349,20 +349,24 @@ def _eval_on_grid(f: TruncatedSeries, radii: np.ndarray, n_angular: int) -> np.n
     does *not* shortcut through the coefficient formula, so the quadrature
     stays an independent check on the series-side norms.  Horner starts at
     the last nonzero coefficient: the zero padding of a low-degree f would
-    only multiply zeros, and the result is bitwise the same.
+    only multiply zeros, and the result is bitwise the same.  The steps run
+    in place, so the grid and the values are the only arrays of its size.
     """
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     grid = radii[:, None] * np.exp(1j * theta)[None, :]
     vals = np.zeros_like(grid)
     for c in np.trim_zeros(f.coeffs, "b")[::-1]:
-        vals = vals * grid + c
+        vals *= grid
+        vals += c
     return np.mean(vals.real**2 + vals.imag**2, axis=1)
 
 
 def _angular_nodes(f: TruncatedSeries) -> int:
-    # the angular factor of |f|^2 has modes up to +/- order; a uniform rule
-    # with more points than that integrates it exactly
-    return max(QUAD_ANGULAR_NODES, 2 * f.order + 1)
+    # on a circle |f|^2 has angular modes up to +/- deg f (the degree after
+    # trimming trailing zeros, not the truncation order); a uniform rule with
+    # more than 2 deg f points integrates it exactly
+    degree = np.trim_zeros(f.coeffs, "b").size - 1
+    return max(QUAD_ANGULAR_NODES, 2 * degree + 1)
 
 
 def _jacobi_scaled(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

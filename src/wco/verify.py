@@ -78,10 +78,13 @@ KERNEL_POINT = 0.3 + 0.2j
 # ODE oracle
 
 
+#: largest ODE sample radius: the oracle evaluates k(ODE_RADIUS u) at
+#: u = z / ODE_RADIUS, whose terms khat(j) ODE_RADIUS^j stay in range
+ODE_RADIUS = 0.5
 #: ODE sample points: the radii 0.1, 0.3, 0.5 at twelve uniform arguments,
 #: inside every family's disk of analyticity with margin
 ODE_SAMPLES = np.concatenate(
-    [r * np.exp(2j * np.pi * np.arange(12) / 12) for r in (0.1, 0.3, 0.5)]
+    [r * np.exp(2j * np.pi * np.arange(12) / 12) for r in (0.1, 0.3, ODE_RADIUS)]
 )
 ODE_SAMPLES.setflags(write=False)
 
@@ -98,20 +101,38 @@ def ode_residual(k: TruncatedSeries, beta1: float, beta2: float) -> float:
     k'(0) = 1/beta1^2, which every generating function with matching
     beta(1) satisfies.
     """
-    if abs(k.coeffs[0] - 1.0) > 1e-12:
-        raise ValueError(f"k(0) must be 1 (got {k.coeffs[0]})")
-    if abs(k.coeffs[1] - 1.0 / beta1**2) > 1e-12 * max(1.0, 1.0 / beta1**2):
-        raise ValueError("k'(0) must equal 1/beta1^2")
+    radial = k.coeffs * ODE_RADIUS ** np.arange(k.order + 1)
+    return _ode_residual(k.coeffs[:2], radial, beta1, beta2)
 
-    def terms(f: TruncatedSeries, z):
+
+def _ode_residual(head: np.ndarray, radial: np.ndarray, beta1: float, beta2: float) -> float:
+    """`ode_residual` of k from its head k(0), k'(0) and the coefficients
+    khat(j) ODE_RADIUS^j of k(ODE_RADIUS u).
+
+    Those coefficients are scaled by the power of two of the largest one and
+    the series is evaluated at u = z / ODE_RADIUS.  Both sides of the ODE
+    are homogeneous of degree one in k and carry two derivatives, and every
+    scaling is by a power of two, so the residual is bitwise the one of k
+    at z, while the values stay in range where khat(j) itself overflows
+    (eta = 500 at order 867, Fock b = 0.035).
+    """
+    if abs(head[0] - 1.0) > 1e-12:
+        raise ValueError(f"k(0) must be 1 (got {head[0]})")
+    if abs(head[1] - 1.0 / beta1**2) > 1e-12 * max(1.0, 1.0 / beta1**2):
+        raise ValueError("k'(0) must equal 1/beta1^2")
+    if not np.all(np.isfinite(radial)):
+        raise ValueError(f"the terms of k at |z| = {ODE_RADIUS} leave the double range")
+    g = TruncatedSeries(radial * 2.0 ** -math.frexp(float(np.max(np.abs(radial))))[1])
+
+    def terms(f: TruncatedSeries, u):
         fp = f.derivative()
-        fv = f(z)
+        fv = f(u)
         if np.any(fv == 0):
             raise ZeroDivisionError("the generating function vanishes at a sample point")
-        return beta1**4 * fp(z) ** 2 / fv, 0.5 * beta2**2 * fp.derivative()(z)
+        return beta1**4 * fp(u) ** 2 / fv, 0.5 * beta2**2 * fp.derivative()(u)
 
-    lhs, rhs = terms(k, ODE_SAMPLES)
-    lhs_mod, rhs_mod = terms(TruncatedSeries(np.abs(k.coeffs)), np.abs(ODE_SAMPLES))
+    lhs, rhs = terms(g, ODE_SAMPLES / ODE_RADIUS)
+    lhs_mod, rhs_mod = terms(TruncatedSeries(np.abs(g.coeffs)), np.abs(ODE_SAMPLES) / ODE_RADIUS)
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs_mod + rhs_mod)))
 
 
@@ -125,17 +146,22 @@ def _ode_series_order(cls) -> int:
     not grow with j once rho_j is falling (eta >= 1; otherwise rho_j stays
     below lam / 2), so their tail beyond j is about j^2 t_j s_j / (1 - s_j).
     The walk stops once that is below 1e-17 of the partial sum; two more
-    orders cover the derivatives.  A sum that overflows stops the walk:
-    the series cannot be evaluated in double precision there.
+    orders cover the derivatives.  The t_j are the terms `_ode_residual`
+    evaluates, so a sum that overflows raises ValueError: the oracle cannot
+    be evaluated in double precision there.
     """
-    radius, rel = 0.5, 1e-17
+    rel = 1e-17
     term = total = 1.0
     j = 0
-    while math.isfinite(total):
-        term *= cls.coefficient_ratio(j) * radius
+    while True:
+        term *= cls.coefficient_ratio(j) * ODE_RADIUS
         total += term
         j += 1
-        shrink = cls.coefficient_ratio(j) * radius * (1.0 + 1.0 / j) ** 2
+        if not math.isfinite(total):
+            raise ValueError(
+                f"the terms of k at |z| = {ODE_RADIUS} leave the double range by order {j}"
+            )
+        shrink = cls.coefficient_ratio(j) * ODE_RADIUS * (1.0 + 1.0 / j) ** 2
         if shrink < 1.0 and term * j * j * shrink <= rel * total * (1.0 - shrink):
             break
     return j + 2
@@ -364,15 +390,21 @@ def full_report(
     # already tied the weights to it).  For inhospitable spaces use the
     # weights' own coefficients: violations are orders of magnitude above
     # any truncation effect.
-    if hospitable:
-        ode_order = _ode_series_order(cls)
-        k_series = cls.generating_series(ode_order)
-        ode_note = f"family closed form at order {ode_order}"
-    else:
-        k_series = TruncatedSeries(ws.generating_coefficients().astype(complex))
-        ode_note = "explicit generating coefficients"
+    beta1, beta2 = float(ws.beta[1]), float(ws.beta[2])
     try:
-        ode = ode_residual(k_series, float(ws.beta[1]), float(ws.beta[2]))
+        if hospitable:
+            ode_order = _ode_series_order(cls)
+            ode_note = f"family closed form at order {ode_order}"
+            ode = _ode_residual(
+                cls.generating_series(1).coeffs,
+                cls.generating_series(ode_order, scale=ODE_RADIUS).coeffs,
+                beta1,
+                beta2,
+            )
+        else:
+            ode_note = "explicit generating coefficients"
+            k_series = TruncatedSeries(ws.generating_coefficients().astype(complex))
+            ode = ode_residual(k_series, beta1, beta2)
     except (ValueError, ZeroDivisionError) as exc:
         ode, ode_note = math.inf, str(exc)
     checks.append(
@@ -465,15 +497,20 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
         )
 
     if isinstance(cls, Exponential) and 0 < abs(sp.a1) < 1:
-        bound = operators.fock_bound(sp)
+        # in log units, so a bound beyond the double range (small b) still
+        # compares: sigma_max^2 <= bound (1 + NORM_BOUND_SLACK)
+        log_bound = operators.fock_log_bound(sp)
         sigma = operators.finite_section_norm(m)
+        log_sigma_sq = 2.0 * math.log(sigma) if sigma != 0.0 else -math.inf
+        # the zero section (c = 0) meets every bound, log bound = -inf too
+        excess = 0.0 if sigma == 0.0 else log_sigma_sq - log_bound
         checks.append(
             _residual_check(
                 "norm-bound-dominance",
-                max(0.0, sigma * sigma - bound),
-                NORM_BOUND_SLACK * max(1.0, bound),
+                0.0 if excess <= 0.0 else excess,
+                NORM_BOUND_SLACK,
                 "closed-form bound vs largest singular value",
-                f"sigma_max^2 = {sigma * sigma:.6g} <= bound = {bound:.6g}",
+                f"log sigma_max^2 = {log_sigma_sq:.6g} <= log bound = {log_bound:.6g}",
             )
         )
     return checks

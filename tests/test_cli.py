@@ -488,6 +488,40 @@ def test_cli_import_loads_no_scipy_or_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "space_args",
+    [
+        # khat(j) overflows at the ODE order 867; khat(j) 0.5^j stays below 4.1e148
+        ["--family", "bergman", "--eta", "500"],
+        # the Gaussian norm bound exp(842) is beyond the double range
+        ["--family", "fock", "--b", "0.035"],
+    ],
+    ids=["bergman-eta-500", "fock-b-0.035"],
+)
+def test_extreme_family_report_is_quiet_strict_json(space_args):
+    src = str(Path(wco.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    a0 = "0.6" if "fock" in space_args else "0.3"
+    a1 = "0.3" if "fock" in space_args else "0.2"
+    result = subprocess.run(
+        [sys.executable, "-m", "wco.cli", "check", *space_args,
+         "--a0", a0, "--a1", a1, "--c", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.stderr == ""
+    assert "Traceback" not in result.stdout
+    checks = {c["name"]: c for c in strict_json(result.stdout)["checks"]}
+    # the section checks still fail on their fixed absolute tolerance
+    assert result.returncode == 1
+    assert checks["generating-ode"]["pass"] is True
+    assert checks["generating-ode"]["residual"] <= 1e-14
+    if "fock" in space_args:
+        dominance = checks["norm-bound-dominance"]
+        assert dominance["pass"] is True and dominance["residual"] == 0.0
+        assert "log bound" in dominance["notes"]
+
+
 def test_default_order_env(monkeypatch, capsys):
     monkeypatch.setenv("WCO_DEFAULT_ORDER", "24")
     code, out, _ = run_cli(

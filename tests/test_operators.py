@@ -1,6 +1,7 @@
 """Finite-section matrices: assembly, Hermitian checks, bounds."""
 
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -20,7 +21,13 @@ from wco.spaces import (
     hardy_weights,
     kernel,
 )
-from wco.symbols import a1_from_fraction, selfmap_interval, synthesize, synthesize_from_weights
+from wco.symbols import (
+    a1_from_fraction,
+    dilate,
+    selfmap_interval,
+    synthesize,
+    synthesize_from_weights,
+)
 
 HARDY = Binomial(lam=1.0, eta=1.0, gamma=2.0)
 
@@ -225,6 +232,59 @@ class TestMoments:
             assert value == direct
 
 
+def dense_deviation(m):
+    """hermitian_deviation as one pass over the whole |M - M*| table."""
+    diff = np.abs(m - m.conj().T)
+    i, j = divmod(int(np.argmax(diff)), diff.shape[1])
+    return float(diff[i, j]), (i, j), tuple(float(x) for x in diff[:, :3].max(axis=0))
+
+
+class TestRowBlocks:
+    """The O(N^2) checks read the section in blocks of ROW_BLOCK rows and
+    must give bitwise what a whole-table pass gives."""
+
+    ORDERS = [2, 63, 64, 65, 200]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_deviation_matches_dense_reference(self, order):
+        rng = np.random.default_rng(order)
+        shape = (order + 1, order + 1)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cls = Binomial(lam=0.6, eta=1.5)
+        sp = synthesize(cls, 0.5 * np.exp(0.7j), 0.2 + 0.01j, 1.0, order)
+        section = operators.build_matrix(sp, family_weights(cls, order))
+        for m in (noise, section):
+            assert operators.hermitian_deviation(m) == dense_deviation(m)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_conjugation_matches_dense_reference(self, order):
+        cls = Binomial(lam=0.7, eta=2.5)
+        sp = synthesize(cls, 0.6 * np.exp(2.1j), 0.15, 1.0 - 0.5j, order)
+        m = operators.build_matrix(sp, family_weights(cls, order))
+        tilted = dilate(sp, order)
+        m_one = operators.build_matrix(tilted, family_weights(tilted.cls, order))
+        assert operators.conjugation_check(m, sp) == float(np.max(np.abs(m - m_one)))
+
+    def test_tie_across_blocks_keeps_the_first_in_row_major_order(self):
+        block = operators.ROW_BLOCK
+        m = np.zeros((2 * block + 3, 2 * block + 3), dtype=complex)
+        m[block + 6, block + 6] = 1j  # |M - M*| = 2 on the diagonal, second block
+        m[3, 3] = 1j  # the same value in the first block
+        m[2, block + 1] = 1.5  # smaller, in both blocks
+        assert operators.hermitian_deviation(m) == dense_deviation(m)
+        assert operators.hermitian_deviation(m)[:2] == (2.0, (3, 3))
+        m[2 * block + 1, 2 * block + 1] = 1.5j  # strictly larger, last block
+        assert operators.hermitian_deviation(m)[:2] == (3.0, (2 * block + 1, 2 * block + 1))
+
+    def test_nan_entry_is_reported_as_the_dense_argmax_reports_it(self):
+        m = np.zeros((150, 150), dtype=complex)
+        m[0, 5] = 4.0
+        m[100, 1] = np.nan
+        m[120, 2] = np.nan
+        assert repr(operators.hermitian_deviation(m)) == repr(dense_deviation(m))
+        assert operators.hermitian_deviation(m)[1] == (1, 100)
+
+
 class TestApply:
     def test_constant_gives_psi(self):
         sp, _ = hardy_pair(order=16)
@@ -423,6 +483,30 @@ class TestFockBound:
         sp = synthesize(Exponential(b_sq=1.0), 0.3, 1.0, 1.0, 8)
         with pytest.raises(DomainError):
             operators.fock_bound(sp)
+
+
+class TestFockLogBound:
+    def test_log_of_the_bound(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            b, m = rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.6)
+            sp = synthesize(
+                Exponential(b_sq=b * b), m * np.exp(1j * rng.uniform(0, 6.3)),
+                rng.uniform(0.05, 1.0 - m - 0.01), rng.uniform(0.2, 2.0), 8,
+            )
+            assert operators.fock_log_bound(sp) == pytest.approx(
+                math.log(operators.fock_bound(sp)), rel=1e-14, abs=1e-14
+            )
+
+    def test_finite_where_the_bound_overflows(self):
+        sp = synthesize(Exponential(b_sq=0.035**2), 0.6, 0.3, 1.0, 8)
+        assert operators.fock_bound(sp) == math.inf
+        assert operators.fock_log_bound(sp) == pytest.approx(842.058, rel=1e-6)
+
+    def test_zero_c(self):
+        sp = synthesize(Exponential(b_sq=1.0), 0.2, 0.5, 0.0, 8)
+        assert operators.fock_bound(sp) == 0.0
+        assert operators.fock_log_bound(sp) == -math.inf
 
 
 class TestStressOrder:

@@ -31,7 +31,14 @@ from wco.spaces import (
     verify_candidate,
     weights_from_json,
 )
-from wco.spaces import _eval_on_grid, _fock_tail_bound, _gauss_jacobi, _log_upper_gamma_bound
+from wco.spaces import (
+    QUAD_ANGULAR_NODES,
+    _angular_nodes,
+    _eval_on_grid,
+    _fock_tail_bound,
+    _gauss_jacobi,
+    _log_upper_gamma_bound,
+)
 
 
 def inner_product(f, g, ws):
@@ -430,3 +437,14 @@ class TestDerivativeSandwich:
     def test_eta_out_of_range(self):
         with pytest.raises(DomainError):
             derivative_norm_bounds(monomial(1, 1), 1.5)
+
+
+def test_angular_nodes_follow_the_degree_not_the_order():
+    probe = polynomial([1.0, 0.5, -0.25, 1 / 3, 0.0, -0.125, 0.2])
+    assert _angular_nodes(probe.truncated(512)) == QUAD_ANGULAR_NODES
+    assert _angular_nodes(monomial(300, 512)) == 601
+    assert _angular_nodes(monomial(300, 300)) == 601
+    # the smaller rule is still exact for |f|^2 on the circle
+    f = probe.truncated(512)
+    exact = float(np.sum(np.abs(f.coeffs) ** 2))
+    assert hardy_norm_quadrature(f) ** 2 == pytest.approx(exact, rel=1e-14)

@@ -66,6 +66,36 @@ class TestOdeResidual:
         beta = family_weights(cls, 2).beta
         assert ode_residual(k, float(beta[1]), float(beta[2])) <= 1e-15
 
+    def test_order_walk_refuses_terms_beyond_double_range(self):
+        # khat(j) 0.5^j = 5000^j / j! passes 1e308 near j = 160
+        with pytest.raises(ValueError, match="double range"):
+            _ode_series_order(Exponential(b_sq=1e-4))
+
+    @pytest.mark.parametrize("cls", [Binomial(1.0, 500.0), Exponential(b_sq=0.035**2)])
+    def test_family_residual_where_khat_overflows(self, cls):
+        # the terms k(0.5 u) are evaluated at u = z / 0.5 scaled by a power of
+        # two; khat(j) alone leaves the double range at this order
+        order = _ode_series_order(cls)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(cls.generating_series(order).coeffs))
+        report = full_report(family_weights(cls, 64), 0.3, 0.2, 1.0)
+        ode = next(c for c in report.checks if c.name == "generating-ode")
+        assert ode.passed and ode.residual <= 1e-14
+
+    def test_scaled_evaluation_is_bitwise_the_direct_one(self):
+        # the residual before the power-of-two scaling, evaluated at z
+        k = binomial_series(0.6, 2.5, 90)
+        beta1, beta2 = 1.0 / math.sqrt(1.5), math.sqrt(1.0 / k.coeffs[2].real)
+
+        def sides(f, z):
+            fp = f.derivative()
+            return beta1**4 * fp(z) ** 2 / f(z), 0.5 * beta2**2 * fp.derivative()(z)
+
+        lhs, rhs = sides(k, ODE_SAMPLES)
+        lhs_mod, rhs_mod = sides(TruncatedSeries(np.abs(k.coeffs)), np.abs(ODE_SAMPLES))
+        direct = float(np.max(np.abs(lhs - rhs) / np.abs(lhs_mod + rhs_mod)))
+        assert ode_residual(k, beta1, beta2) == direct
+
     def test_initial_conditions_enforced(self):
         k = binomial_series(1.0, 1.0, 16)
         with pytest.raises(ValueError):
