@@ -333,11 +333,10 @@ def _sweep_cell(payload):
         a0 = a0_mod * np.exp(1j * a0_arg)
         if family == "binomial":
             cls = Binomial(*fam_params)
-            interval = symbols.selfmap_interval(a0, cls.lam, 1.0)
-            a1 = symbols.a1_from_fraction(interval, a1_fraction)
         else:
             cls = Exponential(b_sq=fam_params[0] ** 2)
-            a1 = a1_fraction * (1.0 - a0_mod)  # keep |a0| + |a1| <= 1
+        interval = symbols.selfmap_interval(a0, cls.lam, 1.0)
+        a1 = symbols.a1_from_fraction(interval, a1_fraction)
         sp = symbols.synthesize(cls, a0, a1, c, order)
         matrix = operators.build_matrix(sp, family_weights(cls, order), order)
     except (ValueError, ArithmeticError) as exc:

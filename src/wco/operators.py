@@ -218,7 +218,11 @@ def kernel_identity_residual(
     # einsum's own loop, not BLAS gemv: threaded gemv is slower at these
     # sizes and leaves its worker threads spinning
     forward = np.einsum("ij,j->i", m, k_w.coeffs * beta)
-    return float(np.sqrt(np.sum(np.abs(forward - backward) ** 2)))
+    # scaled by a power of two before squaring, so entries near the top of the
+    # double range (Fock b = 0.01) do not overflow; bitwise the same otherwise
+    diff = np.abs(forward - backward)
+    scale = 2.0 ** -math.frexp(float(np.max(diff)))[1]
+    return float(np.sqrt(np.sum((diff * scale) ** 2)) / scale)
 
 
 def kernel_tail_bound(cls, w: complex, order: int) -> float:

@@ -7,15 +7,15 @@ composition symbol is
 
     phi(z) = a0 + a1 beta(1)^2 z k'(conj(a0) z) / k(conj(a0) z),
 
-which for the two hospitable families collapses to an affine map
-(exponential case) or the rational map a0 + a1 z / (1 - lam conj(a0) z)
-(binomial case).  `synthesize` materializes the family closed forms;
-`synthesize_from_weights` builds the same shape over an arbitrary weight
-sequence, which is what makes inhospitable spaces testable.
+which on every hospitable space is the linear-fractional map
+a0 + a1 z / (1 - lam conj(a0) z): lam in (0, 1] for the binomial family and
+lam = 0 (an affine phi) for the exponential one.  `synthesize` materializes
+these closed forms; `synthesize_from_weights` builds the same shape over an
+arbitrary weight sequence, which is what makes inhospitable spaces testable.
 
-The self-map region of the rational phi is an exact closed interval in a1
-(`selfmap_interval`); `mobius_circle_max` is the independent boundary
-oracle used to confirm its sharpness.
+The self-map region of phi is an exact closed interval in a1
+(`selfmap_interval`, for 0 <= lam <= 1); `mobius_circle_max` is the
+independent boundary oracle used to confirm its sharpness.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .series import TruncatedSeries
 from .spaces import (
     Binomial,
     DomainError,
-    Exponential,
     NotHospitable,
     SpaceClass,
     WeightSequence,
@@ -88,9 +87,9 @@ class SymbolPair:
 
     a1 and c are real for genuine Hermitian candidates; complex values are
     accepted so perturbation tests can demonstrate that realness is sharp.
-    ``phi_pole`` is q in the closed form phi = a0 + a1 z / (1 - q z) of a
-    family pair (lam conj(a0) for binomial, 0 for exponential) and None
-    when phi is only known as a series.
+    ``phi_pole`` is q = lam conj(a0) in the closed form
+    phi = a0 + a1 z / (1 - q z) of a family pair (zero for the exponential
+    family, lam = 0) and None when phi is only known as a series.
     """
 
     a0: complex
@@ -110,11 +109,9 @@ class SymbolPair:
 def synthesize(
     cls: SpaceClass, a0: complex, a1: complex, c: complex, order: int
 ) -> SymbolPair:
-    """Build the closed-form candidate symbols for a hospitable family.
-
-    Exponential: psi = c exp(conj(a0) z / b^2), phi = a0 + a1 z.
-    Binomial:    psi = c (1 - lam conj(a0) z)^(-eta),
-                 phi = a0 + a1 z / (1 - lam conj(a0) z).
+    """Build the closed-form candidate symbols for a hospitable family:
+    psi = c k(conj(a0) z) and phi = a0 + a1 z / (1 - lam conj(a0) z), so
+    phi = a0 + a1 z on the exponential family (lam = 0).
     """
     a0, a1, c = complex(a0), complex(a1), complex(c)
     a0_bar = a0.conjugate()
@@ -124,13 +121,10 @@ def synthesize(
             "use synthesize_from_weights for the general shape"
         )
     psi = c * cls.generating_series(order, a0_bar)
-    pole = 0j if isinstance(cls, Exponential) else cls.lam * a0_bar
-    phi_c = np.zeros(order + 1, dtype=complex)
+    pole = cls.lam * a0_bar
+    phi_c = np.empty(order + 1, dtype=complex)
     phi_c[0] = a0
-    if order >= 1 and isinstance(cls, Exponential):
-        phi_c[1] = a1
-    elif order >= 1:
-        phi_c[1:] = a1 * pole ** np.arange(order)
+    phi_c[1:] = a1 * pole ** np.arange(order)
     phi = TruncatedSeries(phi_c)
     return SymbolPair(
         a0=a0, a1=a1, c=c, cls=cls, psi=psi, phi=phi,
@@ -204,11 +198,11 @@ class SelfMapInterval:
 
 
 def _check_region_preconditions(a0: complex, lam: float, rho: float) -> float:
-    if not (0.0 < lam <= 1.0):
-        raise DomainError(f"lam must satisfy 0 < lam <= 1 (got {lam})")
+    if not (0.0 <= lam <= 1.0):
+        raise DomainError(f"lam must satisfy 0 <= lam <= 1 (got {lam})")
     if rho <= 0.0:
         raise DomainError(f"rho must be positive (got {rho})")
-    if rho > 1.0 / math.sqrt(lam) + ENDPOINT_SLACK:
+    if lam > 0.0 and rho > 1.0 / math.sqrt(lam) + ENDPOINT_SLACK:
         raise DomainError(
             f"rho must satisfy rho <= 1/sqrt(lam) (got rho={rho}, 1/sqrt(lam)={1/math.sqrt(lam)})"
         )
@@ -227,8 +221,9 @@ def selfmap_interval(a0: complex, lam: float, rho: float = 1.0) -> SelfMapInterv
 
     Endpoints: a1_min = (1 + |a0| lam rho)(|a0| - rho)/rho and
     a1_max = (rho - |a0|)(1 - |a0| lam rho)/rho.  At a0 = 0 these reduce to
-    [-1, 1], the plain linear-map condition |a1| <= 1.  No interval exists
-    unless |a0| < rho.
+    [-1, 1], the plain linear-map condition |a1| <= 1, and at lam = 0 (the
+    affine phi of the exponential family) to |a0| + |a1| rho <= rho.  No
+    interval exists unless |a0| < rho.
     """
     m = _check_region_preconditions(a0, lam, rho)
     admissible = m < rho
@@ -249,6 +244,8 @@ def check_sqrt_lambda_lift(a0: complex, a1: float, lam: float) -> bool:
     """A unit-disk self-map of this shape must also map the larger disk of
     radius 1/sqrt(lam) into itself; this recomputes the claim numerically
     rather than assuming it."""
+    if lam <= 0.0:
+        raise DomainError(f"the sqrt(lam) lift needs lam > 0 (got {lam})")
     if not is_selfmap(a0, a1, lam, rho=1.0):
         raise DomainError("the pair is not a self-map of the unit disk")
     return is_selfmap(a0, a1, lam, rho=1.0 / math.sqrt(lam))

@@ -267,6 +267,16 @@ class TestRegionCommand:
         assert code == 2
         assert "error" in err
 
+    def test_exponential_family_is_lambda_zero(self, capsys):
+        # phi is affine at lam = 0: |a0| + |a1| rho <= rho, for any rho > 0
+        for argv, half_width in ((("0.5", "0"), 0.5), (("0.5", "0", "2"), 0.75)):
+            code, out, _ = run_cli(capsys, "region", *argv)
+            payload = json.loads(out)
+            assert code == 0 and payload["admissible"] is True
+            assert (payload["a1_min"], payload["a1_max"]) == (-half_width, half_width)
+        code, _, err = run_cli(capsys, "region", "0.5", "-0.1")
+        assert code == 2 and "0 <= lam <= 1" in err
+
     def test_non_finite_lambda_or_radius_is_usage_error(self, capsys):
         for argv in (("0.3", "0.5", "nan"), ("0.3", "inf"), ("0.3", "nan", "1")):
             code, out, err = run_usage_error(capsys, "region", *argv)
@@ -377,6 +387,27 @@ class TestSweepCommand:
         assert rows[1]["a1_fraction"] == 1.5
         assert "fraction must lie in [-1, 1]" in rows[1]["error"]
 
+    def test_fock_cells_outside_the_selfmap_region_fail(self, capsys, tmp_path):
+        # a1_fraction scales the exact interval of lam = 0, [|a0| - 1, 1 - |a0|]
+        config = {
+            "space": {"family": "fock", "b": 1.0},
+            "grid": {"a0_mod": [0.3, 1.2], "a1_fraction": [1.0, 1.5, -2.0]},
+            "order": 16,
+        }
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1
+        payload = json.loads(out)
+        rows = payload["rows"]
+        assert payload["pass"] is False
+        assert [r["pass"] for r in rows] == [True] + [False] * 5
+        assert rows[0]["a1"] == pytest.approx(0.7) and rows[0]["deviation"] <= 1e-10
+        for row in rows[1:3]:
+            assert "fraction must lie in [-1, 1]" in row["error"]
+        for row in rows[3:]:
+            assert "the interval is empty" in row["error"]
+
     def test_non_finite_config_value_names_its_key(self, capsys, tmp_path):
         base = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16}
         cases = (
@@ -472,17 +503,22 @@ def test_check_below_order_two_is_usage_error(space, order, a0, a1, c):
     assert "error" in err.getvalue()
 
 
-def test_cli_import_loads_no_scipy_or_process_pool():
+def subprocess_env() -> dict:
+    """The environment of a child interpreter that imports this wco."""
     src = str(Path(wco.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy_or_process_pool():
     probe = (
         "import sys, wco.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env(),
         timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
@@ -499,15 +535,12 @@ def test_cli_import_loads_no_scipy_or_process_pool():
     ids=["bergman-eta-500", "fock-b-0.035"],
 )
 def test_extreme_family_report_is_quiet_strict_json(space_args):
-    src = str(Path(wco.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     a0 = "0.6" if "fock" in space_args else "0.3"
     a1 = "0.3" if "fock" in space_args else "0.2"
     result = subprocess.run(
         [sys.executable, "-m", "wco.cli", "check", *space_args,
          "--a0", a0, "--a1", a1, "--c", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert result.stderr == ""
     assert "Traceback" not in result.stdout
@@ -520,6 +553,45 @@ def test_extreme_family_report_is_quiet_strict_json(space_args):
         dominance = checks["norm-bound-dominance"]
         assert dominance["pass"] is True and dominance["residual"] == 0.0
         assert "log bound" in dominance["notes"]
+
+
+#: the checks of a Bergman (eta > 1) report; a Fock report adds norm-bound-dominance
+REPORT_CHECKS = {
+    "hospitable-classification", "selfmap", "hermitian-deviation", "moment-0",
+    "moment-1", "moment-2", "generating-ode", "kernel-identity",
+    "quadrature-vs-series-norm",
+}
+
+
+@pytest.mark.parametrize(
+    "space_args",
+    [["--family", "bergman", "--eta", "1200"], ["--family", "fock", "--b", "0.01"]],
+    ids=["bergman-eta-1200", "fock-b-0.01"],
+)
+def test_oracle_beyond_double_range_fails_its_check_only(space_args):
+    result = subprocess.run(
+        [sys.executable, "-m", "wco.cli", "check", *space_args, *PAIR],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert result.stderr == ""
+    assert result.returncode == 1
+    checks = {c["name"]: c for c in strict_json(result.stdout)["checks"]}
+    fock = "fock" in space_args
+    assert set(checks) == REPORT_CHECKS | ({"norm-bound-dominance"} if fock else set())
+    # the terms khat(j) 0.5^j themselves leave the double range on both spaces
+    ode = checks["generating-ode"]
+    assert ode["pass"] is False and ode["residual"] is None
+    assert "double range" in ode["notes"]
+    kernel, quad = checks["kernel-identity"], checks["quadrature-vs-series-norm"]
+    if fock:
+        # |W K_w - W* K_w| entries near 1e160 would overflow when squared;
+        # strict JSON has no inf, so a residual above 1e150 is finite
+        assert kernel["pass"] is False and kernel["residual"] > 1e150
+        assert quad["pass"] is True
+    else:
+        # no Gauss-Jacobi rule for (1 - s)^1198: that check fails, the rest ran
+        assert quad["pass"] is False and quad["residual"] is None
+        assert "Gauss-Jacobi nodes did not converge" in quad["notes"]
 
 
 def test_default_order_env(monkeypatch, capsys):

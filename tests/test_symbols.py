@@ -127,6 +127,8 @@ class TestSelfMapInterval:
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
+            selfmap_interval(0.5, -0.1, 1.0)  # lam < 0
+        with pytest.raises(DomainError):
             selfmap_interval(0.5, 1.5, 1.0)  # lam > 1
         with pytest.raises(DomainError):
             selfmap_interval(0.5, 0.25, 3.0)  # rho > 1/sqrt(lam)
@@ -160,12 +162,14 @@ class TestBoundaryOracle:
             if rho * m * lam >= 0.99:
                 continue
             a0 = m * np.exp(2j * np.pi * rng.uniform())
-            interval = selfmap_interval(a0, lam, rho)
-            for a1 in (interval.a1_min, interval.a1_max):
-                top = mobius_circle_max(a0, a1, lam, rho)
-                assert abs(top - rho) <= 1e-8 * rho
-                outside = mobius_circle_max(a0, a1 * (1 + 1e-3), lam, rho)
-                assert outside > rho * (1 + 1e-12)
+            # lam = 0 is the affine phi of the exponential family
+            for lam in (lam, 0.0):
+                interval = selfmap_interval(a0, lam, rho)
+                for a1 in (interval.a1_min, interval.a1_max):
+                    top = mobius_circle_max(a0, a1, lam, rho)
+                    assert abs(top - rho) <= 1e-8 * rho
+                    outside = mobius_circle_max(a0, a1 * (1 + 1e-3), lam, rho)
+                    assert outside > rho * (1 + 1e-12)
 
     def test_fraction_mapping(self):
         interval = selfmap_interval(0.5, 1.0, 1.0)
@@ -199,6 +203,9 @@ class TestSqrtLambdaLift:
     def test_non_selfmap_rejected(self):
         with pytest.raises(DomainError):
             check_sqrt_lambda_lift(0.5, 0.9, 1.0)
+        # at lam = 0 the disk of radius 1/sqrt(lam) is the whole plane
+        with pytest.raises(DomainError, match="lam > 0"):
+            check_sqrt_lambda_lift(0.5, 0.2, 0.0)
 
 
 class TestDilate:

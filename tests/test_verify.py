@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wco import operators, series
+from wco import operators, series, spaces
 from wco.series import TruncatedSeries, binomial_series, exp_series, monomial, polynomial
 from wco.spaces import (
     Binomial,
@@ -220,6 +220,22 @@ class TestFullReport:
         names = {c.name for c in report.checks}
         assert "derivative-norm-sandwich" in names
 
+    def test_broken_sandwich_fails_its_check(self, monkeypatch):
+        """A sandwich violation is the report's verdict, not an exception."""
+        ws = bergman_weights(0.5, 32)
+        exact = spaces.binomial_series
+
+        def skewed(a, eta, order):
+            # the eta + 2 space shrinks a hundredfold: ||f'||^2 leaves the sandwich
+            k = exact(a, eta, order)
+            return TruncatedSeries(0.01 * k.coeffs) if eta > 2.0 else k
+
+        monkeypatch.setattr(spaces, "binomial_series", skewed)
+        report = full_report(ws, 0.4, 0.1, 1.0)
+        sandwich = next(c for c in report.checks if c.name == "derivative-norm-sandwich")
+        assert not sandwich.passed and sandwich.residual > 1.0
+        assert [c.name for c in report.checks if not c.passed] == ["derivative-norm-sandwich"]
+
     def test_dilation_check_for_small_lambda(self):
         ws = family_weights(Binomial(0.5, 2.0, 1.5), 64)
         report = full_report(ws, 0.4, 0.1, 1.0)
@@ -254,13 +270,16 @@ class TestFullReport:
         assert payload["pass"] is True
 
     def test_endpoint_parameters_flagged(self):
-        # a1 exactly at the self-map endpoint gets a note in the report
+        # a1 exactly at the self-map endpoint gets a note in the report; the
+        # Fock space is lam = 0 of the same interval
         from wco.symbols import selfmap_interval
 
-        interval = selfmap_interval(0.5, 1.0, 1.0)
-        report = full_report(hardy_weights(48), 0.5, interval.a1_max, 1.0, order=48)
-        selfmap = next(c for c in report.checks if c.name == "selfmap")
-        assert "endpoint" in selfmap.notes
+        for ws, lam in ((hardy_weights(48), 1.0), (fock_weights(1.0, 48), 0.0)):
+            interval = selfmap_interval(0.5, lam, 1.0)
+            report = full_report(ws, 0.5, interval.a1_max, 1.0, order=48)
+            selfmap = next(c for c in report.checks if c.name == "selfmap")
+            assert selfmap.passed and selfmap.oracle == "exact interval"
+            assert "endpoint" in selfmap.notes
 
 
 def test_rejection_gallery_grid():
