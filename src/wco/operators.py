@@ -65,6 +65,8 @@ __all__ = [
 
 #: terms of the kernel tail summed at most by `kernel_tail_bound`
 KERNEL_TAIL_TERMS = 100_000
+#: `kernel_tail_bound` stops at a term below 1e-30 of max(mass, 1)
+LOG_TAIL_CUTOFF = math.log(1e-30)
 #: rows of a section read at once by the O(N^2) checks after the fill
 ROW_BLOCK = 64
 
@@ -215,8 +217,8 @@ def kernel_identity_residual(
     beta = ws.beta[: n + 1]
     k_w = kernel(w, ws, n)
     backward = adjoint_on_kernel(sp, w, ws, n).coeffs * beta
-    # einsum's own loop, not BLAS gemv: threaded gemv is slower at these
-    # sizes and leaves its worker threads spinning
+    # einsum's own loop, not BLAS gemv: its summation order does not depend on
+    # the BLAS library numpy links, so the residual's bits do not either
     forward = np.einsum("ij,j->i", m, k_w.coeffs * beta)
     # scaled by a power of two before squaring, so entries near the top of the
     # double range (Fock b = 0.01) do not overflow; bitwise the same otherwise
@@ -226,24 +228,26 @@ def kernel_identity_residual(
 
 
 def kernel_tail_bound(cls, w: complex, order: int) -> float:
-    """Sum_{j > N} |w|^(2j) / beta(j)^2 for a family space: the squared-norm
-    mass of the kernel tail dropped by truncation."""
-    w_sq = abs(complex(w)) ** 2
+    """log10 of sum_{j > N} |w|^(2j) / beta(j)^2 for a family space: the
+    squared-norm mass of the kernel tail dropped by truncation (-inf at
+    w = 0).  The terms are summed from their logs, so a mass beyond the
+    double range (Fock b = 0.01 has about 10^564) still has a finite log."""
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("tail bounds are available for family spaces only")
-    # term_j = |w|^(2j) * khat(j); advance the recurrence past the truncation
-    term = 1.0
-    for j in range(order + 1):
-        term *= w_sq * cls.coefficient_ratio(j)
-        if term == 0.0:
-            return 0.0
-    total = 0.0
+    w_sq = abs(complex(w)) ** 2
+    if w_sq == 0.0:
+        return -math.inf
+    # log term_j = log(|w|^(2j) khat(j)); advance the recurrence past the truncation
+    log_w_sq = math.log(w_sq)
+    log_term = sum(log_w_sq + math.log(cls.coefficient_ratio(j)) for j in range(order + 1))
+    log_total = -math.inf
     for j in range(order + 1, order + 1 + KERNEL_TAIL_TERMS):
-        total += term
-        term *= w_sq * cls.coefficient_ratio(j)
-        if term < 1e-30 * max(total, 1.0):
+        hi = max(log_total, log_term)
+        log_total = hi + math.log1p(math.exp(min(log_total, log_term) - hi))
+        log_term += log_w_sq + math.log(cls.coefficient_ratio(j))
+        if log_term < LOG_TAIL_CUTOFF + max(log_total, 0.0):
             break
-    return total
+    return log_total / math.log(10.0)
 
 
 def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:

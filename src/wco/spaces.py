@@ -404,9 +404,11 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     term keeps each iterate on its own root, where plain Newton from the
     same start makes two iterates meet (n = 200 at eta = alpha + 2 = 10).
     The weights are the closed form 1/((1 - x^2) P_n'(x)^2) at x = 2s - 1,
-    with P_n(1) from math.lgamma.  Only elementwise numpy runs here, no
-    LAPACK or BLAS routine: a Golub-Welsch eigensolve of the same size
-    leaves OpenBLAS worker threads spinning (CPU time above wall time).
+    with P_n(1) from math.lgamma.  A Golub-Welsch eigensolve reads the
+    weights off eigenvector components, accurate only against the largest
+    weight, so the tiny weights near s = 1 that carry the high moments are
+    lost: at n = 200 its Beta moments up to degree 150 are off by 4e-11
+    relative at alpha = 8 and by 0.12 at alpha = 28.
 
     Against 40-digit mpmath roots at n = 200 and eta from 1.01 to 30, the
     nodes are within 6e-17 and the weights within 7e-13 relative; the

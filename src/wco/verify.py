@@ -274,6 +274,13 @@ def _selfmap_check(sp: SymbolPair) -> Check:
         notes = "a1 has an imaginary part; treated via |phi| on the boundary grid"
     if not isinstance(cls, NotHospitable) and sp.a1.imag == 0:
         interval = symbols.selfmap_interval(sp.a0, cls.lam, 1.0)
+        if not interval.admissible:
+            # phi(0) = a0 is not inside the disk; the endpoint formulas can
+            # still coincide with a1 (both 0 at |a0| = 1, a1 = 0)
+            return _residual_check(
+                "selfmap", math.inf, symbols.ENDPOINT_SLACK, "exact interval",
+                f"|a0| = {interval.a0_mod!r} >= 1: no self-map interval",
+            )
         inside = interval.contains(a1r)
         residual = 0.0 if inside else max(interval.a1_min - a1r, a1r - interval.a1_max)
         if interval.at_endpoint(a1r):
@@ -408,8 +415,11 @@ def full_report(
         kernel_res = operators.kernel_identity_residual(m, sp, ws, KERNEL_POINT)
         notes = ""
         if hospitable:
-            tail = operators.kernel_tail_bound(cls, KERNEL_POINT, n)
-            notes = f"truncated-kernel tail mass {tail:.3e}"
+            log_tail = operators.kernel_tail_bound(cls, KERNEL_POINT, n)
+            try:
+                notes = f"truncated-kernel tail mass {10.0 ** log_tail:.3e}"
+            except OverflowError:
+                notes = f"truncated-kernel tail mass beyond the double range (log10 {log_tail:.1f})"
     except DomainError as exc:
         kernel_res, notes = math.inf, f"skipped: {exc}"
     checks.append(

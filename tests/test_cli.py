@@ -214,6 +214,33 @@ class TestCheckCommand:
         assert kernel_check["residual"] is None and kernel_check["pass"] is False
         assert kernel_check["notes"].startswith("skipped:")
 
+    @pytest.mark.parametrize(
+        "space_args",
+        [["--family", "fock", "--b", "1"],
+         ["--family", "binomial", "--lam", "0.5", "--eta", "2"]],
+        ids=["fock", "binomial"],
+    )
+    def test_selfmap_fails_at_unit_a0(self, capsys, space_args):
+        # the empty interval's endpoint formulas are both 0 at |a0| = 1, a1 = 0
+        code, out, _ = run_cli(
+            capsys, "check", *space_args, "--a0", "1", "--a1", "0", "--c", "1",
+            "--order", "16",
+        )
+        assert code == 1
+        selfmap = {c["name"]: c for c in strict_json(out)["checks"]}["selfmap"]
+        assert selfmap["pass"] is False and selfmap["residual"] is None
+        assert ">= 1" in selfmap["notes"]
+
+    def test_kernel_tail_beyond_double_range_is_noted_by_its_log(self, capsys):
+        # the tail mass at b = 0.01 is about exp(|w|^2 / b^2) = 10^564.6
+        code, out, err = run_cli(
+            capsys, "check", "--family", "fock", "--b", "0.01", *PAIR,
+        )
+        assert code == 1 and err == ""
+        notes = {c["name"]: c for c in strict_json(out)["checks"]}["kernel-identity"]["notes"]
+        assert "inf" not in notes
+        assert notes == "truncated-kernel tail mass beyond the double range (log10 564.6)"
+
     def test_fock_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--family", "fock", "--b", "1",
@@ -522,6 +549,51 @@ def test_cli_import_loads_no_scipy_or_process_pool():
         timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_import_runs_one_thread_and_restores_the_environment():
+    probe = (
+        "import os, wco.cli; "
+        "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)"
+    )
+    env = subprocess_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert result.stdout.split() == ["1", "False"]
+
+
+def test_cli_import_keeps_a_user_blas_thread_count():
+    probe = "import os, wco.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**subprocess_env(), "OPENBLAS_NUM_THREADS": "2"}, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "2"
+
+
+def test_parallel_sweep_forks_from_a_one_thread_process(tmp_path):
+    # from Python 3.12 os.fork warns "This process (pid=...) is
+    # multi-threaded" (a DeprecationWarning); an idle BLAS worker was a thread
+    config = {
+        "space": {"family": "binomial", "lambda": 1.0, "eta": 2.0},
+        "grid": {"a0_mod": [0.2, 0.5], "a1_fraction": [0.7]},
+        "order": 16,
+    }
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    env = subprocess_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    result = subprocess.run(
+        [sys.executable, "-W", "always:This process:DeprecationWarning", "-m", "wco.cli",
+         "sweep", "--config", str(cfg), "--workers", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.stderr == ""
+    assert result.returncode == 0 and strict_json(result.stdout)["pass"] is True
 
 
 @pytest.mark.parametrize(
