@@ -231,16 +231,6 @@ class TestCheckCommand:
         assert selfmap["pass"] is False and selfmap["residual"] is None
         assert ">= 1" in selfmap["notes"]
 
-    def test_kernel_tail_beyond_double_range_is_noted_by_its_log(self, capsys):
-        # the tail mass at b = 0.01 is about exp(|w|^2 / b^2) = 10^564.6
-        code, out, err = run_cli(
-            capsys, "check", "--family", "fock", "--b", "0.01", *PAIR,
-        )
-        assert code == 1 and err == ""
-        notes = {c["name"]: c for c in strict_json(out)["checks"]}["kernel-identity"]["notes"]
-        assert "inf" not in notes
-        assert notes == "truncated-kernel tail mass beyond the double range (log10 564.6)"
-
     def test_fock_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--family", "fock", "--b", "1",
@@ -659,6 +649,10 @@ def test_oracle_beyond_double_range_fails_its_check_only(space_args):
         # |W K_w - W* K_w| entries near 1e160 would overflow when squared;
         # strict JSON has no inf, so a residual above 1e150 is finite
         assert kernel["pass"] is False and kernel["residual"] > 1e150
+        # the tail mass is about exp(|w|^2 / b^2) = 10^564.6, noted by its log
+        assert kernel["notes"] == (
+            "truncated-kernel tail mass beyond the double range (log10 564.6)"
+        )
         assert quad["pass"] is True
     else:
         # no Gauss-Jacobi rule for (1 - s)^1198: that check fails, the rest ran
