@@ -36,6 +36,8 @@ binomial pair peaks at 2.2 sections under tracemalloc.
 from __future__ import annotations
 
 import math
+import sys
+
 import numpy as np
 
 from .series import TruncatedSeries, compose_poly
@@ -65,7 +67,7 @@ __all__ = [
 
 #: terms of the kernel tail summed at most by `kernel_tail_bound`
 KERNEL_TAIL_TERMS = 100_000
-#: `kernel_tail_bound` stops at a term below 1e-30 of max(mass, 1)
+#: `kernel_tail_bound` stops at a remainder below 1e-30 of the running mass
 LOG_TAIL_CUTOFF = math.log(1e-30)
 #: rows of a section read at once by the O(N^2) checks after the fill
 ROW_BLOCK = 64
@@ -228,26 +230,48 @@ def kernel_identity_residual(
 
 
 def kernel_tail_bound(cls, w: complex, order: int) -> float:
-    """log10 of sum_{j > N} |w|^(2j) / beta(j)^2 for a family space: the
-    squared-norm mass of the kernel tail dropped by truncation (-inf at
-    w = 0).  The terms are summed from their logs, so a mass beyond the
-    double range (Fock b = 0.01 has about 10^564) still has a finite log."""
+    """log10 of an upper bound on sum_{j > N} |w|^(2j) / beta(j)^2 for a
+    family space, the squared-norm mass of the kernel tail dropped by
+    truncation (-inf at w = 0; inf if the tail does not converge).
+
+    The terms t_j are summed from their logs relative to t_(N+1), so a mass
+    beyond the double range (Fock b = 0.01 has about 10^564) has a finite
+    log.  Both families' coefficient ratios are monotone with limit lam, so
+    r = |w|^2 max(ratio(j), lam) bounds every later t_(i+1) / t_i and the
+    terms after t_j sum to at most t_j r / (1 - r): the sum stops once that
+    is below 1e-30 of the running mass and adds it.  The result is raised by
+    2 eps per unit of the logs summed, which covers their rounding.
+    """
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("tail bounds are available for family spaces only")
     w_sq = abs(complex(w)) ** 2
     if w_sq == 0.0:
         return -math.inf
-    # log term_j = log(|w|^(2j) khat(j)); advance the recurrence past the truncation
     log_w_sq = math.log(w_sq)
-    log_term = sum(log_w_sq + math.log(cls.coefficient_ratio(j)) for j in range(order + 1))
-    log_total = -math.inf
+    log_ratios = [math.log(cls.coefficient_ratio(j)) for j in range(order + 1)]
+    # log t_(N+1) = log(|w|^(2(N+1)) khat(N+1)), and the size of the logs in it
+    log_head = (order + 1) * log_w_sq + math.fsum(log_ratios)
+    log_size = (order + 1) * abs(log_w_sq) + math.fsum(map(abs, log_ratios))
+    log_term, log_total = 0.0, -math.inf
     for j in range(order + 1, order + 1 + KERNEL_TAIL_TERMS):
-        hi = max(log_total, log_term)
-        log_total = hi + math.log1p(math.exp(min(log_total, log_term) - hi))
-        log_term += log_w_sq + math.log(cls.coefficient_ratio(j))
-        if log_term < LOG_TAIL_CUTOFF + max(log_total, 0.0):
-            break
-    return log_total / math.log(10.0)
+        log_total = _log_add(log_total, log_term)
+        ratio = cls.coefficient_ratio(j)
+        r = w_sq * max(ratio, cls.lam)
+        rest = log_term + math.log(r / (1.0 - r)) if r < 1.0 else math.inf
+        if rest < LOG_TAIL_CUTOFF + log_total:
+            log_mass = log_head + _log_add(log_total, rest)
+            slack = 2.0 * sys.float_info.epsilon * (log_size + abs(log_mass))
+            return (log_mass + slack) / math.log(10.0)
+        log_ratio = math.log(ratio)
+        log_term += log_w_sq + log_ratio
+        log_size += abs(log_w_sq) + abs(log_ratio)
+    return math.inf
+
+
+def _log_add(x: float, y: float) -> float:
+    """log(e^x + e^y), with x = -inf allowed."""
+    hi = max(x, y)
+    return hi + math.log1p(math.exp(min(x, y) - hi))
 
 
 def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:

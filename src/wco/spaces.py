@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,13 +127,16 @@ class WeightSequence:
 def family_weights(cls: "SpaceClass", order: int) -> WeightSequence:
     """Weight sequence of a hospitable family member: 1/beta(j)^2 are the
     coefficients of its generating function, which must all be positive
-    (a Fock coefficient that underflows to 0 is refused)."""
+    normal doubles (a coefficient that underflows to 0 is refused, and so is
+    a subnormal one, which has lost the bits that tie its weight to the
+    family)."""
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("family weights exist only for hospitable classes")
     khat = cls.generating_series(order).coeffs.real
-    if np.any(khat <= 0.0):
-        bad = int(np.argmax(khat <= 0.0))
-        raise ValueError(f"generating coefficient {bad} is not positive: {khat[bad]}")
+    for bad_mask, what in ((khat <= 0.0, "positive"), (khat < sys.float_info.min, "normal")):
+        if np.any(bad_mask):
+            bad = int(np.argmax(bad_mask))
+            raise ValueError(f"generating coefficient {bad} is not {what}: {khat[bad]}")
     return WeightSequence(1.0 / np.sqrt(khat), provenance="family")
 
 

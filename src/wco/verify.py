@@ -8,7 +8,9 @@ Three routes certify (or refute) Hermitian-ness of a candidate operator:
 * the generating function's nonlinear ODE
   beta(1)^4 k'(z)^2 / k(z) = (beta(2)^2 / 2) k''(z),
   whose only admissible solutions are the exponential and binomial
-  families (`ode_residual`).
+  families, checked coefficient by coefficient in its polynomial form
+  beta(1)^4 k'^2 = (beta(2)^2 / 2) k k'', which the truncated series
+  satisfies exactly (`ode_residual`).
 
 All three identities hold exactly on hospitable spaces and fail together
 off them, so their verdicts must agree on every configuration;
@@ -44,7 +46,6 @@ from .symbols import SymbolPair
 __all__ = [
     "Check",
     "VerificationReport",
-    "ODE_SAMPLES",
     "ode_residual",
     "NormEquivalence",
     "norm_equivalence_check",
@@ -75,93 +76,67 @@ KERNEL_POINT = 0.3 + 0.2j
 # ODE oracle
 
 
-#: largest ODE sample radius: the oracle evaluates k(ODE_RADIUS u) at
-#: u = z / ODE_RADIUS, whose terms khat(j) ODE_RADIUS^j stay in range
-ODE_RADIUS = 0.5
-#: ODE sample points: the radii 0.1, 0.3, 0.5 at twelve uniform arguments,
-#: inside every family's disk of analyticity with margin
-ODE_SAMPLES = np.concatenate(
-    [r * np.exp(2j * np.pi * np.arange(12) / 12) for r in (0.1, 0.3, ODE_RADIUS)]
-)
-ODE_SAMPLES.setflags(write=False)
+class _PeakedResidual(float):
+    """An `ode_residual` value that also names the coefficient m where it
+    peaks (``coefficient``)."""
+
+    coefficient: int
 
 
 def ode_residual(k: TruncatedSeries, beta1: float, beta2: float) -> float:
-    """Max relative residual of beta1^4 k'(z)^2 / k(z) = (beta2^2 / 2) k''(z).
+    """Max relative residual of beta1^4 k'^2 = (beta2^2 / 2) k k'',
+    coefficient by coefficient.
 
-    At each sample z the residual is divided by the same two terms with
-    every coefficient of k replaced by its modulus and evaluated at |z|, so
-    the value is a relative error: the check does not tighten as k(z)
-    grows (k(0.5) = 2^eta in the binomial family).  The input series should
-    carry two orders beyond the intended accuracy (both derivatives are
-    taken termwise).  Requires the normalization k(0) = 1 and
-    k'(0) = 1/beta1^2, which every generating function with matching
-    beta(1) satisfies.
+    Coefficient m of either side reads khat(0..m+2) only, so the identity
+    holds exactly on the truncated series for m = 0..N-2.  With
+    L = beta1^4 (k' * k') and R = (beta2^2 / 2)(k * k''), truncated
+    convolutions, the residual at m is |L_m - R_m| / (|L|_m + |R|_m), where
+    |L| and |R| convolve the moduli: relative, so it does not tighten as
+    khat(j) grows.  The result's ``coefficient`` is the m where it peaks.
+
+    Coefficient j is first scaled by 2^(-e j), e the binary exponent of the
+    last nonzero coefficient over its index, so the products stay in range
+    where khat(j)^2 would not (eta = 1200, Fock b = 0.01).  Both sides of
+    coefficient m carry 2^(-e (m + 2)), so in range the residual is bitwise
+    the unscaled one; one that still leaves the range raises ValueError.
+
+    Requires order >= 3 (below it only m = 0 is left, which every weight
+    sequence satisfies) and the normalization k(0) = 1, k'(0) = 1/beta1^2.
     """
-    radial = k.coeffs * ODE_RADIUS ** np.arange(k.order + 1)
-    return _ode_residual(k.coeffs[:2], radial, beta1, beta2)
-
-
-def _ode_residual(head: np.ndarray, radial: np.ndarray, beta1: float, beta2: float) -> float:
-    """`ode_residual` of k from its head k(0), k'(0) and the coefficients
-    khat(j) ODE_RADIUS^j of k(ODE_RADIUS u).
-
-    Those coefficients are scaled by the power of two of the largest one and
-    the series is evaluated at u = z / ODE_RADIUS.  Both sides of the ODE
-    are homogeneous of degree one in k and carry two derivatives, and every
-    scaling is by a power of two, so the residual is bitwise the one of k
-    at z, while the values stay in range where khat(j) itself overflows
-    (eta = 500 at order 867, Fock b = 0.035).
-    """
-    if abs(head[0] - 1.0) > 1e-12:
-        raise ValueError(f"k(0) must be 1 (got {head[0]})")
-    if abs(head[1] - 1.0 / beta1**2) > 1e-12 * max(1.0, 1.0 / beta1**2):
+    n = k.order
+    if n < 3:
+        raise ValueError(
+            f"the generating ODE needs order >= 3 (got {n}): below it only "
+            "its coefficient m = 0 is left, which every weight sequence satisfies"
+        )
+    c = k.coeffs
+    if abs(c[0] - 1.0) > 1e-12:
+        raise ValueError(f"k(0) must be 1 (got {c[0]})")
+    if abs(c[1] - 1.0 / beta1**2) > 1e-12 * max(1.0, 1.0 / beta1**2):
         raise ValueError("k'(0) must equal 1/beta1^2")
-    if not np.all(np.isfinite(radial)):
-        raise ValueError(f"the terms of k at |z| = {ODE_RADIUS} leave the double range")
-    g = TruncatedSeries(radial * 2.0 ** -math.frexp(float(np.max(np.abs(radial))))[1])
+    mod = np.abs(c)
+    last = int(np.flatnonzero(mod)[-1])  # >= 1, since k'(0) != 0
+    shift = -round(math.frexp(float(mod[last]))[1] / last) * np.arange(n + 1)
 
-    def terms(f: TruncatedSeries, u):
-        fp = f.derivative()
-        fv = f(u)
-        if np.any(fv == 0):
-            raise ZeroDivisionError("the generating function vanishes at a sample point")
-        return beta1**4 * fp(u) ** 2 / fv, 0.5 * beta2**2 * fp.derivative()(u)
+    def sides(f, f1, f2):  # L and R from k, k', k''
+        return beta1**4 * np.convolve(f1, f1)[: n - 1], beta2**2 / 2 * np.convolve(f, f2)[: n - 1]
 
-    lhs, rhs = terms(g, ODE_SAMPLES / ODE_RADIUS)
-    lhs_mod, rhs_mod = terms(TruncatedSeries(np.abs(g.coeffs)), np.abs(ODE_SAMPLES) / ODE_RADIUS)
-    return float(np.max(np.abs(lhs - rhs) / np.abs(lhs_mod + rhs_mod)))
-
-
-def _ode_series_order(cls) -> int:
-    """Order at which a family's k, k' and k'' have converged at |z| = 0.5,
-    the largest ODE sample radius.
-
-    Walks the terms t_j = khat(j) 0.5^j with the family's
-    `coefficient_ratio` rho_j = t_{j+1} / t_j.  The k'' terms j^2 t_j
-    (up to 0.5^-2) shrink by s_j = rho_j (1 + 1/j)^2 per step, which does
-    not grow with j once rho_j is falling (eta >= 1; otherwise rho_j stays
-    below lam / 2), so their tail beyond j is about j^2 t_j s_j / (1 - s_j).
-    The walk stops once that is below 1e-17 of the partial sum; two more
-    orders cover the derivatives.  The t_j are the terms `_ode_residual`
-    evaluates, so a sum that overflows raises ValueError: the oracle cannot
-    be evaluated in double precision there.
-    """
-    rel = 1e-17
-    term = total = 1.0
-    j = 0
-    while True:
-        term *= cls.coefficient_ratio(j) * ODE_RADIUS
-        total += term
-        j += 1
-        if not math.isfinite(total):
-            raise ValueError(
-                f"the terms of k at |z| = {ODE_RADIUS} leave the double range by order {j}"
-            )
-        shrink = cls.coefficient_ratio(j) * ODE_RADIUS * (1.0 + 1.0 / j) ** 2
-        if shrink < 1.0 and term * j * j * shrink <= rel * total * (1.0 - shrink):
-            break
-    return j + 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = TruncatedSeries(np.ldexp(c.real, shift) + 1j * np.ldexp(c.imag, shift))
+        d1 = g.derivative()
+        # coefficients 0..N-2 of k, k' and k'', all that m <= N-2 reads
+        terms = [f.coeffs[: n - 1] for f in (g, d1, d1.derivative())]
+        lhs, rhs = sides(*terms)
+        lhs_mod, rhs_mod = sides(*map(np.abs, terms))
+        scale = lhs_mod + rhs_mod
+        # 0/0 only where every product is zero: that coefficient holds exactly
+        per_m = np.abs(lhs - rhs) / np.where(scale > 0.0, scale, 1.0)
+    if not np.all(np.isfinite(per_m)):
+        raise ValueError("the products of the generating coefficients leave the double range")
+    peak = int(np.argmax(per_m))
+    residual = _PeakedResidual(per_m[peak])
+    residual.coefficient = peak
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +313,11 @@ def full_report(
         hosp_residual = 0.0
         hosp_note = f"family: {cls.variant}"
     else:
-        lam = cls.lam
-        hosp_residual = max(lam - 1.0, -lam, 0.0) if cls.reason != "coefficient-mismatch" else math.inf
         hosp_note = f"reason: {cls.reason}"
-        if cls.mismatch is not None:
-            mm = cls.mismatch
+        mm = cls.mismatch  # set exactly for a coefficient-mismatch class
+        if mm is None:
+            hosp_residual = max(cls.lam - 1.0, -cls.lam, 0.0)
+        else:
             hosp_residual = abs(mm.expected - mm.found)
             hosp_note += (
                 f" at index {mm.index}: weights give {mm.expected:.9g}, "
@@ -385,30 +360,22 @@ def full_report(
             )
         )
 
-    # For hospitable spaces evaluate the ODE on the family closed form at the
-    # order where its tail at |z| = 0.5 has converged (the full-sequence fit
-    # already tied the weights to it).  For inhospitable spaces use the
-    # weights' own coefficients: violations are orders of magnitude above
-    # any truncation effect.
-    beta1, beta2 = float(ws.beta[1]), float(ws.beta[2])
+    # The ODE on the family closed form when the space is hospitable (the
+    # full-sequence fit already tied the weights to it), on the weights' own
+    # 1/beta^2 otherwise; either way coefficients 0..N, exact at every m.
+    if hospitable:
+        k = cls.generating_series(n)
+    else:
+        k = TruncatedSeries(ws.generating_coefficients()[: n + 1])
     try:
-        if hospitable:
-            ode_order = _ode_series_order(cls)
-            ode_note = f"family closed form at order {ode_order}"
-            ode = _ode_residual(
-                cls.generating_series(1).coeffs,
-                cls.generating_series(ode_order, scale=ODE_RADIUS).coeffs,
-                beta1,
-                beta2,
-            )
-        else:
-            ode_note = "explicit generating coefficients"
-            k_series = TruncatedSeries(ws.generating_coefficients().astype(complex))
-            ode = ode_residual(k_series, beta1, beta2)
-    except (ValueError, ZeroDivisionError) as exc:
+        ode = ode_residual(k, float(ws.beta[1]), float(ws.beta[2]))
+        ode_note = f"peak at coefficient m = {ode.coefficient}"
+    except ValueError as exc:
         ode, ode_note = math.inf, str(exc)
     checks.append(
-        _residual_check("generating-ode", ode, tol["ode"], "series-evaluated ODE", ode_note)
+        _residual_check(
+            "generating-ode", ode, tol["ode"], "ODE coefficients, exact through order N", ode_note
+        )
     )
 
     try:

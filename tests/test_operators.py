@@ -371,6 +371,50 @@ class TestKernelIdentity:
         t64 = operators.kernel_tail_bound(HARDY, 0.3 + 0.2j, 64)
         assert -math.inf < t64 < t32 < -10
 
+    @pytest.mark.parametrize("order", [32, 64])
+    def test_tail_bound_against_the_hardy_closed_form(self, order):
+        w_sq = mpmath.mpf(abs(0.3 + 0.2j)) ** 2
+        exact = mpmath.log10(w_sq ** (order + 1) / (1 - w_sq))
+        excess = (operators.kernel_tail_bound(HARDY, 0.3 + 0.2j, order) - exact) * mpmath.log(10)
+        assert 0 <= excess <= 1e-12, excess  # relative excess of the mass
+
+    @staticmethod
+    def exact_tail_log10(cls, w, order):
+        """log10 of the kernel tail mass, summed at 50 digits until the terms
+        fall below 1e-60 of the sum (mpmath.nsum reads 1.4e-12 low on the
+        binomial tail)."""
+        with mpmath.workdps(50):
+            w_sq = mpmath.mpf(abs(complex(w))) ** 2
+            term, total, j = mpmath.mpf(1), mpmath.mpf(0), 0
+            while True:
+                if j > order:
+                    total += term
+                    if term < mpmath.mpf(10) ** -60 * total:
+                        return mpmath.log10(total)
+                if isinstance(cls, Binomial):
+                    term *= w_sq * cls.lam * (mpmath.mpf(cls.eta) + j) / (j + 1)
+                else:
+                    term *= w_sq / (mpmath.mpf(cls.b_sq) * (j + 1))
+                j += 1
+
+    @pytest.mark.parametrize(
+        "cls, order, w",
+        [
+            (Binomial(lam=0.5, eta=1.3), 64, 0.3 + 0.2j),
+            (Exponential(b_sq=1.0), 64, 0.3 + 0.2j),
+            # points where the summed logs round below the exact mass
+            (HARDY, 32, -0.2185091786466321 + 0.2453634888080437j),
+            (Binomial(lam=1.0, eta=30.0), 64, -0.337877573768143 + 0.0004189489552700598j),
+            (Binomial(lam=0.3, eta=0.4), 64, -0.3615431512472318 - 0.03590300914237443j),
+            (Exponential(b_sq=1.0), 16, 0.5385924501660933 + 0.5248580293702018j),
+        ],
+        ids=["binomial", "fock", "hardy-32", "bergman-30", "binomial-eta-0.4", "fock-16"],
+    )
+    def test_tail_bound_against_a_50_digit_sum(self, cls, order, w):
+        exact = self.exact_tail_log10(cls, w, order)
+        excess = (operators.kernel_tail_bound(cls, w, order) - exact) * mpmath.log(10)
+        assert 0 <= excess <= 1e-12, excess  # relative excess of the mass
+
     def test_far_point_rejected(self):
         sp, ws = hardy_pair(order=16)
         m = operators.build_matrix(sp, ws)

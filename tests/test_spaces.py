@@ -198,6 +198,17 @@ class TestWeightSequence:
         with pytest.raises(ValueError, match="generating coefficient 178 is not positive"):
             family_weights(Exponential(b_sq=1.0), 200)
 
+    @pytest.mark.parametrize(
+        "cls, order, index",
+        [(Exponential(b_sq=1.0), 175, 171), (Binomial(lam=1e-5, eta=1.0), 64, 62)],
+        ids=["fock", "binomial"],
+    )
+    def test_family_weights_refuse_subnormal_coefficients(self, cls, order, index):
+        # 1/171! and 1e-310 carry fewer than 53 bits, so their weights would
+        # not be the family's
+        with pytest.raises(ValueError, match=f"generating coefficient {index} is not normal"):
+            family_weights(cls, order)
+
     def test_json_round_trip(self):
         ws = weights_from_json({"order": 2, "beta": [1, 2.5, 3.0]})
         assert ws.beta.tolist() == [1.0, 2.5, 3.0]

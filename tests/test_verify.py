@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wco import operators, series, spaces
 from wco.series import TruncatedSeries, binomial_series, exp_series, monomial, polynomial
 from wco.spaces import (
     Binomial,
     Exponential,
+    NotHospitable,
     bergman_weights,
     dirichlet_weights,
     family_weights,
@@ -21,8 +24,6 @@ from wco.symbols import synthesize_from_weights
 from wco.verify import (
     NORM_BOUND_SLACK,
     NormEquivalence,
-    ODE_SAMPLES,
-    _ode_series_order,
     full_report,
     norm_equivalence_check,
     ode_residual,
@@ -49,61 +50,104 @@ class TestOdeResidual:
         k = TruncatedSeries((1.0 / (np.arange(131) + 1.0)).astype(complex))
         assert ode_residual(k, math.sqrt(2.0), math.sqrt(3.0)) > 1e-2
 
+    @pytest.mark.parametrize("order", [64, 512])
     @pytest.mark.parametrize(
         "cls",
-        [Binomial(1.0, eta) for eta in (0.5, 1.0, 2.0, 30.0, 60.0, 100.0)]
-        + [Binomial(0.5, 1.7), Exponential(b_sq=0.01), Exponential(b_sq=1.0)],
+        [Binomial(1.0, eta) for eta in (0.5, 1.0, 2.0, 30.0, 60.0, 100.0, 500.0)]
+        + [Binomial(0.5, 1.7), Exponential(b_sq=0.01)],
         ids=lambda cls: repr(cls),
     )
-    def test_family_series_order_converges_at_half_radius(self, cls):
-        order = _ode_series_order(cls)
-        terms = np.abs(cls.generating_series(2 * order).coeffs) * 0.5 ** np.arange(2 * order + 1)
-        j = np.arange(2 * order + 1)
-        tail = np.sum((j * j * terms)[order - 1 :])  # k'' terms, up to 0.5^-2
-        assert tail <= 1e-17 * np.sum(terms)
-        # relative residual at the rounding level, although k(0.5) reaches 2^100
+    def test_family_residual_at_rounding_level(self, cls, order):
+        # relative, so it does not tighten as khat(j) grows (khat(512) = 2^1005
+        # at eta = 500, whose products leave the double range unscaled)
         k = cls.generating_series(order)
-        beta = family_weights(cls, 2).beta
-        assert ode_residual(k, float(beta[1]), float(beta[2])) <= 1e-15
+        beta = family_weights(cls, order).beta
+        assert ode_residual(k, float(beta[1]), float(beta[2])) <= 1e-14
 
-    def test_order_walk_refuses_terms_beyond_double_range(self):
-        # khat(j) 0.5^j = 5000^j / j! passes 1e308 near j = 160
-        with pytest.raises(ValueError, match="double range"):
-            _ode_series_order(Exponential(b_sq=1e-4))
-
-    @pytest.mark.parametrize("cls", [Binomial(1.0, 500.0), Exponential(b_sq=0.035**2)])
+    @pytest.mark.parametrize(
+        "cls",
+        [Binomial(1.0, 500.0), Exponential(b_sq=0.035**2), Binomial(1.0, 1200.0),
+         Exponential(b_sq=0.01**2)],
+    )
     def test_family_residual_where_khat_overflows(self, cls):
-        # the terms k(0.5 u) are evaluated at u = z / 0.5 scaled by a power of
-        # two; khat(j) alone leaves the double range at this order
-        order = _ode_series_order(cls)
+        # by order 1000 khat(j) itself leaves the double range: refused
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.all(np.isfinite(cls.generating_series(order).coeffs))
+            k = cls.generating_series(1000)
+        assert not np.all(np.isfinite(k.coeffs))
+        with pytest.raises(ValueError, match="double range"):
+            ode_residual(k, 1.0 / math.sqrt(k.coeffs[1].real), 1.0)
+        # at order 64 the report's check passes, where the products of the
+        # unscaled khat(j) overflow at b = 0.01
         report = full_report(family_weights(cls, 64), 0.3, 0.2, 1.0)
         ode = next(c for c in report.checks if c.name == "generating-ode")
         assert ode.passed and ode.residual <= 1e-14
+        assert ode.notes.startswith("peak at coefficient m = ")
 
     def test_scaled_evaluation_is_bitwise_the_direct_one(self):
-        # the residual before the power-of-two scaling, evaluated at z
-        k = binomial_series(0.6, 2.5, 90)
-        beta1, beta2 = 1.0 / math.sqrt(1.5), math.sqrt(1.0 / k.coeffs[2].real)
-
-        def sides(f, z):
-            fp = f.derivative()
-            return beta1**4 * fp(z) ** 2 / f(z), 0.5 * beta2**2 * fp.derivative()(z)
-
-        lhs, rhs = sides(k, ODE_SAMPLES)
-        lhs_mod, rhs_mod = sides(TruncatedSeries(np.abs(k.coeffs)), np.abs(ODE_SAMPLES))
-        direct = float(np.max(np.abs(lhs - rhs) / np.abs(lhs_mod + rhs_mod)))
-        assert ode_residual(k, beta1, beta2) == direct
+        # the residual from the unscaled coefficients, in range on these
+        # series, which `ode_residual` scales by 2^(-e j) with e = -1, 4, -6
+        for k in (binomial_series(0.6, 2.5, 90), exp_series(400.0, 64), exp_series(0.25, 40)):
+            c, n = k.coeffs, k.order
+            beta1, beta2 = 1.0 / math.sqrt(c[1].real), 1.0 / math.sqrt(c[2].real)
+            d1 = k.derivative()
+            f, f1, f2 = (s.coeffs[: n - 1] for s in (k, d1, d1.derivative()))
+            lhs = beta1**4 * np.convolve(f1, f1)[: n - 1]
+            rhs = 0.5 * beta2**2 * np.convolve(f, f2)[: n - 1]
+            lhs_mod = beta1**4 * np.convolve(abs(f1), abs(f1))[: n - 1]
+            rhs_mod = 0.5 * beta2**2 * np.convolve(abs(f), abs(f2))[: n - 1]
+            direct = np.abs(lhs - rhs) / (lhs_mod + rhs_mod)
+            residual = ode_residual(k, beta1, beta2)
+            assert residual == float(np.max(direct))
+            assert residual.coefficient == int(np.argmax(direct))
 
     def test_initial_conditions_enforced(self):
         k = binomial_series(1.0, 1.0, 16)
         with pytest.raises(ValueError):
             ode_residual(k, 2.0, 1.0)  # k'(0) != 1/beta1^2
 
-    def test_default_samples_inside_half_disk(self):
-        assert ODE_SAMPLES.size == 36
-        assert np.max(np.abs(ODE_SAMPLES)) <= 0.5 + 1e-15
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_orders_below_three_are_refused(self, order):
+        # only the m = 0 coefficient would be left, which every weight
+        # sequence satisfies
+        k = TruncatedSeries(dirichlet_weights(order).generating_coefficients())
+        with pytest.raises(ValueError, match="order >= 3"):
+            ode_residual(k, math.sqrt(2.0), math.sqrt(3.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["binomial", "exponential"]),
+        log_eta=st.floats(math.log(0.5), math.log(1000.0)),
+        lam=st.floats(0.0, 1.0, exclude_min=True),
+        log_b=st.floats(math.log(1e-3), math.log(1e3)),
+        order=st.sampled_from([3, 16, 64]),
+    )
+    def test_every_family_that_builds_solves(self, family, log_eta, lam, log_b, order):
+        if family == "binomial":
+            cls = Binomial(lam=lam, eta=math.exp(log_eta))
+        else:
+            cls = Exponential(b_sq=math.exp(2.0 * log_b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                beta = family_weights(cls, order).beta
+            except ValueError:
+                assume(False)
+        k = cls.generating_series(order)
+        assert ode_residual(k, float(beta[1]), float(beta[2])) <= 1e-14
+
+    @pytest.mark.parametrize("index", [3, 9, 40])
+    @pytest.mark.parametrize(
+        "cls",
+        [Binomial(1.0, 1.0), Binomial(0.5, 1.3), Exponential(b_sq=1.0)],
+        ids=["hardy", "binomial", "fock"],
+    )
+    def test_single_perturbed_weight_fails_the_ode(self, cls, index):
+        beta = family_weights(cls, 64).beta.copy()
+        beta[index] *= 1.0 + 1e-8
+        ws = spaces.WeightSequence(beta)
+        assert isinstance(spaces.classify_weights(ws), NotHospitable)
+        report = full_report(ws, 0.3, 0.2, 1.0)
+        ode = next(c for c in report.checks if c.name == "generating-ode")
+        assert not ode.passed and ode.residual > 1e-12
 
 
 class TestNormEquivalence:
