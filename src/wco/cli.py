@@ -205,8 +205,7 @@ def _print_json(payload) -> None:
 def cmd_classify(args) -> int:
     tol = args.tol if args.tol is not None else spaces.CLASSIFICATION_TOL
     if args.beta_file:
-        with open(args.beta_file, "r", encoding="utf-8") as handle:
-            ws = weights_from_json(json.load(handle))
+        ws = _space_from_args(args, args.order)
         if args.order is not None and args.order < ws.order:
             ws = WeightSequence(ws.beta[: args.order + 1], ws.provenance)
         cls = classify_weights(ws, tol_class=tol)
@@ -427,12 +426,8 @@ def cmd_sweep(args) -> int:
         "rows": rows,
         "pass": all(r["pass"] for r in rows),
     }
-    if args.csv:
-        text = _rows_to_csv(rows)
-        _write_or_print(args.output or (config.get("output") or None), text)
-    else:
-        text = json.dumps(result, indent=2, allow_nan=False)
-        _write_or_print(args.output or (config.get("output") or None), text)
+    text = _rows_to_csv(rows) if args.csv else json.dumps(result, indent=2, allow_nan=False)
+    _write_or_print(args.output or (config.get("output") or None), text)
     return EXIT_OK if result["pass"] else EXIT_FAIL
 
 

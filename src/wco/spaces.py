@@ -292,13 +292,11 @@ def verify_candidate(ws: WeightSequence, cls: SpaceClass) -> CoefficientMismatch
         raise ValueError("cannot verify an inhospitable classification")
     candidate = cls.generating_series(ws.order).coeffs.real
     actual = ws.generating_coefficients()
-    for j in range(ws.order + 1):
-        denom = max(abs(actual[j]), abs(candidate[j]))
-        if abs(actual[j] - candidate[j]) > FIT_TOL * denom:
-            return CoefficientMismatch(
-                index=j, expected=float(actual[j]), found=float(candidate[j])
-            )
-    return None
+    off = np.abs(actual - candidate) > FIT_TOL * np.maximum(np.abs(actual), np.abs(candidate))
+    if not np.any(off):
+        return None
+    j = int(np.argmax(off))
+    return CoefficientMismatch(index=j, expected=float(actual[j]), found=float(candidate[j]))
 
 
 def classify_weights(ws: WeightSequence, tol_class: float = CLASSIFICATION_TOL) -> SpaceClass:

@@ -77,8 +77,7 @@ KERNEL_POINT = 0.3 + 0.2j
 
 
 class _PeakedResidual(float):
-    """An `ode_residual` value that also names the coefficient m where it
-    peaks (``coefficient``)."""
+    """An `ode_residual` value naming the coefficient m where it peaks."""
 
     coefficient: int
 
@@ -94,11 +93,13 @@ def ode_residual(k: TruncatedSeries, beta1: float, beta2: float) -> float:
     |L| and |R| convolve the moduli: relative, so it does not tighten as
     khat(j) grows.  The result's ``coefficient`` is the m where it peaks.
 
-    Coefficient j is first scaled by 2^(-e j), e the binary exponent of the
-    last nonzero coefficient over its index, so the products stay in range
-    where khat(j)^2 would not (eta = 1200, Fock b = 0.01).  Both sides of
-    coefficient m carry 2^(-e (m + 2)), so in range the residual is bitwise
-    the unscaled one; one that still leaves the range raises ValueError.
+    Coefficient j is first scaled by 2^(-e j), the integer e bringing every
+    coefficient's leading product (khat(s/2)^2 or khat(0) khat(s), s = m + 2)
+    closest to 2^0, so the products stay in range where khat(j)^2 would not
+    (eta = 1200; Fock b = 0.01, or b = 0.05 at order 1000).  Both sides of
+    coefficient m carry 2^(-e (m + 2)), so where neither pass leaves the
+    normal range the residual is bitwise the unscaled one; where no e keeps
+    every coefficient normal (eta ~ 100 from order 2,400) it raises ValueError.
 
     Requires order >= 3 (below it only m = 0 is left, which every weight
     sequence satisfies) and the normalization k(0) = 1, k'(0) = 1/beta1^2.
@@ -114,9 +115,23 @@ def ode_residual(k: TruncatedSeries, beta1: float, beta2: float) -> float:
         raise ValueError(f"k(0) must be 1 (got {c[0]})")
     if abs(c[1] - 1.0 / beta1**2) > 1e-12 * max(1.0, 1.0 / beta1**2):
         raise ValueError("k'(0) must equal 1/beta1^2")
-    mod = np.abs(c)
-    last = int(np.flatnonzero(mod)[-1])  # >= 1, since k'(0) != 0
-    shift = -round(math.frexp(float(mod[last]))[1] / last) * np.arange(n + 1)
+    j = np.arange(n + 1)
+    s = j[2:]  # coefficient m sums products khat(i) khat(s - i), s = m + 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log2(np.abs(c))
+        # log2 of its leading product where log khat is concave, of one
+        # nonzero product otherwise; -inf where all are zero
+        lead = np.maximum(x[0] + x[s], x[s // 2] + x[(s + 1) // 2])
+    held = np.isfinite(lead)
+    sh, lead = s[held], lead[held]
+    # max |lead - e s| is convex in e, least between the slopes lead / s
+    lo = math.floor(np.min(lead / sh, initial=0.0))
+    hi = math.ceil(np.max(lead / sh, initial=0.0))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        here, next_ = (np.max(np.abs(lead - e * sh), initial=0.0) for e in (mid, mid + 1))
+        lo, hi = (lo, mid) if here <= next_ else (mid + 1, hi)
+    shift = -lo * j
 
     def sides(f, f1, f2):  # L and R from k, k', k''
         return beta1**4 * np.convolve(f1, f1)[: n - 1], beta2**2 / 2 * np.convolve(f, f2)[: n - 1]
@@ -131,7 +146,7 @@ def ode_residual(k: TruncatedSeries, beta1: float, beta2: float) -> float:
         scale = lhs_mod + rhs_mod
         # 0/0 only where every product is zero: that coefficient holds exactly
         per_m = np.abs(lhs - rhs) / np.where(scale > 0.0, scale, 1.0)
-    if not np.all(np.isfinite(per_m)):
+    if not np.all(np.isfinite(per_m)) or np.any(scale[held] < np.finfo(float).tiny):
         raise ValueError("the products of the generating coefficients leave the double range")
     peak = int(np.argmax(per_m))
     residual = _PeakedResidual(per_m[peak])
@@ -495,8 +510,4 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
 
 def _probe_polynomial(order: int) -> TruncatedSeries:
     """Fixed low-degree probe used for quadrature cross-checks."""
-    coeffs = np.zeros(order + 1, dtype=complex)
-    template = np.array([1.0, 0.5, -0.25, 1 / 3, 0.0, -0.125, 0.2])
-    take = min(order + 1, template.size)
-    coeffs[:take] = template[:take]
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(np.array([1.0, 0.5, -0.25, 1 / 3, 0.0, -0.125, 0.2])).truncated(order)

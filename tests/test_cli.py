@@ -490,6 +490,15 @@ def test_underflowing_fock_weight_is_usage_error(capsys):
     assert "error: generating coefficient 178 is not positive" in err
 
 
+def test_subnormal_fock_weight_is_usage_error(capsys):
+    # 1/171! is subnormal: its weight would no longer be the family's
+    code, out, err = run_cli(capsys, "check", "--family", "fock", *PAIR, "--order", "171")
+    assert code == 2 and out == ""
+    assert "error: generating coefficient 171 is not normal" in err
+    code, out, _ = run_cli(capsys, "check", "--family", "fock", *PAIR, "--order", "170")
+    assert code in (0, 1) and json.loads(out)["checks"]
+
+
 #: one space per family the CLI builds
 FAMILY_ARGS = [
     ["--family", "hardy"],
