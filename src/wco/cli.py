@@ -2,8 +2,9 @@
 
 Output is JSON by default (CSV where it makes sense for tables); exit codes
 follow the verification contract: 0 all checks passed, 1 some check failed,
-2 usage or domain error.  The default truncation order is 64 and can be
-overridden per invocation with --order or globally with WCO_DEFAULT_ORDER.
+2 usage or domain error.  The default truncation order is 64; --order sets
+another.  The verdicts read one fixed table, `verify.DEFAULT_TOLERANCES`
+(and `spaces.CLASSIFICATION_TOL` for classification); no option overrides it.
 """
 
 from __future__ import annotations
@@ -57,16 +58,6 @@ def valid_order(value, name: str) -> int:
     return value
 
 
-def _default_order() -> int:
-    env = os.environ.get("WCO_DEFAULT_ORDER")
-    if env is None:
-        return DEFAULT_ORDER
-    try:
-        return valid_order(int(env), "WCO_DEFAULT_ORDER")
-    except ValueError:
-        raise SystemExit(f"WCO_DEFAULT_ORDER must be an integer >= 2 (got {env!r})")
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -91,14 +82,6 @@ def finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"number {text!r} is not finite")
-    return value
-
-
-def positive_float(text: str) -> float:
-    """A finite float above zero (tolerances)."""
-    value = finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"number {text!r} must be positive")
     return value
 
 
@@ -203,29 +186,22 @@ def _print_json(payload) -> None:
 
 
 def cmd_classify(args) -> int:
-    tol = args.tol if args.tol is not None else spaces.CLASSIFICATION_TOL
     if args.beta_file:
         ws = _space_from_args(args, args.order)
         if args.order is not None and args.order < ws.order:
             ws = WeightSequence(ws.beta[: args.order + 1], ws.provenance)
-        cls = classify_weights(ws, tol_class=tol)
+        cls = classify_weights(ws)
     else:
         if args.beta1 is None or args.beta2 is None:
             raise ValueError("classify needs BETA1 BETA2 or --beta-file")
-        cls = classify_space(args.beta1, args.beta2, tol=tol)
+        cls = classify_space(args.beta1, args.beta2)
     _print_json(space_class_to_json(cls))
     return EXIT_OK if not isinstance(cls, NotHospitable) else EXIT_FAIL
 
 
 def _report_for_args(args) -> verify.VerificationReport:
-    order = args.order
-    ws = _space_from_args(args, order)
-    tolerances = {}
-    if args.tol is not None:
-        tolerances["identity"] = args.tol
-    return verify.full_report(
-        ws, args.a0, args.a1, args.c, order=order, tolerances=tolerances
-    )
+    ws = _space_from_args(args, args.order)
+    return verify.full_report(ws, args.a0, args.a1, args.c, order=args.order)
 
 
 def cmd_check(args) -> int:
@@ -458,8 +434,8 @@ def _write_or_print(path, text) -> None:
 
 def _add_order_option(cmd) -> None:
     cmd.add_argument(
-        "--order", type=int, default=_default_order(),
-        help="truncation order N (default 64, env WCO_DEFAULT_ORDER)",
+        "--order", type=int, default=DEFAULT_ORDER,
+        help=f"truncation order N (default {DEFAULT_ORDER})",
     )
 
 
@@ -490,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     classify_cmd.add_argument("beta1", type=finite_float, nargs="?", default=None)
     classify_cmd.add_argument("beta2", type=finite_float, nargs="?", default=None)
     classify_cmd.add_argument("--beta-file", type=str, default=None)
-    classify_cmd.add_argument("--tol", type=positive_float, default=None,
-                              help="override the classification tolerance")
     classify_cmd.set_defaults(func=cmd_classify)
 
     for name, func, help_text in (
@@ -504,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--a0", type=parse_complex, required=True, help="phi(0), complex like 0.5 or 0.3+0.2i")
         cmd.add_argument("--a1", type=parse_complex, required=True, help="phi'(0)")
         cmd.add_argument("--c", type=parse_complex, required=True, help="psi(0)")
-        cmd.add_argument("--tol", type=positive_float, default=None,
-                         help="override the identity tolerance")
         if name == "report":
             cmd.add_argument("--output", type=str, default=None, help="also write the JSON report here")
         cmd.set_defaults(func=func)

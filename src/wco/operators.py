@@ -208,7 +208,8 @@ def kernel_identity_residual(
     The forward side W K_w = sum_j K_w(j) psi phi^j is the pair's section
     ``m`` applied to the kernel in the normalized basis, M (K_w * beta), at
     the order of ``m``.  The backward side conj(psi(w)) K_{phi(w)} is
-    evaluated in closed form.
+    evaluated in closed form.  A residual the double range cannot hold
+    (Fock b = 0.0012, eta = 1e5 at N = 64) raises DomainError.
     """
     w = complex(w)
     if abs(w) > 0.8:
@@ -217,16 +218,20 @@ def kernel_identity_residual(
         )
     n = m.shape[0] - 1
     beta = ws.beta[: n + 1]
-    k_w = kernel(w, ws, n)
-    backward = adjoint_on_kernel(sp, w, ws, n).coeffs * beta
-    # einsum's own loop, not BLAS gemv: its summation order does not depend on
-    # the BLAS library numpy links, so the residual's bits do not either
-    forward = np.einsum("ij,j->i", m, k_w.coeffs * beta)
-    # scaled by a power of two before squaring, so entries near the top of the
-    # double range (Fock b = 0.01) do not overflow; bitwise the same otherwise
-    diff = np.abs(forward - backward)
-    scale = 2.0 ** -math.frexp(float(np.max(diff)))[1]
-    return float(np.sqrt(np.sum((diff * scale) ** 2)) / scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_w = kernel(w, ws, n)
+        backward = adjoint_on_kernel(sp, w, ws, n).coeffs * beta
+        # einsum's own loop, not BLAS gemv: its summation order does not depend
+        # on the BLAS library numpy links, so the residual's bits do not either
+        forward = np.einsum("ij,j->i", m, k_w.coeffs * beta)
+        # scaled by a power of two before squaring (bitwise the same, unless
+        # entries near the top of the double range would overflow: Fock b = 0.01)
+        diff = np.abs(forward - backward)
+        scale = 2.0 ** -math.frexp(float(np.max(diff)))[1]
+        residual = float(np.sqrt(np.sum((diff * scale) ** 2)) / scale)
+    if not math.isfinite(residual):
+        raise DomainError("the kernel terms at w leave the double range")
+    return residual
 
 
 def kernel_tail_bound(cls, w: complex, order: int) -> float:

@@ -84,10 +84,8 @@ class QuadratureError(RuntimeError):
 CLASSIFICATION_TOL = 1e-9
 #: relative tolerance of `verify_candidate`'s coefficient-by-coefficient fit
 FIT_TOL = 1e-10
-#: radial Gauss nodes of the disk and Gaussian-plane quadratures
+#: radial Gauss-Legendre nodes of the Gaussian-plane quadrature
 QUAD_RADIAL_NODES = 200
-#: least angular nodes of every quadrature (raised to 2 d + 1 for degree d)
-QUAD_ANGULAR_NODES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +124,16 @@ class WeightSequence:
 
 def family_weights(cls: "SpaceClass", order: int) -> WeightSequence:
     """Weight sequence of a hospitable family member: 1/beta(j)^2 are the
-    coefficients of its generating function, which must all be positive
-    normal doubles (a coefficient that underflows to 0 is refused, and so is
-    a subnormal one, which has lost the bits that tie its weight to the
-    family)."""
+    coefficients of its generating function, which must all be finite,
+    positive normal doubles (a coefficient that overflows or underflows to 0
+    is refused, and so is a subnormal one, which has lost the bits that tie
+    its weight to the family)."""
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("family weights exist only for hospitable classes")
-    khat = cls.generating_series(order).coeffs.real
-    for bad_mask, what in ((khat <= 0.0, "positive"), (khat < sys.float_info.min, "normal")):
+    with np.errstate(over="ignore", invalid="ignore"):
+        khat = cls.generating_series(order).coeffs.real
+    for bad_mask, what in ((~np.isfinite(khat), "finite"), (khat <= 0.0, "positive"),
+                           (khat < sys.float_info.min, "normal")):
         if np.any(bad_mask):
             bad = int(np.argmax(bad_mask))
             raise ValueError(f"generating coefficient {bad} is not {what}: {khat[bad]}")
@@ -247,13 +247,14 @@ class NotHospitable:
 SpaceClass = Exponential | Binomial | NotHospitable
 
 
-def classify_space(beta1: float, beta2: float, tol: float = CLASSIFICATION_TOL) -> SpaceClass:
+def classify_space(beta1: float, beta2: float) -> SpaceClass:
     """Classify a space from its first two weights.
 
     Computes gamma = 2 beta1^4 / beta2^2.  gamma = 1 selects the exponential
     family; otherwise lam = (gamma - 1) / beta1^2 must land in (0, 1] for the
-    binomial family, and anything else is inhospitable.  lam within ``tol``
-    of 0 is folded into the exponential family (its lam -> 0 limit).
+    binomial family, and anything else is inhospitable.  lam within
+    `CLASSIFICATION_TOL` of 0 is folded into the exponential family (its
+    lam -> 0 limit).
     Weights whose gamma or lam overflows (or whose squares underflow to 0)
     cannot be classified in floating point and raise ValueError.
     """
@@ -269,11 +270,11 @@ def classify_space(beta1: float, beta2: float, tol: float = CLASSIFICATION_TOL) 
         raise ValueError(
             f"weights {beta1!r}, {beta2!r} put gamma or lambda outside the floating-point range"
         )
-    if abs(gamma - 1.0) <= tol or abs(lam) <= tol:
+    if abs(gamma - 1.0) <= CLASSIFICATION_TOL or abs(lam) <= CLASSIFICATION_TOL:
         return Exponential(b_sq=b1_sq, gamma=gamma)
     if lam < 0.0:
         return NotHospitable(reason="lambda-negative", gamma=gamma, lam=lam)
-    if lam > 1.0 + tol:
+    if lam > 1.0 + CLASSIFICATION_TOL:
         return NotHospitable(reason="lambda-exceeds-one", gamma=gamma, lam=lam)
     lam = min(lam, 1.0)
     return Binomial(lam=lam, eta=1.0 / (lam * b1_sq), gamma=gamma)
@@ -299,11 +300,11 @@ def verify_candidate(ws: WeightSequence, cls: SpaceClass) -> CoefficientMismatch
     return CoefficientMismatch(index=j, expected=float(actual[j]), found=float(candidate[j]))
 
 
-def classify_weights(ws: WeightSequence, tol_class: float = CLASSIFICATION_TOL) -> SpaceClass:
+def classify_weights(ws: WeightSequence) -> SpaceClass:
     """Classify from beta(1), beta(2) and then vet the whole sequence."""
     if ws.order < 2:
         raise ValueError("classification needs weights up to index 2")
-    cls = classify_space(float(ws.beta[1]), float(ws.beta[2]), tol=tol_class)
+    cls = classify_space(float(ws.beta[1]), float(ws.beta[2]))
     if isinstance(cls, NotHospitable):
         return cls
     mismatch = verify_candidate(ws, cls)
@@ -365,12 +366,15 @@ def _eval_on_grid(f: TruncatedSeries, radii: np.ndarray, n_angular: int) -> np.n
     return np.mean(vals.real**2 + vals.imag**2, axis=1)
 
 
+def _degree(f: TruncatedSeries) -> int:
+    """deg f: the index of its last nonzero coefficient (0 for f = 0), not its order."""
+    return max(np.trim_zeros(f.coeffs, "b").size - 1, 0)
+
+
 def _angular_nodes(f: TruncatedSeries) -> int:
-    # on a circle |f|^2 has angular modes up to +/- deg f (the degree after
-    # trimming trailing zeros, not the truncation order); a uniform rule with
-    # more than 2 deg f points integrates it exactly
-    degree = np.trim_zeros(f.coeffs, "b").size - 1
-    return max(QUAD_ANGULAR_NODES, 2 * degree + 1)
+    # on a circle |f|^2 has angular modes up to +/- deg f; a uniform rule
+    # with more than 2 deg f points integrates it exactly
+    return 2 * _degree(f) + 1
 
 
 def _jacobi_scaled(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,10 +503,10 @@ def bergman_norm_quadrature(f: TruncatedSeries, eta: float) -> float:
     """Disk-integral norm for the eta > 1 family:
     (eta - 1)/pi * integral |f(z)|^2 (1 - |z|^2)^(eta-2) dA over the disk.
 
-    Uses the `QUAD_RADIAL_NODES`-point Gauss-Jacobi rule for (1 - s)^(eta - 2) in
-    s = |z|^2 (`_gauss_jacobi`; exact for the polynomial radial factor,
-    including the integrable boundary singularity when eta < 2; nodes within
-    6e-17 and weights within 7e-13 of 40-digit values at n = 200).
+    The angular mean of |f|^2 on |z|^2 = s has degree deg f in s, so the
+    (deg f // 2 + 1)-point Gauss-Jacobi rule for (1 - s)^(eta - 2)
+    (`_gauss_jacobi`) integrates it exactly, boundary singularity (eta < 2)
+    included; so few nodes also build at large eta (4 at eta = 1200).
     The eta <= 1 spaces have no such integral form and are refused; their
     norms are series-side only, cross-checked by `derivative_norm_bounds`.
     """
@@ -511,13 +515,13 @@ def bergman_norm_quadrature(f: TruncatedSeries, eta: float) -> float:
             "the disk-integral norm requires eta > 1; "
             "for eta <= 1 use the series norm and the derivative sandwich"
         )
-    n_angular = _angular_nodes(f)
-    s, w = _gauss_jacobi(QUAD_RADIAL_NODES, eta - 2.0)
+    n_radial, n_angular = _degree(f) // 2 + 1, _angular_nodes(f)
+    s, w = _gauss_jacobi(n_radial, eta - 2.0)
     means = _eval_on_grid(f, np.sqrt(s), n_angular)
     value = float((eta - 1.0) * np.sum(w * means))
     if not np.isfinite(value):
         raise QuadratureError(
-            f"disk norm quadrature failed: nodes {QUAD_RADIAL_NODES}x{n_angular}, eta={eta}"
+            f"disk norm quadrature failed: nodes {n_radial}x{n_angular}, eta={eta}"
         )
     return math.sqrt(value)
 

@@ -296,7 +296,6 @@ def full_report(
     a1: complex,
     c: complex,
     order: int | None = None,
-    tolerances: dict | None = None,
 ) -> VerificationReport:
     """Run every oracle against one (space, parameters) configuration.
 
@@ -304,9 +303,7 @@ def full_report(
     all checks are expected to pass; for inhospitable ones the matrix, ODE
     and kernel oracles must agree in rejecting the candidate.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = DEFAULT_TOLERANCES
     n = ws.order if order is None else order
     if ws.order < n:
         raise ValueError("weights are shorter than the requested order")
@@ -451,8 +448,8 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
     except DomainError:
         domain = None
     except QuadratureError as exc:
-        # a rule that cannot be built (Gauss-Jacobi nodes at eta = 1200)
-        # fails this check only; the report keeps every other check
+        # a rule that cannot be built (Gauss-Jacobi nodes that do not
+        # converge) fails this check only; the report keeps every other check
         domain, quad_norm, quad_note = "unbuilt", math.inf, f"quadrature did not run: {exc}"
     if domain is not None:
         series_norm = spaces.norm(probe, ws)

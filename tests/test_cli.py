@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wco
+from wco import spaces
 from wco.cli import main, parse_complex, parse_polynomial
-from wco.spaces import Binomial
+from wco.spaces import Binomial, QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -141,12 +142,6 @@ class TestClassifyCommand:
             assert code == 2 and out == ""
             assert "finite" in err
 
-    def test_tolerance_must_be_finite_and_positive(self, capsys):
-        for tol in ("nan", "inf", "0", "-1e-6"):
-            code, out, err = run_usage_error(capsys, "classify", "1", "1", "--tol", tol)
-            assert code == 2 and out == ""
-            assert "--tol" in err
-
     def test_weights_beyond_float_range_are_usage_errors(self, capsys):
         # beta2^2 underflows to 0 and beta1^4 / beta2^2 is inf / inf
         for beta1, beta2 in (("1", "1e-170"), ("1e100", "1e160")):
@@ -192,15 +187,6 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == ""
         assert "not finite" in captured.err
-
-    def test_tolerance_must_be_finite_and_positive(self, capsys):
-        for tol in ("nan", "inf", "0"):
-            code, out, err = run_usage_error(
-                capsys, "check", "--family", "hardy",
-                "--a0", "0.3", "--a1", "0.2", "--c", "1", "--tol", tol,
-            )
-            assert code == 2 and out == ""
-            assert "--tol" in err
 
     def test_skipped_kernel_identity_is_strict_json(self, capsys):
         # phi(w) leaves the disk, so the kernel oracle is skipped
@@ -252,7 +238,7 @@ class TestCheckCommand:
         assert saved["pass"] is True
 
     def test_report_float_options_must_be_finite(self, capsys):
-        for option in (["--eta", "nan"], ["--lam", "inf"], ["--tol", "-inf"]):
+        for option in (["--eta", "nan"], ["--lam", "inf"]):
             code, out, err = run_usage_error(
                 capsys, "report", "--family", "binomial", "--lam", "0.5", "--eta", "1",
                 *option, "--a0", "0.3", "--a1", "0.2", "--c", "1",
@@ -495,6 +481,14 @@ def test_subnormal_fock_weight_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "check", "--family", "fock", *PAIR, "--order", "171")
     assert code == 2 and out == ""
     assert "error: generating coefficient 171 is not normal" in err
+    # an overflowing coefficient is named the same way, with no RuntimeWarning
+    for space_args, order, index in (
+        (["--family", "bergman", "--eta", "300"], "2000", 1022),
+        (["--family", "fock", "--b", "0.001"], "100", 67),
+    ):
+        code, out, err = run_cli(capsys, "check", *space_args, *PAIR, "--order", order)
+        assert code == 2 and out == ""
+        assert err == f"error: generating coefficient {index} is not finite: inf\n"
     code, out, _ = run_cli(capsys, "check", "--family", "fock", *PAIR, "--order", "170")
     assert code in (0, 1) and json.loads(out)["checks"]
 
@@ -602,8 +596,11 @@ def test_parallel_sweep_forks_from_a_one_thread_process(tmp_path):
         ["--family", "bergman", "--eta", "500"],
         # the Gaussian norm bound exp(842) is beyond the double range
         ["--family", "fock", "--b", "0.035"],
+        # the kernel terms at w leave the double range: that check is skipped
+        ["--family", "bergman", "--eta", "1e5"],
+        ["--family", "fock", "--b", "0.0012"],
     ],
-    ids=["bergman-eta-500", "fock-b-0.035"],
+    ids=["bergman-eta-500", "fock-b-0.035", "bergman-eta-1e5", "fock-b-0.0012"],
 )
 def test_extreme_family_report_is_quiet_strict_json(space_args):
     a0 = "0.6" if "fock" in space_args else "0.3"
@@ -620,6 +617,10 @@ def test_extreme_family_report_is_quiet_strict_json(space_args):
     assert result.returncode == 1
     assert checks["generating-ode"]["pass"] is True
     assert checks["generating-ode"]["residual"] <= 1e-14
+    if space_args[-1] in ("1e5", "0.0012"):
+        kernel = checks["kernel-identity"]
+        assert kernel["pass"] is False and kernel["residual"] is None
+        assert kernel["notes"] == "skipped: the kernel terms at w leave the double range"
     if "fock" in space_args:
         dominance = checks["norm-bound-dominance"]
         assert dominance["pass"] is True and dominance["residual"] == 0.0
@@ -663,18 +664,50 @@ def test_oracle_beyond_double_range_fails_its_check_only(space_args):
         )
         assert quad["pass"] is True
     else:
-        # no Gauss-Jacobi rule for (1 - s)^1198: that check fails, the rest ran
-        assert quad["pass"] is False and quad["residual"] is None
-        assert "Gauss-Jacobi nodes did not converge" in quad["notes"]
+        # the degree-sized Gauss-Jacobi rule for (1 - s)^1198 has 4 nodes
+        assert quad["pass"] is True and quad["residual"] <= 1e-12
 
 
-def test_default_order_env(monkeypatch, capsys):
+def test_unbuildable_quadrature_rule_fails_its_check_only(monkeypatch, capsys):
+    def unbuildable(n, alpha):
+        raise QuadratureError(f"no rule: n={n}")
+
+    monkeypatch.setattr(spaces, "_gauss_jacobi", unbuildable)
+    code, out, err = run_cli(capsys, "check", "--family", "bergman", "--eta", "2", *PAIR)
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in strict_json(out)["checks"]}
+    assert set(checks) == REPORT_CHECKS
+    quad = checks.pop("quadrature-vs-series-norm")
+    assert quad["pass"] is False and quad["residual"] is None
+    # the degree-6 probe asks for the 4-node rule
+    assert quad["notes"] == "quadrature did not run: no rule: n=4"
+    assert all(c["pass"] for c in checks.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a non-real c is never Hermitian, whatever the tolerance
+        ["check", "--family", "hardy", "--a0", "0.3", "--a1", "0.2", "--c", "1+1e-9i"],
+        ["report", "--family", "hardy", *PAIR],
+        # the flat space of lam = 7/4 is never Binomial
+        ["classify", "2", "2"],
+    ],
+    ids=["check", "report", "classify"],
+)
+def test_tolerances_cannot_be_overridden(capsys, argv):
+    code, out, err = run_usage_error(capsys, *argv, "--tol", "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --tol 1" in err
+
+
+def test_default_order_is_64_whatever_the_environment(monkeypatch, capsys):
     monkeypatch.setenv("WCO_DEFAULT_ORDER", "24")
     code, out, _ = run_cli(
         capsys, "check", "--family", "hardy", "--a0", "0.4", "--a1", "0.1", "--c", "1"
     )
     assert code == 0
-    assert json.loads(out)["subject"]["order"] == 24
+    assert json.loads(out)["subject"]["order"] == 64
 
 
 #: report oracle for each integral-norm domain `wco quad` names

@@ -32,7 +32,6 @@ from wco.spaces import (
     weights_from_json,
 )
 from wco.spaces import (
-    QUAD_ANGULAR_NODES,
     _angular_nodes,
     _eval_on_grid,
     _fock_tail_bound,
@@ -452,7 +451,7 @@ class TestDerivativeSandwich:
 
 def test_angular_nodes_follow_the_degree_not_the_order():
     probe = polynomial([1.0, 0.5, -0.25, 1 / 3, 0.0, -0.125, 0.2])
-    assert _angular_nodes(probe.truncated(512)) == QUAD_ANGULAR_NODES
+    assert _angular_nodes(probe.truncated(512)) == 13
     assert _angular_nodes(monomial(300, 512)) == 601
     assert _angular_nodes(monomial(300, 300)) == 601
     # the smaller rule is still exact for |f|^2 on the circle
