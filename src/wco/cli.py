@@ -5,6 +5,9 @@ follow the verification contract: 0 all checks passed, 1 some check failed,
 2 usage or domain error.  The default truncation order is 64; --order sets
 another.  The verdicts read one fixed table, `verify.DEFAULT_TOLERANCES`
 (and `spaces.CLASSIFICATION_TOL` for classification); no option overrides it.
+`sweep --workers N` is an upper bound: the cells run in this process until
+their timings project more than `POOL_BREAK_EVEN_S` of work left, and only
+then does a process pool take the rest.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 import os
 import re
 import sys
+import time
 
 import numpy as np
 
@@ -48,6 +52,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_ORDER = 64
+
+#: projected seconds of sweep cells left above which `wco sweep --workers N`
+#: hands them to a process pool.  Below it, importing the pool, forking its
+#: workers, sending them the cells and shutting it down cost more than the
+#: second core saves.  On a 2-vCPU KVM Xeon the pool was slower on grids
+#: with under 0.1 s of cell work and faster on every grid above 0.2 s, in
+#: each of four runs of scripts/pool_crossover.py (BENCH_13.json).
+POOL_BREAK_EVEN_S = 0.2
 
 
 def valid_order(value, name: str) -> int:
@@ -286,14 +298,17 @@ def _expand_axis(grid: dict, name: str, default: float) -> list[float]:
     """One grid axis: a number, a list of numbers, or
     {"start": a, "stop": b, "count": n} for n points spaced evenly."""
     spec, key = grid.get(name, [default]), f"grid.{name}"
+    # an empty axis would make a grid with no cells, which prints no rows and passes
     if isinstance(spec, list):
+        if not spec:
+            raise ValueError(f"sweep config {key} is empty: the grid would have no cells")
         return [_config_number(v, f"{key}[{i}]") for i, v in enumerate(spec)]
     if isinstance(spec, dict):
         missing = [part for part in ("start", "stop", "count") if part not in spec]
         if missing:
             raise ValueError(f'sweep config {key} has no "{missing[0]}" key')
-        if type(spec["count"]) is not int or spec["count"] < 0:
-            raise ValueError(f"sweep config value {key}.count must be an integer >= 0")
+        if type(spec["count"]) is not int or spec["count"] < 1:
+            raise ValueError(f"sweep config value {key}.count must be an integer >= 1")
         start, stop = (_config_number(spec[p], f"{key}.{p}") for p in ("start", "stop"))
         return [float(v) for v in np.linspace(start, stop, spec["count"])]
     return [_config_number(spec, key)]
@@ -353,7 +368,33 @@ def _require_finite(value, key: str) -> None:
         raise ValueError(f"sweep config value {key} is not finite ({value})")
 
 
+def _run_cells(cells: list, workers: int) -> list[dict]:
+    """The rows of ``cells`` in grid order.  Cells run here, timed, until
+    the work they project for the rest of the grid ((elapsed / done) x
+    left) exceeds `POOL_BREAK_EVEN_S`; then, when ``workers`` > 1 and two
+    or more cells are left, a pool of min(workers, left) processes takes
+    the rest.  `_sweep_cell` is the same code in either process, so the
+    rows do not depend on where a cell ran."""
+    rows: list[dict] = []
+    start = time.perf_counter()
+    for done, cell in enumerate(cells, 1):
+        rows.append(_sweep_cell(cell))
+        left = len(cells) - done
+        projected = (time.perf_counter() - start) / done * left
+        if workers > 1 and left >= 2 and projected > POOL_BREAK_EVEN_S:
+            # imported here: a sweep below the break-even and every other
+            # command would pay for the import at start-up
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(workers, left)) as pool:
+                rows.extend(pool.map(_sweep_cell, cells[done:]))
+            break
+    return rows
+
+
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be an integer >= 1 (got {args.workers})")
     with open(args.config, "r", encoding="utf-8") as handle:
         config = _config_object(json.load(handle), "file")
     space = _config_object(config.get("space", {}), "space")
@@ -382,17 +423,7 @@ def cmd_sweep(args) -> int:
         (idx, family, fam_params, m, arg, frac, cc, order)
         for idx, (m, arg, frac, cc) in enumerate(itertools.product(*axes))
     ]
-    workers = args.workers
-    if workers > 1:
-        # imported here: only a parallel sweep needs it, and every other
-        # command would pay for the import at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
-    rows.sort(key=lambda r: r["index"])
+    rows = _run_cells(cells, args.workers)
 
     result = {
         "schema": "wco-sweep/1",
@@ -409,8 +440,6 @@ def cmd_sweep(args) -> int:
 
 def _rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    if not rows:
-        return ""
     # failed cells carry fewer fields plus "error"; take the union in order
     fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     writer = csv.DictWriter(buf, fieldnames=fieldnames)

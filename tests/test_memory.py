@@ -37,11 +37,11 @@ def test_full_report_holds_at_most_two_sections(lam, eta, a0):
     ws = family_weights(Binomial(lam, eta), order)
     report = verify.full_report(ws, a0, 0.1, 1.0)
     assert report.passed, report.to_json()
-    assert sections_at_peak(lambda: verify.full_report(ws, a0, 0.1, 1.0), order) <= 2.4
+    assert sections_at_peak(lambda: verify.full_report(ws, a0, 0.1, 1.0), order) <= 2.15
 
 
 def test_sweep_cell_holds_one_section():
     order = 384
     payload = (0, "binomial", (0.3, 1.5), 0.3, 1.0, 0.5, 1.0, order)
     assert _sweep_cell(payload)["pass"]
-    assert sections_at_peak(lambda: _sweep_cell(payload), order) <= 1.6
+    assert sections_at_peak(lambda: _sweep_cell(payload), order) <= 1.2

@@ -243,7 +243,7 @@ class TestRowBlocks:
     """The O(N^2) checks read the section in blocks of ROW_BLOCK rows and
     must give bitwise what a whole-table pass gives."""
 
-    ORDERS = [2, 63, 64, 65, 200]
+    ORDERS = [2, 15, 16, 17, 63, 64, 65, 200]
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_deviation_matches_dense_reference(self, order):
