@@ -11,7 +11,7 @@ import os
 # OpenBLAS worker busy-waits after numpy loads it.  OpenBLAS reads its thread
 # count once, at that load, so the variable is set only around the import: a
 # value the user set wins, and the environment (and every child process's)
-# is left as it was.  Forked sweep workers inherit the one-thread pool.
+# is left as it was.
 if "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:

@@ -5,9 +5,9 @@ follow the verification contract: 0 all checks passed, 1 some check failed,
 2 usage or domain error.  The default truncation order is 64; --order sets
 another.  The verdicts read one fixed table, `verify.DEFAULT_TOLERANCES`
 (and `spaces.CLASSIFICATION_TOL` for classification); no option overrides it.
-`sweep --workers N` is an upper bound: the cells run in this process until
-their timings project more than `POOL_BREAK_EVEN_S` of work left, and only
-then does a process pool take the rest.
+`sweep` runs its cells one after another in this process; `--workers` is
+still accepted (an integer >= 1) so that existing command lines run, but it
+starts no other process.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-import time
 
 import numpy as np
 
@@ -52,14 +51,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_ORDER = 64
-
-#: projected seconds of sweep cells left above which `wco sweep --workers N`
-#: hands them to a process pool.  Below it, importing the pool, forking its
-#: workers, sending them the cells and shutting it down cost more than the
-#: second core saves.  On a 2-vCPU KVM Xeon the pool was slower on grids
-#: with under 0.1 s of cell work and faster on every grid above 0.2 s, in
-#: each of four runs of scripts/pool_crossover.py (BENCH_13.json).
-POOL_BREAK_EVEN_S = 0.2
 
 
 def valid_order(value, name: str) -> int:
@@ -315,9 +306,9 @@ def _expand_axis(grid: dict, name: str, default: float) -> list[float]:
 
 
 def _sweep_cell(payload):
-    """One grid cell: synthesize, build, measure.  Must stay importable at
-    module scope for the process pool.  A cell that cannot be built comes
-    back as a failed row carrying the error, so the rest of the grid stands."""
+    """One grid cell: synthesize, build, measure.  A cell that cannot be
+    built comes back as a failed row carrying the error, so the rest of the
+    grid stands."""
     (index, family, fam_params, a0_mod, a0_arg, a1_fraction, c, order) = payload
     try:
         a0 = a0_mod * np.exp(1j * a0_arg)
@@ -368,30 +359,6 @@ def _require_finite(value, key: str) -> None:
         raise ValueError(f"sweep config value {key} is not finite ({value})")
 
 
-def _run_cells(cells: list, workers: int) -> list[dict]:
-    """The rows of ``cells`` in grid order.  Cells run here, timed, until
-    the work they project for the rest of the grid ((elapsed / done) x
-    left) exceeds `POOL_BREAK_EVEN_S`; then, when ``workers`` > 1 and two
-    or more cells are left, a pool of min(workers, left) processes takes
-    the rest.  `_sweep_cell` is the same code in either process, so the
-    rows do not depend on where a cell ran."""
-    rows: list[dict] = []
-    start = time.perf_counter()
-    for done, cell in enumerate(cells, 1):
-        rows.append(_sweep_cell(cell))
-        left = len(cells) - done
-        projected = (time.perf_counter() - start) / done * left
-        if workers > 1 and left >= 2 and projected > POOL_BREAK_EVEN_S:
-            # imported here: a sweep below the break-even and every other
-            # command would pay for the import at start-up
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(workers, left)) as pool:
-                rows.extend(pool.map(_sweep_cell, cells[done:]))
-            break
-    return rows
-
-
 def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be an integer >= 1 (got {args.workers})")
@@ -423,7 +390,7 @@ def cmd_sweep(args) -> int:
         (idx, family, fam_params, m, arg, frac, cc, order)
         for idx, (m, arg, frac, cc) in enumerate(itertools.product(*axes))
     ]
-    rows = _run_cells(cells, args.workers)
+    rows = [_sweep_cell(cell) for cell in cells]
 
     result = {
         "schema": "wco-sweep/1",
@@ -522,7 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--config", type=str, required=True)
     sweep_cmd.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     sweep_cmd.add_argument("--output", type=str, default=None)
-    sweep_cmd.add_argument("--workers", type=int, default=1)
+    sweep_cmd.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for existing command lines; the cells run in this process",
+    )
     sweep_cmd.set_defaults(func=cmd_sweep)
 
     quad_cmd = sub.add_parser("quad", help="series norm vs integral quadrature norm")

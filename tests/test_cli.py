@@ -1,6 +1,5 @@
 """Command-line surface: outputs, exit codes, config handling."""
 
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wco
-from wco import cli, spaces
+from wco import spaces
 from wco.cli import main, parse_complex, parse_polynomial
 from wco.spaces import Binomial, QuadratureError
 
@@ -362,7 +361,7 @@ class TestSweepCommand:
         header = out.strip().split("\n")[0]
         assert "deviation" in header and "m2" in header
 
-    def test_deterministic_across_workers(self, capsys, tmp_path, monkeypatch):
+    def test_deterministic_across_workers(self, capsys, tmp_path):
         good = {
             "space": {"family": "binomial", "lambda": 1.0, "eta": 2.0},
             "grid": {"a0_mod": [0.2, 0.5], "a0_arg": [0.0, 1.0], "a1_fraction": [0.7], "c": [1.0]},
@@ -371,19 +370,9 @@ class TestSweepCommand:
         # a fraction outside [-1, 1] fails its own cells and no others
         bad = {
             "space": {"family": "binomial", "lambda": 0.5, "eta": 1.0},
-            "grid": {"a0_mod": [0.3], "a1_fraction": [0.5, 1.5, 0.25]},
+            "grid": {"a0_mod": [0.3], "a1_fraction": [0.5, 1.5]},
             "order": 16,
         }
-        pools = []  # the max_workers of every pool the sweeps start
-
-        class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-        # a break-even of 0 hands every cell after the first to the pool
-        monkeypatch.setattr(cli, "POOL_BREAK_EVEN_S", 0.0)
         for config, expected_code in ((good, 0), (bad, 1)):
             cfg = tmp_path / "sweep.json"
             cfg.write_text(json.dumps(config))
@@ -395,29 +384,11 @@ class TestSweepCommand:
                 assert code == expected_code
                 outputs.append(out)
             assert outputs[0] == outputs[1]
-        assert pools == [2, 2]
         rows = json.loads(outputs[0])["rows"]
-        assert [r["pass"] for r in rows] == [True, False, True]
+        assert [r["pass"] for r in rows] == [True, False]
         assert "error" not in rows[0] and rows[0]["deviation"] <= 1e-10
         assert rows[1]["a1_fraction"] == 1.5
         assert "fraction must lie in [-1, 1]" in rows[1]["error"]
-
-    def test_small_grid_runs_in_process(self, capsys, tmp_path, monkeypatch):
-        config = {
-            "space": {"family": "binomial", "lambda": 0.5, "eta": 1.0},
-            "grid": {"a0_mod": [0.2, 0.4], "a1_fraction": [-0.5, 0.5]},
-            "order": 16,
-        }
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(config))
-        single = run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "1")
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a 4-cell N = 16 sweep started a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        assert run_cli(capsys, "sweep", "--config", str(cfg), "--workers", "2") == single
-        assert single[0] == 0 and len(json.loads(single[1])["rows"]) == 4
 
     def test_fock_cells_outside_the_selfmap_region_fail(self, capsys, tmp_path):
         # a1_fraction scales the exact interval of lam = 0, [|a0| - 1, 1 - |a0|]
@@ -611,33 +582,27 @@ def test_cli_import_keeps_a_user_blas_thread_count():
     assert result.stdout.strip() == "2"
 
 
-def test_parallel_sweep_forks_from_a_one_thread_process(tmp_path):
-    # from Python 3.12 os.fork warns "This process (pid=...) is
-    # multi-threaded" (a DeprecationWarning); an idle BLAS worker was a thread.
-    # A break-even of 0 forces the pool onto this small grid, after its first
-    # cell has run in the parent.
+def test_sweep_starts_no_process_pool(tmp_path):
+    # every cell runs in the sweep process, whatever --workers says
     config = {
         "space": {"family": "binomial", "lambda": 1.0, "eta": 2.0},
-        "grid": {"a0_mod": [0.2, 0.5, 0.4], "a1_fraction": [0.7]},
+        "grid": {"a0_mod": [0.2, 0.5], "a1_fraction": [0.7]},
         "order": 16,
     }
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(config))
-    env = subprocess_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
     probe = (
-        "import sys, wco.cli as cli; cli.POOL_BREAK_EVEN_S = 0.0; "
-        "code = cli.main(sys.argv[1:]); "
-        "print('pool:', 'concurrent.futures.process' in sys.modules); sys.exit(code)"
+        "import sys, wco.cli as cli; code = cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+        "or m == 'concurrent.futures.process')); sys.exit(code)"
     )
     result = subprocess.run(
-        [sys.executable, "-W", "always:This process:DeprecationWarning", "-c", probe,
-         "sweep", "--config", str(cfg), "--workers", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", probe, "sweep", "--config", str(cfg), "--workers", "2"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert result.stderr == ""
-    sweep, pool = result.stdout.rstrip("\n").rsplit("\n", 1)
-    assert pool == "pool: True"
+    sweep, modules = result.stdout.rstrip("\n").rsplit("\n", 1)
+    assert modules == "[]"
     assert result.returncode == 0 and strict_json(sweep)["pass"] is True
 
 
