@@ -1,15 +1,18 @@
-"""Measure where `wco sweep`'s process pool starts to pay.
+"""Measure what a process pool would save `wco sweep`.
 
-Runs each grid below as `wco sweep --workers 2` subprocesses in two forms,
-alternating which goes first: with `cli.POOL_BREAK_EVEN_S` set to infinity
-(every cell in the sweep process) and set to 0 (the pool takes every cell
-after the first).  A grid's cell work is the time `_run_cells` takes when
-every cell runs in the sweep process.  The crossover is the cell work above
-which the pool saved wall time on every grid measured: the last change of
-sign of the saving, interpolated linearly between the grids on either
-side.  `POOL_BREAK_EVEN_S` is set from it.  Also times, in
-fresh interpreters that have imported `wco.cli`, importing the pool on its
-own and starting a 2-process pool, sending it one cell and shutting it down.
+`wco sweep` runs every cell in its own process.  For each grid below, a
+fresh interpreter collects the sweep's cells (through `wco.cli.main`, with
+`_sweep_cell` swapped for a recorder) and then times one of two forms,
+alternating which goes first: every cell in that process, or the cells
+handed to a `ProcessPoolExecutor` of min(2, cells) workers, as the pool
+that earlier versions started for `--workers 2` (the timing includes
+importing the pool, starting it and shutting it down).  A grid's cell work
+is the in-process time.  The crossover is the cell work above which the
+pool saved time on every grid measured: the last change of sign of the
+saving, interpolated linearly between the grids on either side.  Also
+times, in fresh interpreters that have imported `wco.cli`, importing the
+pool on its own and starting a 2-process pool, sending it one cell and
+shutting it down.
 
     python3 scripts/pool_crossover.py [--repeats 10] [--output crossover.json]
 """
@@ -20,30 +23,32 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
-
-from bench_ab import cpu_model, summary
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
-#: one sweep with `POOL_BREAK_EVEN_S` = argv[1]; writes the seconds spent in
-#: `_run_cells` (the cells, plus the pool when it starts) to stderr
-SWEEP = """
-import sys, time, wco.cli as cli
-cli.POOL_BREAK_EVEN_S = float(sys.argv[1])
-run = cli._run_cells
-def timed(cells, workers):
-    start = time.perf_counter()
-    rows = run(cells, workers)
-    print(time.perf_counter() - start, file=sys.stderr)
-    return rows
-cli._run_cells = timed
-sys.exit(cli.main(sys.argv[2:]))
+#: collects the cells of the sweep in argv[2:], then prints the seconds that
+#: running them takes in the form argv[1] ("in_process" or "pool")
+RUN_CELLS = """
+import contextlib, io, sys, time, wco.cli as cli
+form, argv, cells, cell = sys.argv[1], sys.argv[2:], [], cli._sweep_cell
+cli._sweep_cell = lambda c: cells.append(c) or {"index": c[0], "pass": True}
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+cli._sweep_cell = cell
+start = time.perf_counter()
+if form == "pool":
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(2, len(cells))) as pool:
+        list(pool.map(cell, cells))
+else:
+    [cell(c) for c in cells]
+print(time.perf_counter() - start)
 """
 POOL_IMPORT = (
     "import time, wco.cli; t = time.perf_counter(); "
@@ -86,28 +91,36 @@ README_GRID = {
     "order": 64,
 }
 
+EXPENSIVE_SPACE = {"family": "binomial", "lambda": 0.9, "eta": 1.0}
+
 GRIDS = {
     "readme-72-cells-N64": README_GRID,
     **{f"{k}-cells-N384": binomial_grid(384, k) for k in (4, 8, 16, 24, 32, 48, 64)},
     "16-cells-N512": binomial_grid(512, 16),
+    # a few expensive cells, one or two for each worker of the pool (at
+    # lam = 0.3 the generating coefficients underflow to 0 before N = 1500)
+    **{f"{k}-cells-N1500": {**binomial_grid(1500, k), "space": EXPENSIVE_SPACE}
+       for k in (2, 4)},
 }
 
 
-def sweep(path: Path, break_even: str) -> tuple[float, float]:
-    """Wall time of one sweep subprocess and the seconds it spent in `_run_cells`."""
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", SWEEP, break_even, "sweep", "--config", str(path),
-         "--workers", "2"],
-        env=ENV, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, timeout=600,
-    )
-    return time.perf_counter() - start, float(proc.stderr)
+def cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            return next(line.split(":", 1)[1].strip() for line in handle
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return None
 
 
-def child_value(code: str) -> float:
-    out = subprocess.run([sys.executable, "-c", code], env=ENV, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
+def summary(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "runs": values}
+
+
+def child_value(*argv: str) -> float:
+    out = subprocess.run([sys.executable, "-c", *argv], env=ENV, check=True,
+                         capture_output=True, text=True, timeout=600).stdout
     return float(out)
 
 
@@ -124,24 +137,23 @@ def main() -> None:
             paths[name].write_text(json.dumps(config))
         # every repeat visits every grid, so a slow drift of the host's load
         # spreads over all of them instead of landing on one
-        forms = [("in_process", "inf"), ("pool", "0")]
+        forms = ["in_process", "pool"]
         for rep in range(opts.repeats):
             for name in GRIDS:
-                for form, break_even in forms[:: 1 if rep % 2 == 0 else -1]:
-                    runs[name][form].append(sweep(paths[name], break_even))
+                for form in forms[:: 1 if rep % 2 == 0 else -1]:
+                    runs[name][form].append(child_value(
+                        RUN_CELLS, form, "sweep", "--config", str(paths[name])))
 
     rows = []
     for name, config in GRIDS.items():
         row = {"grid": name, "order": config["order"]}
-        for form, pairs in runs[name].items():
-            row[f"{form}_wall_s"] = summary([wall for wall, _ in pairs])
-            row[f"{form}_run_cells_s"] = summary([cells for _, cells in pairs])
-        row["cell_work_s"] = row["in_process_run_cells_s"]["median"]
-        row["pool_saving_s"] = row["in_process_wall_s"]["median"] - row["pool_wall_s"]["median"]
+        for form, times in runs[name].items():
+            row[f"{form}_s"] = summary(times)
+        row["cell_work_s"] = row["in_process_s"]["median"]
+        row["pool_saving_s"] = row["cell_work_s"] - row["pool_s"]["median"]
         rows.append(row)
-        print(f"{name:20s} cell work {row['cell_work_s']:.3f} s, wall: in process "
-              f"{row['in_process_wall_s']['median']:.3f} s, "
-              f"pool {row['pool_wall_s']['median']:.3f} s", file=sys.stderr)
+        print(f"{name:20s} in process {row['cell_work_s']:.3f} s, "
+              f"pool {row['pool_s']['median']:.3f} s", file=sys.stderr)
 
     rows.sort(key=lambda r: r["cell_work_s"])
     crossover = None
