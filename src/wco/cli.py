@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import operators, spaces, symbols, verify
-from .series import TruncatedSeries, is_json_number, series_from_json
+from .series import TruncatedSeries, is_json_number, require_finite, series_from_json
 from .spaces import (
     Binomial,
     DomainError,
@@ -247,26 +247,34 @@ def _polynomial_from_arg(text: str, order: int) -> TruncatedSeries:
     return parse_polynomial(text, order)
 
 
+def _in_double_range(norm: float, name: str) -> float:
+    """A norm whose square is a finite double; else ValueError naming the norm."""
+    if not math.isfinite(norm * norm):
+        raise ValueError(f"the {name} norm of f or its square leaves the double range")
+    return norm
+
+
 def cmd_quad(args) -> int:
     order = args.order
     ws = _space_from_args(args, order)
     cls = classify_weights(ws)
     f = _polynomial_from_arg(args.f, order)
-    series_norm = spaces.norm(f, ws)
-    payload = {
+    series_norm = _in_double_range(spaces.norm(f, ws), "series")
+    domain, q = spaces.integral_norm(cls, f)
+    q = _in_double_range(q, "quadrature")
+    gap = abs(q - series_norm) / max(series_norm, 1e-300)
+    _print_json({
         "f": args.f,
         "order": order,
         "space": space_class_to_json(cls),
         "series_norm": series_norm,
         "series_norm_sq": series_norm**2,
-    }
-    payload["quadrature"], q = spaces.integral_norm(cls, f)
-    payload["quadrature_norm"] = q
-    payload["quadrature_norm_sq"] = q**2
-    payload["relative_gap"] = abs(q - series_norm) / max(series_norm, 1e-300)
-    _print_json(payload)
-    tol = verify.DEFAULT_TOLERANCES["quadrature"]
-    return EXIT_OK if payload["relative_gap"] <= tol else EXIT_FAIL
+        "quadrature": domain,
+        "quadrature_norm": q,
+        "quadrature_norm_sq": q**2,
+        "relative_gap": gap,
+    })
+    return EXIT_OK if gap <= verify.DEFAULT_TOLERANCES["quadrature"] else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +313,16 @@ def _expand_axis(grid: dict, name: str, default: float) -> list[float]:
     return [_config_number(spec, key)]
 
 
-def _sweep_cell(payload):
-    """One grid cell: synthesize, build, measure.  A cell that cannot be
-    built comes back as a failed row carrying the error, so the rest of the
-    grid stands."""
-    (index, family, fam_params, a0_mod, a0_arg, a1_fraction, c, order) = payload
+def _sweep_cell(index, cls, ws, a0_mod, a0_arg, a1_fraction, c):
+    """One grid cell over the sweep's space ``cls`` with weights ``ws``:
+    synthesize, build, measure.  A cell that cannot be built comes back as
+    a failed row carrying the error, so the rest of the grid stands."""
     try:
         a0 = a0_mod * np.exp(1j * a0_arg)
-        if family == "binomial":
-            cls = Binomial(*fam_params)
-        else:
-            cls = Exponential(b_sq=fam_params[0] ** 2)
         interval = symbols.selfmap_interval(a0, cls.lam, 1.0)
         a1 = symbols.a1_from_fraction(interval, a1_fraction)
-        sp = symbols.synthesize(cls, a0, a1, c, order)
-        matrix = operators.build_matrix(sp, family_weights(cls, order), order)
+        sp = symbols.synthesize(cls, a0, a1, c, ws.order)
+        matrix = operators.build_matrix(sp, ws)
     except (ValueError, ArithmeticError) as exc:
         return {
             "index": index,
@@ -346,19 +349,6 @@ def _sweep_cell(payload):
     }
 
 
-def _require_finite(value, key: str) -> None:
-    """Reject a NaN or infinite number anywhere in a config section, naming
-    its key (``grid.a0_mod[1]``, ``space.lambda``)."""
-    if isinstance(value, dict):
-        for name, item in value.items():
-            _require_finite(item, f"{key}.{name}")
-    elif isinstance(value, list):
-        for idx, item in enumerate(value):
-            _require_finite(item, f"{key}[{idx}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"sweep config value {key} is not finite ({value})")
-
-
 def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be an integer >= 1 (got {args.workers})")
@@ -366,15 +356,15 @@ def cmd_sweep(args) -> int:
         config = _config_object(json.load(handle), "file")
     space = _config_object(config.get("space", {}), "space")
     grid = _config_object(config.get("grid", {}), "grid")
-    _require_finite(space, "space")
-    _require_finite(grid, "grid")
+    require_finite(space, "space", "sweep config")
+    require_finite(grid, "grid", "sweep config")
     family = space.get("family", "binomial")
     if family == "binomial":
-        fam_params = tuple(
+        lam, eta = (
             _config_number(space.get(key, 1.0), f"space.{key}") for key in ("lambda", "eta")
         )
     elif family == "fock":
-        fam_params = (_config_number(space.get("b", 1.0), "space.b"),)
+        b = _config_number(space.get("b", 1.0), "space.b")
     else:
         raise ValueError(f"sweep supports binomial and fock families (got {family!r})")
     axes = [
@@ -386,11 +376,14 @@ def cmd_sweep(args) -> int:
     order = args.order
     if "order" in config:
         order = valid_order(config["order"], "sweep config value order")
-    cells = [
-        (idx, family, fam_params, m, arg, frac, cc, order)
-        for idx, (m, arg, frac, cc) in enumerate(itertools.product(*axes))
-    ]
-    rows = [_sweep_cell(cell) for cell in cells]
+    # every cell shares one space; one that cannot be built (eta <= 0, b <= 0,
+    # a generating coefficient that is not a normal double) is a usage error
+    if family == "binomial":
+        cls = Binomial(lam, eta)
+        ws = family_weights(cls, order)
+    else:
+        cls, ws = Exponential(b_sq=b * b), fock_weights(b, order)
+    rows = [_sweep_cell(idx, cls, ws, *cell) for idx, cell in enumerate(itertools.product(*axes))]
 
     result = {
         "schema": "wco-sweep/1",

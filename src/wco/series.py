@@ -13,6 +13,7 @@ All values are immutable; every operation returns a fresh series.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,6 +32,7 @@ __all__ = [
     "binomial_series",
     "is_json_number",
     "json_order",
+    "require_finite",
     "series_from_json",
 ]
 
@@ -256,6 +258,20 @@ def json_order(obj, what: str) -> int:
     return obj["order"]
 
 
+def require_finite(value, key: str, what: str) -> None:
+    """Reject a NaN or infinite number (which `json.load` accepts as NaN,
+    Infinity or 1e400) anywhere in a JSON value, naming its key
+    (``coeffs[0][1]``, ``grid.a0_mod[1]``)."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            require_finite(item, f"{key}.{name}", what)
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            require_finite(item, f"{key}[{idx}]", what)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} value {key} is not finite ({value})")
+
+
 def series_from_json(obj) -> TruncatedSeries:
     """Series from the JSON shape {"order": N, "coeffs": [[re, im], ...]}."""
     order = json_order(obj, "series file")
@@ -264,6 +280,7 @@ def series_from_json(obj) -> TruncatedSeries:
         isinstance(p, list) and len(p) == 2 and all(map(is_json_number, p)) for p in pairs
     ):
         raise ValueError('series file key "coeffs" must be a list of [re, im] number pairs')
+    require_finite(pairs, "coeffs", "series file")
     if len(pairs) != order + 1:
         raise ValueError("coefficient count does not match the declared order")
     return TruncatedSeries(np.asarray([complex(re, im) for re, im in pairs], dtype=complex))

@@ -36,6 +36,7 @@ from .series import (
     exp_series,
     is_json_number,
     json_order,
+    require_finite,
 )
 
 __all__ = [
@@ -132,11 +133,11 @@ def family_weights(cls: "SpaceClass", order: int) -> WeightSequence:
         raise ValueError("family weights exist only for hospitable classes")
     with np.errstate(over="ignore", invalid="ignore"):
         khat = cls.generating_series(order).coeffs.real
-    for bad_mask, what in ((~np.isfinite(khat), "finite"), (khat <= 0.0, "positive"),
-                           (khat < sys.float_info.min, "normal")):
-        if np.any(bad_mask):
-            bad = int(np.argmax(bad_mask))
-            raise ValueError(f"generating coefficient {bad} is not {what}: {khat[bad]}")
+    bad = np.flatnonzero(~(np.isfinite(khat) & (khat >= sys.float_info.min)))
+    if bad.size:  # the first index that fails, with the first test it fails
+        j, value = int(bad[0]), khat[bad[0]]
+        what = "finite" if not np.isfinite(value) else "positive" if value <= 0.0 else "normal"
+        raise ValueError(f"generating coefficient {j} is not {what}: {value}")
     return WeightSequence(1.0 / np.sqrt(khat), provenance="family")
 
 
@@ -208,6 +209,8 @@ class Binomial:
     variant = "Binomial"
 
     def __post_init__(self):
+        if not self.eta > 0.0:
+            raise ValueError(f"eta must be positive (got {self.eta})")
         if self.gamma is None:
             object.__setattr__(self, "gamma", (self.eta + 1.0) / self.eta)
 
@@ -340,7 +343,8 @@ def norm(f: TruncatedSeries, ws: WeightSequence) -> float:
         raise OrderMismatchError(
             f"series order {f.order} does not match weight order {ws.order}"
         )
-    return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 * ws.beta**2)))
+    with np.errstate(over="ignore"):  # a norm beyond the double range is inf, quietly
+        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 * ws.beta**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +364,12 @@ def _eval_on_grid(f: TruncatedSeries, radii: np.ndarray, n_angular: int) -> np.n
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     grid = radii[:, None] * np.exp(1j * theta)[None, :]
     vals = np.zeros_like(grid)
-    for c in np.trim_zeros(f.coeffs, "b")[::-1]:
-        vals *= grid
-        vals += c
-    return np.mean(vals.real**2 + vals.imag**2, axis=1)
+    # a value beyond the double range comes back as inf or nan, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in np.trim_zeros(f.coeffs, "b")[::-1]:
+            vals *= grid
+            vals += c
+        return np.mean(vals.real**2 + vals.imag**2, axis=1)
 
 
 def _degree(f: TruncatedSeries) -> int:
@@ -606,6 +612,7 @@ def weights_from_json(obj) -> WeightSequence:
     beta = obj.get("beta")
     if not isinstance(beta, list) or not all(map(is_json_number, beta)):
         raise ValueError('weight file key "beta" must be a list of numbers')
+    require_finite(beta, "beta", "weight file")
     if len(beta) != order + 1:
         raise ValueError("weight count does not match the declared order")
     return WeightSequence(np.asarray(beta, dtype=float))

@@ -462,6 +462,27 @@ SWEEP = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16
          ["sweep", "--config", "{file}"], "grid.a0_mod.count must be an integer >= 1"),
         ({**SWEEP, "grid": {"a0_mod": {"start": 0.1, "stop": 0.5, "count": 0}}},
          ["sweep", "--config", "{file}", "--csv"], "grid.a0_mod.count must be an integer >= 1"),
+        ({"order": 2, "coeffs": [[float("nan"), 0], [1, 0], [0, 0]]},
+         ["quad", "--family", "hardy", "--order", "2", "--f", "{file}"],
+         "series file value coeffs[0][0] is not finite (nan)"),
+        ({"order": 2, "beta": [1, float("nan"), 1]}, ["classify", "--beta-file", "{file}"],
+         "weight file value beta[1] is not finite (nan)"),
+        ({"order": 2, "beta": [1, 1, float("inf")]}, ["check", "--beta-file", "{file}", *PAIR],
+         "weight file value beta[2] is not finite (inf)"),
+        (None, ["check", "--family", "bergman", "--eta", "0", *PAIR], "eta must be positive"),
+        (None, ["check", "--family", "binomial", "--lam", "0.5", "--eta", "0", *PAIR],
+         "eta must be positive"),
+        # the sweep builds its space once, before any cell: no rows
+        ({**SWEEP, "space": {"family": "binomial", "lambda": 0.5, "eta": 0}},
+         ["sweep", "--config", "{file}"], "eta must be positive (got 0.0)"),
+        ({**SWEEP, "space": {"family": "fock", "b": 0}}, ["sweep", "--config", "{file}"],
+         "the scale b must be positive"),
+        ({**SWEEP, "space": {"family": "fock", "b": -1}}, ["sweep", "--config", "{file}"],
+         "the scale b must be positive"),
+        ({**SWEEP, "space": {"family": "fock", "b": -1}},
+         ["sweep", "--config", "{file}", "--csv"], "the scale b must be positive"),
+        ({**SWEEP, "space": {"family": "fock", "b": 1}, "order": 200},
+         ["sweep", "--config", "{file}"], "generating coefficient 171 is not normal"),
     ],
     ids=[
         "check-beta-file-without-order", "classify-beta-file-without-order",
@@ -470,7 +491,10 @@ SWEEP = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16
         "sweep-axis-without-stop", "sweep-order-1", "sweep-order-negative",
         "sweep-order-fractional", "negative-order-option", "sweep-workers-0",
         "sweep-workers-negative", "sweep-empty-axis-json", "sweep-empty-axis-csv",
-        "sweep-zero-count-json", "sweep-zero-count-csv",
+        "sweep-zero-count-json", "sweep-zero-count-csv", "series-file-nan",
+        "beta-file-nan", "beta-file-infinity", "bergman-eta-0", "binomial-eta-0",
+        "sweep-eta-0", "sweep-b-0", "sweep-b-negative-json", "sweep-b-negative-csv",
+        "sweep-fock-order-200",
     ],
 )
 def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message):
@@ -478,16 +502,30 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message
     path.write_text(json.dumps(content))
     code, out, err = run_cli(capsys, *(str(path) if a == "{file}" else a for a in argv))
     assert code == 2 and out == ""
-    assert "error:" in err and message in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_underflowing_fock_weight_is_usage_error(capsys):
+    # 1/j! is subnormal from j = 171 and 0 from j = 178: the first index is named
     code, out, err = run_cli(
         capsys, "check", "--family", "fock", *PAIR, "--order", "200"
     )
     assert code == 2 and out == ""
-    assert "error: generating coefficient 178 is not positive" in err
+    assert "error: generating coefficient 171 is not normal" in err
+
+
+def test_quad_beyond_the_double_range_writes_no_warning(capsys):
+    # a RuntimeWarning raises under the suite's warning filter
+    code, out, err = run_cli(
+        capsys, "quad", "--family", "fock", "--b", "1", "--order", "170", "--f", "1+z^170"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("quadrature error: Gaussian norm quadrature not converged")
+    for space_args, f in ((["--family", "hardy"], "1e308+1e308*z"),
+                          (["--family", "bergman", "--eta", "2"], "1e200*z^3")):
+        code, out, err = run_cli(capsys, "quad", *space_args, "--f", f)
+        assert code == 2 and out == ""
+        assert err == "error: the series norm of f or its square leaves the double range\n"
 
 
 def test_subnormal_fock_weight_is_usage_error(capsys):

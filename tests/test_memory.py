@@ -42,6 +42,7 @@ def test_full_report_holds_at_most_two_sections(lam, eta, a0):
 
 def test_sweep_cell_holds_one_section():
     order = 384
-    payload = (0, "binomial", (0.3, 1.5), 0.3, 1.0, 0.5, 1.0, order)
-    assert _sweep_cell(payload)["pass"]
-    assert sections_at_peak(lambda: _sweep_cell(payload), order) <= 1.2
+    cls = Binomial(0.3, 1.5)
+    cell = (0, cls, family_weights(cls, order), 0.3, 1.0, 0.5, 1.0)
+    assert _sweep_cell(*cell)["pass"]
+    assert sections_at_peak(lambda: _sweep_cell(*cell), order) <= 1.2

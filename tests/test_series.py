@@ -209,6 +209,8 @@ class TestJson:
             ({"order": -1, "coeffs": []}, "integer >= 0"),
             ({"order": 0, "coeffs": [1]}, "pairs"),
             ({"order": 0, "coeffs": [[1, "0"]]}, "pairs"),
+            ({"order": 1, "coeffs": [[1, 0], [0, float("inf")]]},
+             r"coeffs\[1\]\[1\] is not finite"),
         ],
     )
     def test_shape_rejected(self, obj, message):

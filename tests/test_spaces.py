@@ -193,9 +193,20 @@ class TestWeightSequence:
                 WeightSequence(np.array(bad))
 
     def test_family_weights_require_positive_coefficients(self):
-        # 1/j! underflows to 0 at j = 178 on the b = 1 Fock space
-        with pytest.raises(ValueError, match="generating coefficient 178 is not positive"):
+        # lam < 0 alternates the signs of (1 - lam z)**(-eta)
+        with pytest.raises(ValueError, match=r"generating coefficient 1 is not positive: -0\.75"):
+            family_weights(Binomial(lam=-0.5, eta=1.5), 8)
+
+    def test_family_weights_name_the_first_failing_coefficient(self):
+        # 1/j! is subnormal from j = 171 and underflows to 0 from j = 178 on
+        # the b = 1 Fock space; the first index is named, with its test
+        with pytest.raises(ValueError, match="generating coefficient 171 is not normal"):
             family_weights(Exponential(b_sq=1.0), 200)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.5])
+    def test_binomial_refuses_non_positive_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            Binomial(lam=0.5, eta=eta)
 
     @pytest.mark.parametrize(
         "cls, order, index",
@@ -221,6 +232,7 @@ class TestWeightSequence:
             ({"order": 2}, '"beta"'),
             ({"order": 1, "beta": [1, "2"]}, '"beta"'),
             ({"order": 3, "beta": [1, 1, 1]}, "count"),
+            ({"order": 2, "beta": [1, float("nan"), 1]}, r"beta\[1\] is not finite"),
         ],
     )
     def test_json_shape_rejected(self, obj, message):
