@@ -2,9 +2,10 @@
 
 Output is JSON by default (CSV where it makes sense for tables); exit codes
 follow the verification contract: 0 all checks passed, 1 some check failed,
-2 usage or domain error.  The default truncation order is 64; --order sets
-another.  The verdicts read one fixed table, `verify.DEFAULT_TOLERANCES`
-(and `spaces.CLASSIFICATION_TOL` for classification); no option overrides it.
+2 usage or domain error.  Every subcommand reads its weights at one order
+(`_weights_from_args`).  The verdicts read one fixed table,
+`verify.DEFAULT_TOLERANCES` (and the classifier's `spaces.CLASSIFICATION_TOL`
+and `spaces.FIT_TOL`); no option overrides it.
 `sweep` runs its cells one after another in this process; `--workers` is
 still accepted (an integer >= 1) so that existing command lines run, but it
 starts no other process.
@@ -153,10 +154,19 @@ def parse_polynomial(text: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _space_from_args(args, order: int) -> WeightSequence:
-    if getattr(args, "beta_file", None):
+def _weights_from_args(args) -> WeightSequence:
+    """The weights a subcommand works on, at the one order of its run: a
+    family at --order (default 64); a --beta-file at its own order, cut when
+    --order is smaller and refused, naming both orders, when it is larger."""
+    if args.beta_file:
         with open(args.beta_file, "r", encoding="utf-8") as handle:
-            return weights_from_json(json.load(handle))
+            ws = weights_from_json(json.load(handle))
+        if args.order is None:
+            return ws
+        if args.order > ws.order:
+            raise ValueError(f"--order {args.order} exceeds the weight file's order {ws.order}")
+        return WeightSequence(ws.beta[: args.order + 1])
+    order = DEFAULT_ORDER if args.order is None else args.order
     family = (args.family or "").lower()
     if family == "hardy":
         return hardy_weights(order)
@@ -190,10 +200,7 @@ def _print_json(payload) -> None:
 
 def cmd_classify(args) -> int:
     if args.beta_file:
-        ws = _space_from_args(args, args.order)
-        if args.order is not None and args.order < ws.order:
-            ws = WeightSequence(ws.beta[: args.order + 1], ws.provenance)
-        cls = classify_weights(ws)
+        cls = classify_weights(_weights_from_args(args))
     else:
         if args.beta1 is None or args.beta2 is None:
             raise ValueError("classify needs BETA1 BETA2 or --beta-file")
@@ -203,8 +210,7 @@ def cmd_classify(args) -> int:
 
 
 def _report_for_args(args) -> verify.VerificationReport:
-    ws = _space_from_args(args, args.order)
-    return verify.full_report(ws, args.a0, args.a1, args.c, order=args.order)
+    return verify.full_report(_weights_from_args(args), args.a0, args.a1, args.c)
 
 
 def cmd_check(args) -> int:
@@ -255,17 +261,16 @@ def _in_double_range(norm: float, name: str) -> float:
 
 
 def cmd_quad(args) -> int:
-    order = args.order
-    ws = _space_from_args(args, order)
+    ws = _weights_from_args(args)
     cls = classify_weights(ws)
-    f = _polynomial_from_arg(args.f, order)
+    f = _polynomial_from_arg(args.f, ws.order)
     series_norm = _in_double_range(spaces.norm(f, ws), "series")
     domain, q = spaces.integral_norm(cls, f)
     q = _in_double_range(q, "quadrature")
     gap = abs(q - series_norm) / max(series_norm, 1e-300)
     _print_json({
         "f": args.f,
-        "order": order,
+        "order": ws.order,
         "space": space_class_to_json(cls),
         "series_norm": series_norm,
         "series_norm_sq": series_norm**2,
@@ -363,6 +368,9 @@ def cmd_sweep(args) -> int:
         lam, eta = (
             _config_number(space.get(key, 1.0), f"space.{key}") for key in ("lambda", "eta")
         )
+        # outside (0, 1] no binomial space is hospitable: refused before any cell
+        if not 0.0 < lam <= 1.0:
+            raise ValueError(f"sweep config value space.lambda must lie in (0, 1] (got {lam})")
     elif family == "fock":
         b = _config_number(space.get("b", 1.0), "space.b")
     else:
@@ -423,8 +431,9 @@ def _write_or_print(path, text) -> None:
 
 def _add_order_option(cmd) -> None:
     cmd.add_argument(
-        "--order", type=int, default=DEFAULT_ORDER,
-        help=f"truncation order N (default {DEFAULT_ORDER})",
+        "--order", type=int, default=None,
+        help=f"truncation order N (default {DEFAULT_ORDER}); a --beta-file is read "
+        "at its own order and cut to a smaller N",
     )
 
 
@@ -448,10 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     classify_cmd = sub.add_parser("classify", help="classify a space from beta(1), beta(2) or a weight file")
-    classify_cmd.add_argument(
-        "--order", type=int, default=None,
-        help="truncate a --beta-file to this order before verification",
-    )
+    _add_order_option(classify_cmd)
     classify_cmd.add_argument("beta1", type=finite_float, nargs="?", default=None)
     classify_cmd.add_argument("beta2", type=finite_float, nargs="?", default=None)
     classify_cmd.add_argument("--beta-file", type=str, default=None)
@@ -478,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     region_cmd.set_defaults(func=cmd_region)
 
     sweep_cmd = sub.add_parser("sweep", help="grid sweep driven by a JSON config")
-    _add_order_option(sweep_cmd)
+    sweep_cmd.add_argument(
+        "--order", type=int, default=DEFAULT_ORDER,
+        help=f"truncation order N (default {DEFAULT_ORDER}); a config's order wins",
+    )
     sweep_cmd.add_argument("--config", type=str, required=True)
     sweep_cmd.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     sweep_cmd.add_argument("--output", type=str, default=None)

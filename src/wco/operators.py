@@ -27,7 +27,8 @@ array: `hermitian_deviation` reads |M - M*| off it in blocks of
 `ROW_BLOCK` rows, `kernel_identity_residual` reads W K_w off it as a
 matrix-vector product, and `conjugation_check` compares it, again row
 block by row block, with the dilated pair's section.  Each check takes the
-section and reads the order from its shape.  A report therefore holds at
+section, reads the order from its shape and refuses symbols or weights of
+another order.  A report therefore holds at
 most two sections, the pair's and the dilated pair's, plus O(N) rows of
 scratch: at N = 512 (one section is 4.02 MiB) one `full_report` on a
 binomial pair peaks at 2.07 sections under tracemalloc (1.08 when lam = 1
@@ -41,7 +42,7 @@ import sys
 
 import numpy as np
 
-from .series import TruncatedSeries, compose_poly
+from .series import TruncatedSeries, common_order, compose_poly
 from .spaces import (
     Binomial,
     DomainError,
@@ -74,9 +75,10 @@ LOG_TAIL_CUTOFF = math.log(1e-30)
 ROW_BLOCK = 16
 
 
-def build_matrix(sp: SymbolPair, ws: WeightSequence, order: int | None = None) -> np.ndarray:
+def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
     """Assemble the section: column j is psi * phi^j, normalized, as a
-    read-only (N+1) x (N+1) complex array.
+    read-only (N+1) x (N+1) complex array, N the order that the symbols and
+    the weights share (ValueError naming both when they differ).
 
     A family pair (``sp.phi_pole`` set) has phi = a0 + a1 z / (1 - q z), so
     phi (1 - q z) = a0 + d z with d = a1 - a0 q, and the columns
@@ -98,24 +100,18 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence, order: int | None = None) -
     Measured entry error against a 50-digit reference: at most 2.0e-16 at
     N = 40 on Hardy, Bergman, binomial, Fock and Dirichlet pairs.
     """
-    n = sp.order if order is None else order
-    if ws.order < n or sp.order < n:
-        raise ValueError(
-            f"need symbols and weights at order >= {n} "
-            f"(got symbols {sp.order}, weights {ws.order})"
-        )
-    psi = sp.psi.truncated(n).coeffs
-    beta = ws.beta[: n + 1]
+    n = common_order(symbols=sp.order, weights=ws.order)
+    psi = sp.psi.coeffs
     if sp.phi_pole is None:
-        phi = sp.phi.truncated(n).coeffs
+        phi = sp.phi.coeffs
         entries = np.empty((n + 1, n + 1), dtype=complex)
         entries[:, 0] = psi
         for j in range(n):
             entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
     else:
         entries = _linear_fractional_table(psi, sp.a0, sp.a1, sp.phi_pole)
-    entries *= beta[:, None]
-    entries /= beta[None, :]
+    entries *= ws.beta[:, None]
+    entries /= ws.beta[None, :]
     entries.setflags(write=False)
     return entries
 
@@ -191,19 +187,19 @@ def apply(sp: SymbolPair, f: TruncatedSeries) -> TruncatedSeries:
     return sp.psi * compose_poly(f, sp.phi)
 
 
-def adjoint_on_kernel(
-    sp: SymbolPair, w: complex, ws: WeightSequence, order: int | None = None
-) -> TruncatedSeries:
-    """The adjoint applied to a kernel: conj(psi(w)) * K_{phi(w)}.
+def adjoint_on_kernel(sp: SymbolPair, w: complex, ws: WeightSequence) -> TruncatedSeries:
+    """The adjoint applied to a kernel: conj(psi(w)) * K_{phi(w)}, at the
+    order that the symbols and the weights share (ValueError naming both
+    when they differ).
 
     Requires phi(w) to stay inside the unit disk.
     """
     w = complex(w)
-    n = sp.order if order is None else order
+    common_order(symbols=sp.order, weights=ws.order)
     phi_w = sp.phi(w)
     if abs(phi_w) >= 1.0:
         raise DomainError(f"phi(w) = {phi_w} lies outside the open unit disk")
-    return complex(np.conj(sp.psi(w))) * kernel(phi_w, ws, n)
+    return complex(np.conj(sp.psi(w))) * kernel(phi_w, ws)
 
 
 def kernel_identity_residual(
@@ -214,9 +210,10 @@ def kernel_identity_residual(
     Zero (up to truncation and roundoff) exactly when the operator is
     Hermitian; `kernel_tail_bound` quantifies what truncating K_w dropped.
     The forward side W K_w = sum_j K_w(j) psi phi^j is the pair's section
-    ``m`` applied to the kernel in the normalized basis, M (K_w * beta), at
-    the order of ``m``.  The backward side conj(psi(w)) K_{phi(w)} is
-    evaluated in closed form.  A residual the double range cannot hold
+    ``m`` applied to the kernel in the normalized basis, M (K_w * beta).
+    The backward side conj(psi(w)) K_{phi(w)} is evaluated in closed form.
+    The section, the symbols and the weights must share one order (else
+    ValueError naming the orders).  A residual the double range cannot hold
     (Fock b = 0.0012, eta = 1e5 at N = 64) raises DomainError.
     """
     w = complex(w)
@@ -224,14 +221,12 @@ def kernel_identity_residual(
         raise DomainError(
             "kernel points are restricted to |w| <= 0.8 to keep the truncation tail controlled"
         )
-    n = m.shape[0] - 1
-    beta = ws.beta[: n + 1]
+    common_order(section=m.shape[0] - 1, weights=ws.order)
     with np.errstate(over="ignore", invalid="ignore"):
-        k_w = kernel(w, ws, n)
-        backward = adjoint_on_kernel(sp, w, ws, n).coeffs * beta
+        backward = adjoint_on_kernel(sp, w, ws).coeffs * ws.beta
         # einsum's own loop, not BLAS gemv: its summation order does not depend
         # on the BLAS library numpy links, so the residual's bits do not either
-        forward = np.einsum("ij,j->i", m, k_w.coeffs * beta)
+        forward = np.einsum("ij,j->i", m, kernel(w, ws).coeffs * ws.beta)
         # scaled by a power of two before squaring (bitwise the same, unless
         # entries near the top of the double range would overflow: Fock b = 0.01)
         diff = np.abs(forward - backward)
@@ -293,15 +288,16 @@ def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:
     The pair over the lam < 1 space and its dilated lam = 1 counterpart are
     intertwined by the (unitary) dilation z -> sqrt(lam) z, whose matrix in
     the two normalized bases is the identity; the pair's section ``m`` and
-    the dilated pair's section at the same order must agree entry by entry.
+    the dilated pair's section at the same order must agree entry by entry
+    (ValueError naming both orders when ``m`` and ``sp`` differ).
     The dilated section is built in full (it is the oracle); the difference
     is taken `ROW_BLOCK` rows at a time.
     """
     if not isinstance(sp.cls, Binomial):
         raise ValueError("the conjugation identity applies to binomial pairs")
-    n = m.shape[0] - 1
-    tilted = dilate(sp, n)
-    m_one = build_matrix(tilted, family_weights(tilted.cls, n), n)
+    n = common_order(section=m.shape[0] - 1, symbols=sp.order)
+    tilted = dilate(sp)
+    m_one = build_matrix(tilted, family_weights(tilted.cls, n))
     return float(np.max([
         np.max(np.abs(m[r : r + ROW_BLOCK] - m_one[r : r + ROW_BLOCK]))
         for r in range(0, n + 1, ROW_BLOCK)

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "OrderMismatchError",
+    "common_order",
     "TruncatedSeries",
     "polynomial",
     "zero",
@@ -39,6 +40,16 @@ __all__ = [
 
 class OrderMismatchError(ValueError):
     """Operands of series arithmetic have different truncation orders."""
+
+
+def common_order(**orders: int) -> int:
+    """The truncation order that the named inputs share; OrderMismatchError
+    naming each input's order when they differ."""
+    first, *rest = orders.values()
+    if any(order != first for order in rest):
+        named = ", ".join(f"{name} {order}" for name, order in orders.items())
+        raise OrderMismatchError(f"orders differ: {named}")
+    return first
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -63,17 +74,11 @@ class TruncatedSeries:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    def _require_same_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"series orders differ: {self.order} vs {other.order}"
-            )
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
-            self._require_same_order(other)
+            common_order(left=self.order, right=other.order)
             return TruncatedSeries(self.coeffs + other.coeffs)
         c = self.coeffs.copy()
         c[0] += other
@@ -93,7 +98,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.coeffs * complex(other))
-        self._require_same_order(other)
+        common_order(left=self.order, right=other.order)
         a, b = self.coeffs, other.coeffs
         # Canonical operand order makes f*g and g*f bitwise identical
         # (np.convolve is not symmetric in its rounding).
@@ -117,7 +122,7 @@ class TruncatedSeries:
         """Series division; the divisor must have a nonzero constant term."""
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.coeffs / complex(other))
-        self._require_same_order(other)
+        common_order(left=self.order, right=other.order)
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("series division requires a nonzero constant term")
         n = self.order + 1
@@ -206,7 +211,7 @@ def compose_poly(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     is a genuine polynomial of its stated degree; if f is the truncation of
     a longer series the dropped tail contaminates every output coefficient.
     """
-    f._require_same_order(g)
+    common_order(f=f.order, g=g.order)
     out = zero(f.order)
     power = one(f.order)
     for j in range(f.order + 1):

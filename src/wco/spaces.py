@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import (
-    OrderMismatchError,
     TruncatedSeries,
     binomial_series,
+    common_order,
     exp_series,
     is_json_number,
     json_order,
@@ -98,7 +98,6 @@ class WeightSequence:
     """Monomial norms beta(0..N) with beta(0) = 1 and beta(j) > 0."""
 
     beta: np.ndarray
-    provenance: str = "explicit"
 
     def __post_init__(self):
         b = np.array(self.beta, dtype=float)
@@ -138,12 +137,12 @@ def family_weights(cls: "SpaceClass", order: int) -> WeightSequence:
         j, value = int(bad[0]), khat[bad[0]]
         what = "finite" if not np.isfinite(value) else "positive" if value <= 0.0 else "normal"
         raise ValueError(f"generating coefficient {j} is not {what}: {value}")
-    return WeightSequence(1.0 / np.sqrt(khat), provenance="family")
+    return WeightSequence(1.0 / np.sqrt(khat))
 
 
 def hardy_weights(order: int) -> WeightSequence:
     """beta(j) = 1: the classical Hardy space of the disk."""
-    return WeightSequence(np.ones(order + 1), provenance="family")
+    return WeightSequence(np.ones(order + 1))
 
 
 def bergman_weights(eta: float, order: int) -> WeightSequence:
@@ -230,9 +229,12 @@ class Binomial:
 
 @dataclass(frozen=True)
 class CoefficientMismatch:
+    """The first generating coefficient off the family form: ``expected``
+    from the weights, ``found`` from the family, ``gap`` > `FIT_TOL` between."""
     index: int
     expected: float
     found: float
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -289,18 +291,23 @@ def verify_candidate(ws: WeightSequence, cls: SpaceClass) -> CoefficientMismatch
     The classifier only sees beta(1) and beta(2); this compares 1/beta(j)^2
     with the candidate generating coefficients for all j up to the order.
     Returns None when all coefficients agree to relative `FIT_TOL`, else the
-    first mismatch (``expected`` is what the weights say, ``found`` what the
-    family predicts).
+    first mismatch.
     """
     if isinstance(cls, NotHospitable):
         raise ValueError("cannot verify an inhospitable classification")
     candidate = cls.generating_series(ws.order).coeffs.real
     actual = ws.generating_coefficients()
-    off = np.abs(actual - candidate) > FIT_TOL * np.maximum(np.abs(actual), np.abs(candidate))
+    size = np.maximum(np.abs(actual), np.abs(candidate))
+    off = np.abs(actual - candidate) > FIT_TOL * size
     if not np.any(off):
         return None
     j = int(np.argmax(off))
-    return CoefficientMismatch(index=j, expected=float(actual[j]), found=float(candidate[j]))
+    return CoefficientMismatch(
+        index=j,
+        expected=float(actual[j]),
+        found=float(candidate[j]),
+        gap=float(abs(actual[j] - candidate[j]) / size[j]),
+    )
 
 
 def classify_weights(ws: WeightSequence) -> SpaceClass:
@@ -325,24 +332,18 @@ def classify_weights(ws: WeightSequence) -> SpaceClass:
 # kernels and norms
 
 
-def kernel(w: complex, ws: WeightSequence, order: int | None = None) -> TruncatedSeries:
-    """Reproducing kernel K_w: coefficient j is conj(w)^j / beta(j)^2."""
+def kernel(w: complex, ws: WeightSequence) -> TruncatedSeries:
+    """Reproducing kernel K_w at the order of the weights: coefficient j is
+    conj(w)^j / beta(j)^2."""
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError(f"kernel points must lie in the open unit disk (|w| = {abs(w)})")
-    n = ws.order if order is None else order
-    if n > ws.order:
-        raise ValueError("kernel order exceeds the weight sequence order")
-    j = np.arange(n + 1)
-    return TruncatedSeries(np.conj(w) ** j / ws.beta[: n + 1] ** 2)
+    return TruncatedSeries(np.conj(w) ** np.arange(ws.order + 1) / ws.beta**2)
 
 
 def norm(f: TruncatedSeries, ws: WeightSequence) -> float:
     """The H^2(beta) norm sqrt(sum |f(j)|^2 beta(j)^2)."""
-    if f.order != ws.order:
-        raise OrderMismatchError(
-            f"series order {f.order} does not match weight order {ws.order}"
-        )
+    common_order(series=f.order, weights=ws.order)
     with np.errstate(over="ignore"):  # a norm beyond the double range is inf, quietly
         return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 * ws.beta**2)))
 

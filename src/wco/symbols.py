@@ -285,8 +285,8 @@ def mobius_circle_max(a0: complex, a1: float, lam: float, rho: float = 1.0) -> f
 # dilation to the lam = 1 normal form
 
 
-def dilate(sp: SymbolPair, order: int | None = None) -> SymbolPair:
-    """Conjugate a binomial pair to its lam = 1 normal form.
+def dilate(sp: SymbolPair) -> SymbolPair:
+    """Conjugate a binomial pair to its lam = 1 normal form, at the pair's order.
 
     Replaces a0 by sqrt(lam) a0 (same a1, same c) over the space with
     generating function (1 - z)^(-eta).  Composing with the dilation
@@ -297,6 +297,5 @@ def dilate(sp: SymbolPair, order: int | None = None) -> SymbolPair:
     cls = sp.cls
     if not isinstance(cls, Binomial):
         raise ValueError("dilation applies to binomial-family pairs only")
-    n = sp.order if order is None else order
     target = Binomial(lam=1.0, eta=cls.eta)
-    return synthesize(target, math.sqrt(cls.lam) * sp.a0, sp.a1, sp.c, n)
+    return synthesize(target, math.sqrt(cls.lam) * sp.a0, sp.a1, sp.c, sp.order)

@@ -35,6 +35,7 @@ from .spaces import (
     Exponential,
     NotHospitable,
     QuadratureError,
+    SpaceClass,
     WeightSequence,
     classify_weights,
     flat_weights,
@@ -290,60 +291,51 @@ def _selfmap_check(sp: SymbolPair) -> Check:
     )
 
 
-def full_report(
-    ws: WeightSequence,
-    a0: complex,
-    a1: complex,
-    c: complex,
-    order: int | None = None,
-) -> VerificationReport:
-    """Run every oracle against one (space, parameters) configuration.
+def _classification_check(cls: SpaceClass) -> Check:
+    """Passes exactly when `classify_weights` returned a hospitable class.
+    A coefficient mismatch reports the relative gap that
+    `spaces.verify_candidate` decided with, against `spaces.FIT_TOL`; a
+    lambda outside [0, 1] its distance from that interval."""
+    hospitable = not isinstance(cls, NotHospitable)
+    residual, tol, note = 0.0, spaces.CLASSIFICATION_TOL, f"family: {cls.variant}"
+    if not hospitable:
+        mm, note = cls.mismatch, f"reason: {cls.reason}"
+        if mm is None:
+            residual = max(cls.lam - 1.0, -cls.lam, 0.0)
+        else:
+            residual, tol = mm.gap, spaces.FIT_TOL
+            note += (
+                f" at index {mm.index}: weights give {mm.expected:.9g}, "
+                f"family form gives {mm.found:.9g}"
+            )
+    return Check(
+        "hospitable-classification", residual, tol, hospitable,
+        "two-weight discriminant + full-sequence fit", note,
+    )
+
+
+def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> VerificationReport:
+    """Run every oracle against one (space, parameters) configuration, at
+    the order of the weights.
 
     The report is deterministic given its inputs.  For hospitable spaces
     all checks are expected to pass; for inhospitable ones the matrix, ODE
     and kernel oracles must agree in rejecting the candidate.
     """
     tol = DEFAULT_TOLERANCES
-    n = ws.order if order is None else order
-    if ws.order < n:
-        raise ValueError("weights are shorter than the requested order")
-
+    n = ws.order
     cls = classify_weights(ws)
     subject = {
         "space": space_class_to_json(cls),
-        "beta_head": [float(b) for b in ws.beta[: min(5, n + 1)]],
+        "beta_head": [float(b) for b in ws.beta[:5]],
         "a0": [complex(a0).real, complex(a0).imag],
         "a1": [complex(a1).real, complex(a1).imag],
         "c": [complex(c).real, complex(c).imag],
         "order": n,
         "kernel_point": [KERNEL_POINT.real, KERNEL_POINT.imag],
     }
-    checks: list[Check] = []
-
+    checks = [_classification_check(cls)]
     hospitable = not isinstance(cls, NotHospitable)
-    if hospitable:
-        hosp_residual = 0.0
-        hosp_note = f"family: {cls.variant}"
-    else:
-        hosp_note = f"reason: {cls.reason}"
-        mm = cls.mismatch  # set exactly for a coefficient-mismatch class
-        if mm is None:
-            hosp_residual = max(cls.lam - 1.0, -cls.lam, 0.0)
-        else:
-            hosp_residual = abs(mm.expected - mm.found)
-            hosp_note += (
-                f" at index {mm.index}: weights give {mm.expected:.9g}, "
-                f"family form gives {mm.found:.9g}"
-            )
-    checks.append(
-        _residual_check(
-            "hospitable-classification",
-            hosp_residual,
-            spaces.CLASSIFICATION_TOL,
-            "two-weight discriminant + full-sequence fit",
-            hosp_note,
-        )
-    )
 
     # symbols: family closed form when available, general shape otherwise
     if hospitable:
@@ -354,7 +346,7 @@ def full_report(
 
     checks.append(_selfmap_check(sp))
 
-    m = operators.build_matrix(sp, ws, n)
+    m = operators.build_matrix(sp, ws)
     deviation, argmax, moments = operators.hermitian_deviation(m)
     checks.append(
         _residual_check(
@@ -375,10 +367,7 @@ def full_report(
     # The ODE on the family closed form when the space is hospitable (the
     # full-sequence fit already tied the weights to it), on the weights' own
     # 1/beta^2 otherwise; either way coefficients 0..N, exact at every m.
-    if hospitable:
-        k = cls.generating_series(n)
-    else:
-        k = TruncatedSeries(ws.generating_coefficients()[: n + 1])
+    k = cls.generating_series(n) if hospitable else TruncatedSeries(ws.generating_coefficients())
     try:
         ode = ode_residual(k, float(ws.beta[1]), float(ws.beta[2]))
         ode_note = f"peak at coefficient m = {ode.coefficient}"

@@ -123,7 +123,7 @@ def test_criterion_04_hermitian_certification_grid():
         cells = 0
         for cls, ws, a0, a1, c in _certification_grid(96):
             sp = synthesize(cls, a0, a1, c, 96)
-            m = operators.build_matrix(sp, ws, 96)
+            m = operators.build_matrix(sp, ws)
             assert operators.hermitian_deviation(m)[0] <= 1e-10
             assert operators.kernel_identity_residual(m, sp, ws, w) <= 1e-8
             cells += 1
@@ -137,9 +137,9 @@ def test_criterion_05_perturbation_detection():
         rotation = np.exp(0.1j)
         for cls, ws, a0, a1, c in _certification_grid(64):
             sp_a1 = synthesize(cls, a0, a1 + 0.05j, c, 64)
-            assert operators.hermitian_deviation(operators.build_matrix(sp_a1, ws, 64))[0] > 1e-3
+            assert operators.hermitian_deviation(operators.build_matrix(sp_a1, ws))[0] > 1e-3
             sp_c = synthesize(cls, a0, a1, c * rotation, 64)
-            assert operators.hermitian_deviation(operators.build_matrix(sp_c, ws, 64))[0] > 1e-3
+            assert operators.hermitian_deviation(operators.build_matrix(sp_c, ws))[0] > 1e-3
 
 
 def test_criterion_06_ode_oracle():
@@ -225,7 +225,7 @@ def test_criterion_11_dilation_conjugation():
                 sp = synthesize(
                     cls, 0.45 * np.exp(0.8j), a1_from_fraction(interval, 0.5), 1.0, 64
                 )
-                m = operators.build_matrix(sp, family_weights(cls, 64), 64)
+                m = operators.build_matrix(sp, family_weights(cls, 64))
                 assert operators.conjugation_check(m, sp) <= 1e-10
 
 
@@ -240,11 +240,10 @@ def test_criterion_12_fock_bound_dominance():
             c = rng.uniform(0.3, 2.0)
             cls = Exponential(b_sq=b * b)
             sp = synthesize(cls, a0, a1, c, 64)
-            ws = fock_weights(b, 64)
             bound = operators.fock_bound(sp)
             sigmas = []
             for n in (16, 32, 64):
-                m = operators.build_matrix(sp, ws, n)
+                m = operators.build_matrix(synthesize(cls, a0, a1, c, n), fock_weights(b, n))
                 sigmas.append(operators.finite_section_norm(m))
             # sections are nested compressions: sigma_max must not decrease,
             # and the analytic bound caps the squared operator norm

@@ -429,6 +429,9 @@ class TestSweepCommand:
 
 PAIR = ["--a0", "0.3", "--a1", "0.2", "--c", "1"]
 SWEEP = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16}
+SWEEP_LAMBDA_2 = {
+    "space": {"family": "binomial", "lambda": 2.0}, "grid": {"a0_mod": [0.2, 0.4]}, "order": 32,
+}
 
 
 @pytest.mark.parametrize(
@@ -483,6 +486,10 @@ SWEEP = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16
          ["sweep", "--config", "{file}", "--csv"], "the scale b must be positive"),
         ({**SWEEP, "space": {"family": "fock", "b": 1}, "order": 200},
          ["sweep", "--config", "{file}"], "generating coefficient 171 is not normal"),
+        # a lambda above 1 still builds weights, but no cell over it is hospitable
+        (SWEEP_LAMBDA_2, ["sweep", "--config", "{file}"], "space.lambda must lie in (0, 1]"),
+        (SWEEP_LAMBDA_2, ["sweep", "--config", "{file}", "--csv"],
+         "space.lambda must lie in (0, 1]"),
     ],
     ids=[
         "check-beta-file-without-order", "classify-beta-file-without-order",
@@ -494,7 +501,7 @@ SWEEP = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16
         "sweep-zero-count-json", "sweep-zero-count-csv", "series-file-nan",
         "beta-file-nan", "beta-file-infinity", "bergman-eta-0", "binomial-eta-0",
         "sweep-eta-0", "sweep-b-0", "sweep-b-negative-json", "sweep-b-negative-csv",
-        "sweep-fock-order-200",
+        "sweep-fock-order-200", "sweep-lambda-2-json", "sweep-lambda-2-csv",
     ],
 )
 def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message):
@@ -763,6 +770,63 @@ def test_default_order_is_64_whatever_the_environment(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out)["subject"]["order"] == 64
+
+
+@pytest.fixture
+def bergman_files(tmp_path):
+    """The exact Bergman eta = 2 weights at order 100, and a copy with
+    beta(90) raised by 0.1%, which only the coefficients past 64 see."""
+    beta = spaces.bergman_weights(2.0, 100).beta.tolist()
+    exact, off = tmp_path / "bergman.json", tmp_path / "bergman-off.json"
+    exact.write_text(json.dumps({"order": 100, "beta": beta}))
+    off.write_text(json.dumps({"order": 100, "beta": [*beta[:90], beta[90] * 1.001, *beta[91:]]}))
+    return {"exact": exact, "beta90-off": off}
+
+
+@pytest.mark.parametrize("order", [None, "64", "200"], ids=["file-order", "64", "200"])
+@pytest.mark.parametrize("file", ["exact", "beta90-off"])
+def test_one_order_across_subcommands(capsys, bergman_files, file, order):
+    order_args = [] if order is None else ["--order", order]
+    runs = {
+        command: run_cli(
+            capsys, command, "--beta-file", str(bergman_files[file]), *order_args, *extra
+        )
+        for command, extra in (
+            ("classify", []), ("check", PAIR), ("report", PAIR), ("quad", ["--f", "z^3"]),
+        )
+    }
+    if order == "200":
+        for code, out, err in runs.values():
+            assert code == 2 and out == ""
+            assert err == "error: --order 200 exceeds the weight file's order 100\n"
+        return
+    for code, out, err in runs.values():
+        assert "order" not in err
+    variant = json.loads(runs["classify"][1])["variant"]
+    assert json.loads(runs["check"][1])["subject"]["space"]["variant"] == variant
+    # beta(90) is inside the run only at the file's own order
+    hospitable = file == "exact" or order == "64"
+    assert variant == ("Binomial" if hospitable else "NotHospitable")
+    for command in ("classify", "check", "report"):
+        assert runs[command][0] == (0 if hospitable else 1)
+    if hospitable:
+        assert runs["quad"][0] == 0
+
+
+def test_check_fails_a_fock_file_off_the_family_by_1e8(capsys, tmp_path):
+    beta = spaces.fock_weights(1.0, 64).beta.tolist()
+    beta[60] *= 1.0 + 1e-8
+    path = tmp_path / "fock.json"
+    path.write_text(json.dumps({"order": 64, "beta": beta}))
+    code, out, _ = run_cli(capsys, "classify", "--beta-file", str(path))
+    assert code == 1 and json.loads(out)["reason"] == "coefficient-mismatch"
+    code, out, _ = run_cli(capsys, "check", "--beta-file", str(path), *PAIR)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    classification = checks["hospitable-classification"]
+    assert not classification["pass"]
+    assert classification["residual"] == pytest.approx(2e-8, rel=1e-6)
+    assert classification["tolerance"] == spaces.FIT_TOL
 
 
 #: report oracle for each integral-norm domain `wco quad` names

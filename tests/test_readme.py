@@ -1,10 +1,10 @@
 """The README's library quick tour runs as printed and shows what it says,
-and its command-line examples use only options the parser knows."""
+and its command-line examples parse and run with the exit codes it gives."""
 
 import shlex
 from pathlib import Path
 
-from wco.cli import build_parser
+from wco.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,6 +26,14 @@ def test_quick_tour_values(capsys):
     assert capsys.readouterr().out.rstrip().endswith("overall: FAIL")
 
 
+def sweep_config() -> str:
+    """The json block under "A sweep config:"."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("A sweep config:") :]
+    start = section.index("```json\n") + len("```json\n")
+    return section[start : section.index("```", start)]
+
+
 def command_line_examples() -> list[str]:
     """Every ``wco ...`` line of the sh block under the "Command line" heading."""
     text = README.read_text(encoding="utf-8")
@@ -42,3 +50,21 @@ def test_command_line_examples_parse():
     parser = build_parser()
     for line in examples:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_command_line_examples_run(capsys, monkeypatch, tmp_path):
+    # the sweep reads the README's own config; the weight-file example names
+    # a file the README does not show, so it is only parsed (above)
+    (tmp_path / "sweep.json").write_text(sweep_config(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in command_line_examples():
+        argv = shlex.split(line)[1:]
+        if "--beta-file" in argv:
+            continue
+        # flat weights (beta(1) = beta(2) = 2) are not hospitable: exit 1
+        assert main(argv) == (1 if argv == ["classify", "2", "2"] else 0), line
+        ran += 1
+    capsys.readouterr()
+    assert ran == 8
+    assert (tmp_path / "rows.csv").read_text(encoding="utf-8").count("\n") == 73

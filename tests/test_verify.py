@@ -341,7 +341,7 @@ class TestFullReport:
             assert ode_ok == expect
 
     def test_report_lines_and_json(self):
-        report = full_report(hardy_weights(32), 0.5, 0.1, 1.0, order=32)
+        report = full_report(hardy_weights(32), 0.5, 0.1, 1.0)
         lines = report.lines()
         assert lines[-1] == "overall: PASS"
         assert all(line.startswith("[PASS]") for line in lines[:-1])
@@ -356,10 +356,47 @@ class TestFullReport:
 
         for ws, lam in ((hardy_weights(48), 1.0), (fock_weights(1.0, 48), 0.0)):
             interval = selfmap_interval(0.5, lam, 1.0)
-            report = full_report(ws, 0.5, interval.a1_max, 1.0, order=48)
+            report = full_report(ws, 0.5, interval.a1_max, 1.0)
             selfmap = next(c for c in report.checks if c.name == "selfmap")
             assert selfmap.passed and selfmap.oracle == "exact interval"
             assert "endpoint" in selfmap.notes
+
+
+def fock_with_beta60_off() -> spaces.WeightSequence:
+    """Fock b = 1 weights at order 64 with beta(60) raised by a relative 1e-8:
+    the generating coefficient 60 (about 1e-82) is off by 2e-8 relative."""
+    beta = fock_weights(1.0, 64).beta.copy()
+    beta[60] *= 1.0 + 1e-8
+    return spaces.WeightSequence(beta)
+
+
+@pytest.mark.parametrize(
+    "ws, reason",
+    [
+        (hardy_weights(32), None),
+        (fock_weights(1.0, 32), None),
+        (bergman_weights(0.5, 32), None),
+        # beta(2)^2 = 4 > 2 beta(1)^4: gamma = 1/2, lambda = -1/2
+        (spaces.WeightSequence(np.r_[1.0, 1.0, np.full(31, 2.0)]), "lambda-negative"),
+        (flat_weights(32), "lambda-exceeds-one"),
+        (dirichlet_weights(32), "coefficient-mismatch"),
+        (fock_with_beta60_off(), "coefficient-mismatch"),
+    ],
+    ids=["hardy", "fock", "bergman-0.5", "lambda-negative", "lambda-exceeds-one",
+         "dirichlet", "fock-beta60-off"],
+)
+def test_classification_check_reads_the_classifier(ws, reason):
+    cls = spaces.classify_weights(ws)
+    assert getattr(cls, "reason", None) == reason
+    report = full_report(ws, 0.3, 0.2, 1.0)
+    check = next(c for c in report.checks if c.name == "hospitable-classification")
+    assert check.passed == (not isinstance(cls, NotHospitable))
+    if reason == "coefficient-mismatch":
+        # the relative gap the fit decided with, against the fit's tolerance
+        assert check.residual == cls.mismatch.gap > check.tolerance == spaces.FIT_TOL
+        assert not report.passed
+    else:
+        assert check.tolerance == spaces.CLASSIFICATION_TOL
 
 
 def test_rejection_gallery_grid():
