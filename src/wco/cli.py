@@ -3,9 +3,10 @@
 Output is JSON by default (CSV where it makes sense for tables); exit codes
 follow the verification contract: 0 all checks passed, 1 some check failed,
 2 usage or domain error.  Every subcommand reads its weights at one order
-(`_weights_from_args`).  The verdicts read one fixed table,
-`verify.DEFAULT_TOLERANCES` (and the classifier's `spaces.CLASSIFICATION_TOL`
-and `spaces.FIT_TOL`); no option overrides it.
+(`_weights_from_args`) and classifies them by their coefficient ratios
+(`spaces.classify_weights`).  The verdicts read one fixed table,
+`verify.DEFAULT_TOLERANCES`, and the classifier's `spaces.CLASSIFICATION_TOL`
+(its first slope) and `spaces.FIT_TOL` (its ratio fit); no option overrides them.
 `sweep` runs its cells one after another in this process; `--workers` is
 still accepted (an integer >= 1) so that existing command lines run, but it
 starts no other process.
@@ -36,7 +37,6 @@ from .spaces import (
     QuadratureError,
     WeightSequence,
     bergman_weights,
-    classify_space,
     classify_weights,
     dirichlet_weights,
     family_weights,
@@ -200,11 +200,12 @@ def _print_json(payload) -> None:
 
 def cmd_classify(args) -> int:
     if args.beta_file:
-        cls = classify_weights(_weights_from_args(args))
+        ws = _weights_from_args(args)
+    elif args.beta1 is None or args.beta2 is None:
+        raise ValueError("classify needs BETA1 BETA2 or --beta-file")
     else:
-        if args.beta1 is None or args.beta2 is None:
-            raise ValueError("classify needs BETA1 BETA2 or --beta-file")
-        cls = classify_space(args.beta1, args.beta2)
+        ws = WeightSequence([1.0, args.beta1, args.beta2])
+    cls = classify_weights(ws)
     _print_json(space_class_to_json(cls))
     return EXIT_OK if not isinstance(cls, NotHospitable) else EXIT_FAIL
 

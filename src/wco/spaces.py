@@ -5,19 +5,19 @@ beta(0) = 1 and beta(j) = ||z^j||.  The reciprocal squares 1/beta(j)^2 are
 the coefficients of the space's generating function k, which in turn
 produces the reproducing kernels K_w(z) = k(conj(w) z).
 
-Classification asks whether the first two weights are consistent with one
-of the two hospitable families:
+Classification (`classify_weights`) reads the coefficient ratios
+t_j = (j + 1) khat(j + 1)/khat(j) = (j + 1) (beta(j)/beta(j + 1))^2, which
+the two hospitable families make affine in j:
 
-* exponential: k(z) = exp(z / beta(1)^2), when gamma = 2 beta(1)^4 / beta(2)^2
-  equals 1 (a Fock space in disguise);
-* binomial: k(z) = (1 - lam z)**(-1/(lam beta(1)^2)) with
-  lam = (gamma - 1)/beta(1)^2 in (0, 1] (Hardy, weighted Bergman, and their
-  lam < 1 dilates).
+* exponential: k(z) = exp(z / beta(1)^2), t_j = 1/beta(1)^2 (a Fock space);
+* binomial: k(z) = (1 - lam z)**(-eta), t_j = lam (eta + j) with lam in
+  (0, 1] (Hardy, weighted Bergman, and their lam < 1 dilates).
 
-Everything else is inhospitable to nontrivial Hermitian weighted
-composition operators; `classify_space` reports which bound failed, and
-`verify_candidate` checks the full coefficient sequence, not just the two
-moments the classifier sees.
+The first slope t_1 - t_0 is the paper's two-weight discriminant
+lam = (gamma - 1)/beta(1)^2, gamma = 2 beta(1)^4 / beta(2)^2: it picks the
+family, or why the space is inhospitable to nontrivial Hermitian weighted
+composition operators; `verify_candidate` then holds every ratio to the
+family's.  `classify_space` is the order-2 case.
 """
 
 from __future__ import annotations
@@ -79,11 +79,10 @@ class QuadratureError(RuntimeError):
     """A quadrature configuration cannot deliver the requested accuracy."""
 
 
-#: Relative tolerance for the gamma = 1 and lam-endpoint decisions.  The
-#: families are well separated; anything closer than this to a boundary is
-#: treated as sitting on it.
+#: tolerance of the first-slope decisions (gamma = 1, lam = 0, lam = 1): the
+#: families are well separated, and anything this close to a boundary sits on it
 CLASSIFICATION_TOL = 1e-9
-#: relative tolerance of `verify_candidate`'s coefficient-by-coefficient fit
+#: relative tolerance of `verify_candidate`'s ratio-by-ratio fit
 FIT_TOL = 1e-10
 #: radial Gauss-Legendre nodes of the Gaussian-plane quadrature
 QUAD_RADIAL_NODES = 200
@@ -95,7 +94,7 @@ QUAD_RADIAL_NODES = 200
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Monomial norms beta(0..N) with beta(0) = 1 and beta(j) > 0."""
+    """Monomial norms beta(0..N): beta(0) = 1, beta(j) > 0, 1/beta(j)^2 a normal double."""
 
     beta: np.ndarray
 
@@ -110,6 +109,12 @@ class WeightSequence:
         b[0] = 1.0
         if np.any(b <= 0.0):
             raise ValueError("all weights must be strictly positive")
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            khat = 1.0 / b**2
+        bad = np.flatnonzero((khat < sys.float_info.min) | (khat > sys.float_info.max))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"1/beta({j})^2 = {khat[j]:.3g} is outside the floating-point range")
         b.setflags(write=False)
         object.__setattr__(self, "beta", b)
 
@@ -188,8 +193,8 @@ class Exponential:
         """k(scale z) truncated at ``order``."""
         return exp_series(scale / self.b_sq, order)
 
-    def coefficient_ratio(self, j: int) -> float:
-        """Ratio of generating coefficients j + 1 and j."""
+    def coefficient_ratio(self, j):
+        """Ratio of generating coefficients j + 1 and j (j an int or an array)."""
         return 1.0 / (self.b_sq * (j + 1))
 
 
@@ -197,7 +202,7 @@ class Exponential:
 class Binomial:
     """k(z) = (1 - lam z)**(-eta) with 0 < lam <= 1 and eta = 1/(lam b^2).
 
-    ``gamma`` defaults to its closed form (eta + 1)/eta; `classify_space`
+    ``gamma`` defaults to its closed form (eta + 1)/eta; `classify_weights`
     passes the value it measured from the weights instead.
     """
 
@@ -222,15 +227,16 @@ class Binomial:
         """k(scale z) truncated at ``order``."""
         return binomial_series(self.lam * scale, self.eta, order)
 
-    def coefficient_ratio(self, j: int) -> float:
-        """Ratio of generating coefficients j + 1 and j."""
+    def coefficient_ratio(self, j):
+        """Ratio of generating coefficients j + 1 and j (j an int or an array)."""
         return self.lam * (self.eta + j) / (j + 1)
 
 
 @dataclass(frozen=True)
 class CoefficientMismatch:
-    """The first generating coefficient off the family form: ``expected``
-    from the weights, ``found`` from the family, ``gap`` > `FIT_TOL` between."""
+    """The first generating coefficient off the family: ``expected`` from the
+    weights, ``found`` = the previous one times the family's ratio, ``gap`` >
+    `FIT_TOL` between the two ratios (1 for one outside the normal range)."""
     index: int
     expected: float
     found: float
@@ -253,78 +259,71 @@ SpaceClass = Exponential | Binomial | NotHospitable
 
 
 def classify_space(beta1: float, beta2: float) -> SpaceClass:
-    """Classify a space from its first two weights.
+    """Classify a space from its first two weights: `classify_weights` at order 2."""
+    return classify_weights(WeightSequence([1.0, beta1, beta2]))
 
-    Computes gamma = 2 beta1^4 / beta2^2.  gamma = 1 selects the exponential
-    family; otherwise lam = (gamma - 1) / beta1^2 must land in (0, 1] for the
-    binomial family, and anything else is inhospitable.  lam within
-    `CLASSIFICATION_TOL` of 0 is folded into the exponential family (its
-    lam -> 0 limit).
-    Weights whose gamma or lam overflows (or whose squares underflow to 0)
-    cannot be classified in floating point and raise ValueError.
+
+def verify_candidate(ws: WeightSequence, cls: SpaceClass) -> CoefficientMismatch | None:
+    """Hold every ratio khat(j + 1)/khat(j) = (beta(j)/beta(j + 1))^2 of the
+    weights to the family's `coefficient_ratio(j)`: None when each is a
+    normal double within relative `FIT_TOL` of it, else the first departure."""
+    if isinstance(cls, NotHospitable):
+        raise ValueError("cannot verify an inhospitable classification")
+    with np.errstate(over="ignore", invalid="ignore"):
+        actual = (ws.beta[:-1] / ws.beta[1:]) ** 2
+        family = cls.coefficient_ratio(np.arange(ws.order))
+        gap = np.abs(actual - family) / np.maximum(actual, family)
+        found = ws.generating_coefficients()[:-1] * family  # inf past the double range
+    off = ~((gap <= FIT_TOL) & (actual >= sys.float_info.min))
+    if not np.any(off):
+        return None
+    j = int(np.argmax(off))
+    return CoefficientMismatch(
+        index=j + 1,
+        expected=float(1.0 / ws.beta[j + 1] ** 2),
+        found=float(found[j]),
+        gap=float(np.fmin(gap[j], 1.0)),  # NaN for an infinite ratio, whose gap is 1
+    )
+
+
+def classify_weights(ws: WeightSequence) -> SpaceClass:
+    """Classify by the coefficient ratios t_j (module docstring).
+
+    The first slope lam = t_1 - t_0 = (gamma - 1)/beta(1)^2 decides: gamma = 1
+    or lam = 0 (to `CLASSIFICATION_TOL`) is exponential, lam in (0, 1] is
+    binomial, anything else inhospitable.  Past order 2 every ratio must fit
+    (`verify_candidate`); a binomial space then takes lam from the secant
+    (t_(N-1) - t_0)/(N - 1), which cancels N - 1 times fewer ulps than the
+    first slope (about eta of them), and eta = t_0/lam.
     """
-    if not (math.isfinite(beta1) and math.isfinite(beta2)):
-        raise ValueError("weights must be finite")
-    if beta1 <= 0 or beta2 <= 0:
-        raise ValueError("weights must be strictly positive")
-    b1_sq = float(beta1) * float(beta1)
-    b2_sq = float(beta2) * float(beta2)
-    gamma = 2.0 * b1_sq * b1_sq / b2_sq if b2_sq else math.inf
-    lam = (gamma - 1.0) / b1_sq if b1_sq else math.nan
+    if ws.order < 2:
+        raise ValueError("classification needs weights up to index 2")
+    beta1, beta2 = float(ws.beta[1]), float(ws.beta[2])
+    b1_sq = beta1 * beta1
+    gamma = 2.0 * b1_sq * b1_sq / (beta2 * beta2)
+    lam = (gamma - 1.0) / b1_sq
     if not (math.isfinite(gamma) and math.isfinite(lam)):
         raise ValueError(
             f"weights {beta1!r}, {beta2!r} put gamma or lambda outside the floating-point range"
         )
     if abs(gamma - 1.0) <= CLASSIFICATION_TOL or abs(lam) <= CLASSIFICATION_TOL:
-        return Exponential(b_sq=b1_sq, gamma=gamma)
-    if lam < 0.0:
+        cls = Exponential(b_sq=b1_sq, gamma=gamma)
+    elif lam < 0.0:
         return NotHospitable(reason="lambda-negative", gamma=gamma, lam=lam)
-    if lam > 1.0 + CLASSIFICATION_TOL:
+    elif lam > 1.0 + CLASSIFICATION_TOL:
         return NotHospitable(reason="lambda-exceeds-one", gamma=gamma, lam=lam)
-    lam = min(lam, 1.0)
-    return Binomial(lam=lam, eta=1.0 / (lam * b1_sq), gamma=gamma)
-
-
-def verify_candidate(ws: WeightSequence, cls: SpaceClass) -> CoefficientMismatch | None:
-    """Check every weight against the classified family's closed form.
-
-    The classifier only sees beta(1) and beta(2); this compares 1/beta(j)^2
-    with the candidate generating coefficients for all j up to the order.
-    Returns None when all coefficients agree to relative `FIT_TOL`, else the
-    first mismatch.
-    """
-    if isinstance(cls, NotHospitable):
-        raise ValueError("cannot verify an inhospitable classification")
-    candidate = cls.generating_series(ws.order).coeffs.real
-    actual = ws.generating_coefficients()
-    size = np.maximum(np.abs(actual), np.abs(candidate))
-    off = np.abs(actual - candidate) > FIT_TOL * size
-    if not np.any(off):
-        return None
-    j = int(np.argmax(off))
-    return CoefficientMismatch(
-        index=j,
-        expected=float(actual[j]),
-        found=float(candidate[j]),
-        gap=float(abs(actual[j] - candidate[j]) / size[j]),
-    )
-
-
-def classify_weights(ws: WeightSequence) -> SpaceClass:
-    """Classify from beta(1), beta(2) and then vet the whole sequence."""
-    if ws.order < 2:
-        raise ValueError("classification needs weights up to index 2")
-    cls = classify_space(float(ws.beta[1]), float(ws.beta[2]))
-    if isinstance(cls, NotHospitable):
-        return cls
-    mismatch = verify_candidate(ws, cls)
-    if mismatch is not None:
-        return NotHospitable(
-            reason="coefficient-mismatch",
-            gamma=cls.gamma,
-            lam=cls.lam,
-            mismatch=mismatch,
-        )
+    else:
+        lam = min(lam, 1.0)
+        cls = Binomial(lam=lam, eta=1.0 / (lam * b1_sq), gamma=gamma)
+    if ws.order > 2:  # two ratios always lie on one line
+        mismatch = verify_candidate(ws, cls)
+        if mismatch is not None:
+            return NotHospitable("coefficient-mismatch", gamma, cls.lam, mismatch)
+        if isinstance(cls, Binomial):
+            t_0 = float((1.0 / ws.beta[1]) ** 2)
+            t_last = float(ws.order * (ws.beta[-2] / ws.beta[-1]) ** 2)
+            lam = min((t_last - t_0) / (ws.order - 1), 1.0)
+            cls = Binomial(lam=lam, eta=t_0 / lam, gamma=gamma)
     return cls
 
 
@@ -639,6 +638,6 @@ def space_class_to_json(cls: SpaceClass) -> dict:
         out["mismatch"] = {
             "index": cls.mismatch.index,
             "expected": cls.mismatch.expected,
-            "found": cls.mismatch.found,
+            "found": cls.mismatch.found if math.isfinite(cls.mismatch.found) else None,
         }
     return out

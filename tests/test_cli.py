@@ -868,3 +868,51 @@ def test_quad_and_report_share_the_integral_norm(capsys, space_args, fallback_ch
         eta = float(space_args[space_args.index("--eta") + 1])
         lam = float(space_args[space_args.index("--lam") + 1]) if "--lam" in space_args else 1.0
         assert Binomial(lam, eta).gamma == (eta + 1) / eta
+
+
+@pytest.mark.parametrize("weight", [1e-200, 1e200])
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["check", *PAIR], ["quad", "--f", "z^3"]],
+    ids=["classify", "check", "quad"],
+)
+def test_weight_whose_reciprocal_square_leaves_the_range_is_usage_error(
+    capsys, tmp_path, argv, weight
+):
+    # 1/beta(3)^2 is inf (1e-200) or 0 (1e200): never a verdict, never a warning
+    beta = [1.0] * 17
+    beta[3] = weight
+    path = tmp_path / "hardy.json"
+    path.write_text(json.dumps({"order": 16, "beta": beta}))
+    code, out, err = run_cli(capsys, argv[0], "--beta-file", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: 1/beta(3)^2 = ") and "floating-point range" in err
+
+
+@pytest.mark.parametrize("b, weight", [(1e-30, 1e150), (1e30, 1e-150)], ids=["0", "inf"])
+def test_ratio_beyond_the_double_range_is_a_mismatch(capsys, tmp_path, b, weight):
+    # a Fock head with beta(5) near 1e-150 (or 1e150) and beta(6) = 1e150 (or
+    # 1e-150): every 1/beta^2 is a normal double, (beta(5)/beta(6))^2 is not
+    beta = [*spaces.fock_weights(b, 5).beta.tolist(), weight]
+    cls = spaces.classify_weights(spaces.WeightSequence(np.array(beta)))
+    assert isinstance(cls, spaces.NotHospitable) and cls.reason == "coefficient-mismatch"
+    assert cls.mismatch.index == 6 and cls.mismatch.gap == 1.0
+    path = tmp_path / "fock.json"
+    path.write_text(json.dumps({"order": 6, "beta": beta}))
+    code, out, err = run_cli(capsys, "classify", "--beta-file", str(path))
+    assert code == 1 and err == ""
+    payload = strict_json(out)
+    assert payload["reason"] == "coefficient-mismatch" and payload["mismatch"]["index"] == 6
+
+
+def test_bergman_eta_1e5_is_in_normal_form_and_gets_the_disk_quadrature(capsys):
+    # the secant through t_0 and t_63 puts lam within 1e-12 of 1; the first
+    # slope alone read lam = 1 - 3.8e-11 and sent the report to the dilation
+    cls = spaces.classify_weights(spaces.bergman_weights(1e5, 64))
+    assert cls.normal_form
+    code, out, _ = run_cli(capsys, "check", "--family", "bergman", "--eta", "1e5", *PAIR)
+    checks = {c["name"]: c for c in strict_json(out)["checks"]}
+    assert "dilation-conjugation" not in checks
+    quad = checks["quadrature-vs-series-norm"]
+    assert quad["oracle"] == "disk quadrature" and quad["pass"] is True

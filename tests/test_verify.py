@@ -238,6 +238,31 @@ class TestFullReport:
         assert report.passed, report.to_json()
         assert calls == {"build_matrix": chains, "compose_poly": 0}
 
+    @pytest.mark.parametrize(
+        "cls, series_built",
+        [
+            (Binomial(lam=1.0, eta=2.0), 1),
+            (Exponential(b_sq=1.0), 1),
+            (Binomial(lam=0.6, eta=1.5), 3),
+        ],
+        ids=["lam-1", "fock", "lam-below-1"],
+    )
+    def test_no_family_series_to_classify_or_for_the_ode(self, monkeypatch, cls, series_built):
+        """The classifier holds the weights' own ratios to the family's and the
+        ODE reads the weights' own 1/beta^2: a family series is built only for
+        psi (and, below lam = 1, for the dilated pair and its weights)."""
+        ws = family_weights(cls, 48)
+        calls = []
+        for family in (Binomial, Exponential):
+            def counted(self, order, scale=1.0, _built=family.generating_series):
+                calls.append(type(self).__name__)
+                return _built(self, order, scale)
+
+            monkeypatch.setattr(family, "generating_series", counted)
+        report = full_report(ws, 0.5 * np.exp(0.4j), 0.1, 1.0)
+        assert report.passed, report.to_json()
+        assert len(calls) == series_built
+
     def test_hardy_pair_passes_everything(self):
         report = full_report(hardy_weights(64), 0.5, 0.1, 1.0)
         assert report.passed, report.to_json()
