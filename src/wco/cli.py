@@ -391,7 +391,7 @@ def cmd_sweep(args) -> int:
         cls = Binomial(lam, eta)
         ws = family_weights(cls, order)
     else:
-        cls, ws = Exponential(b_sq=b * b), fock_weights(b, order)
+        ws, cls = fock_weights(b, order), Exponential(b_sq=b * b)
     rows = [_sweep_cell(idx, cls, ws, *cell) for idx, cell in enumerate(itertools.product(*axes))]
 
     result = {

@@ -10,7 +10,7 @@ phi, so every entry of the (N+1) x (N+1) section equals the corresponding
 entry of the infinite matrix: Hermitian-ness certified here is exact, not
 an artifact of truncation.  Operator norms, in contrast, are only reached
 from below by finite sections; the one quantitative upper bound available
-is the Gaussian-family estimate in `fock_bound`.
+is the Gaussian-family estimate, in log units `fock_log_bound`.
 
 `build_matrix` walks the power chain once.  On the hospitable families phi
 is linear-fractional, so the columns psi phi^j obey a three-term recurrence
@@ -61,7 +61,6 @@ __all__ = [
     "kernel_identity_residual",
     "kernel_tail_bound",
     "conjugation_check",
-    "fock_bound",
     "fock_log_bound",
     "finite_section_norm",
 ]
@@ -304,30 +303,12 @@ def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:
     ]))
 
 
-def fock_bound(sp: SymbolPair) -> float:
-    """Analytic upper bound for the squared operator norm on the Gaussian
-    space: (c^2/a1^2) * sup_r exp(g(r)/b^2), where after centering at a0 the
-    exponent g(r) = (1 - 1/a1^2) r^2 + 2|a0|(1 + 1/|a1|) r + |a0|^2 is a
-    downward parabola in r = |z - a0| (its vertex gives the supremum).
-    A bound beyond the double range is returned as inf; `fock_log_bound`
-    stays finite there.
-    """
-    scale, exponent = _fock_bound_terms(sp)
-    try:
-        return float(scale * math.exp(exponent))
-    except OverflowError:
-        return math.inf
-
-
 def fock_log_bound(sp: SymbolPair) -> float:
-    """Natural log of `fock_bound`, log(c^2/a1^2) + sup_r g(r)/b^2: finite
-    for small b, where the bound itself overflows; -inf when c = 0."""
-    scale, exponent = _fock_bound_terms(sp)
-    return (math.log(scale) if scale > 0.0 else -math.inf) + exponent
-
-
-def _fock_bound_terms(sp: SymbolPair) -> tuple[float, float]:
-    """The factor c^2/a1^2 and the exponent sup_r g(r)/b^2 of `fock_bound`."""
+    """log of the Gaussian-space bound on the squared operator norm,
+    log(c^2/a1^2) + sup_r g(r)/b^2, where g(r) = (1 - 1/a1^2) r^2 + 2|a0|(1 +
+    1/|a1|) r + |a0|^2 is a downward parabola in r = |z - a0| (its vertex gives
+    the supremum).  Finite where the bound itself overflows (small b); -inf
+    when c = 0."""
     if not isinstance(sp.cls, Exponential):
         raise ValueError("the Gaussian norm bound applies to exponential-family pairs")
     a1 = abs(sp.a1)
@@ -339,7 +320,8 @@ def _fock_bound_terms(sp: SymbolPair) -> tuple[float, float]:
     lin = 2.0 * m * (1.0 + 1.0 / a1)
     r_star = -lin / (2.0 * quad)  # >= 0 since quad < 0
     sup_exponent = m * m + lin * r_star + quad * r_star * r_star
-    return abs(sp.c) ** 2 / (a1 * a1), sup_exponent / b_sq
+    scale = abs(sp.c) ** 2 / (a1 * a1)
+    return (math.log(scale) if scale > 0.0 else -math.inf) + sup_exponent / b_sq
 
 
 def finite_section_norm(m: np.ndarray) -> float:

@@ -17,7 +17,7 @@ The first slope t_1 - t_0 is the paper's two-weight discriminant
 lam = (gamma - 1)/beta(1)^2, gamma = 2 beta(1)^4 / beta(2)^2: it picks the
 family, or why the space is inhospitable to nontrivial Hermitian weighted
 composition operators; `verify_candidate` then holds every ratio to the
-family's.  `classify_space` is the order-2 case.
+family's.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "SpaceClass",
     "CoefficientMismatch",
     "CLASSIFICATION_TOL",
-    "classify_space",
     "verify_candidate",
     "classify_weights",
     "family_weights",
@@ -189,6 +188,10 @@ class Exponential:
     variant = "Exponential"
     lam = 0.0
 
+    def __post_init__(self):
+        if not sys.float_info.min <= self.b_sq <= sys.float_info.max:
+            raise ValueError(f"b_sq must be a positive normal double (got {self.b_sq})")
+
     def generating_series(self, order: int, scale: complex = 1.0) -> TruncatedSeries:
         """k(scale z) truncated at ``order``."""
         return exp_series(scale / self.b_sq, order)
@@ -256,11 +259,6 @@ class NotHospitable:
 
 
 SpaceClass = Exponential | Binomial | NotHospitable
-
-
-def classify_space(beta1: float, beta2: float) -> SpaceClass:
-    """Classify a space from its first two weights: `classify_weights` at order 2."""
-    return classify_weights(WeightSequence([1.0, beta1, beta2]))
 
 
 def verify_candidate(ws: WeightSequence, cls: SpaceClass) -> CoefficientMismatch | None:

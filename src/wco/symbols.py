@@ -14,8 +14,9 @@ these closed forms; `synthesize_from_weights` builds the same shape over an
 arbitrary weight sequence, which is what makes inhospitable spaces testable.
 
 The self-map region of phi is an exact closed interval in a1
-(`selfmap_interval`, for 0 <= lam <= 1); `mobius_circle_max` is the
-independent boundary oracle used to confirm its sharpness.
+(`selfmap_interval`, for 0 <= lam <= 1); `mobius_circle_max`, |phi| on the
+circle by direct evaluation, is the reference oracle that acceptance
+criterion 09 holds its endpoints to.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ __all__ = [
     "synthesize_from_weights",
     "SelfMapInterval",
     "selfmap_interval",
-    "is_selfmap",
-    "check_sqrt_lambda_lift",
     "dilate",
     "mobius_circle_max",
     "a1_from_fraction",
@@ -144,6 +143,7 @@ def synthesize_from_weights(
     Uses the sequence's own generating coefficients, so it works for any
     space, hospitable or not.  phi comes from the series quotient
     z k'(conj(a0) z) / k(conj(a0) z), exact through the truncation order.
+    A psi or phi coefficient past the double range raises DomainError naming it.
     """
     a0, a1, c = complex(a0), complex(a1), complex(c)
     n = ws.order
@@ -151,20 +151,25 @@ def synthesize_from_weights(
         cls = classify_weights(ws)
     khat = ws.generating_coefficients().astype(complex)
     a0_bar = a0.conjugate()
-    kappa = TruncatedSeries(khat * a0_bar ** np.arange(n + 1))  # k(conj(a0) z)
-    psi = c * kappa
-    if a0 == 0:
-        phi_c = np.zeros(n + 1, dtype=complex)
-        if n >= 1:
-            phi_c[1] = a1
-        phi = TruncatedSeries(phi_c)
-    else:
-        quotient = kappa.z_times_derivative() / kappa  # conj(a0) z k'(..)/k(..)
-        beta1_sq = float(ws.beta[1] ** 2)
-        phi = (a1 * beta1_sq / a0_bar) * quotient
-        phi_c = phi.coeffs.copy()
-        phi_c[0] = a0
-        phi = TruncatedSeries(phi_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = TruncatedSeries(khat * a0_bar ** np.arange(n + 1))  # k(conj(a0) z)
+        psi = c * kappa
+        if a0 == 0:
+            phi_c = np.zeros(n + 1, dtype=complex)
+            if n >= 1:
+                phi_c[1] = a1
+            phi = TruncatedSeries(phi_c)
+        else:
+            quotient = kappa.z_times_derivative() / kappa  # conj(a0) z k'(..)/k(..)
+            beta1_sq = float(ws.beta[1] ** 2)
+            phi = (a1 * beta1_sq / a0_bar) * quotient
+            phi_c = phi.coeffs.copy()
+            phi_c[0] = a0
+            phi = TruncatedSeries(phi_c)
+    for name, coeffs in (("psi", psi.coeffs), ("phi", phi.coeffs)):
+        if not np.all(np.isfinite(coeffs)):
+            j = int(np.argmin(np.isfinite(coeffs)))
+            raise DomainError(f"{name} coefficient {j} is not finite: {coeffs[j]}")
     return SymbolPair(
         a0=a0, a1=a1, c=c, cls=cls, psi=psi, phi=phi, trivial=triviality(a0, a1, c)
     )
@@ -232,23 +237,6 @@ def selfmap_interval(a0: complex, lam: float, rho: float = 1.0) -> SelfMapInterv
     return SelfMapInterval(
         a0_mod=m, lam=lam, rho=rho, a1_min=a1_min, a1_max=a1_max, admissible=admissible
     )
-
-
-def is_selfmap(a0: complex, a1: float, lam: float, rho: float = 1.0) -> bool:
-    """Membership of a1 in the exact self-map interval (closed endpoints)."""
-    interval = selfmap_interval(a0, lam, rho)
-    return interval.contains(float(a1))
-
-
-def check_sqrt_lambda_lift(a0: complex, a1: float, lam: float) -> bool:
-    """A unit-disk self-map of this shape must also map the larger disk of
-    radius 1/sqrt(lam) into itself; this recomputes the claim numerically
-    rather than assuming it."""
-    if lam <= 0.0:
-        raise DomainError(f"the sqrt(lam) lift needs lam > 0 (got {lam})")
-    if not is_selfmap(a0, a1, lam, rho=1.0):
-        raise DomainError("the pair is not a self-map of the unit disk")
-    return is_selfmap(a0, a1, lam, rho=1.0 / math.sqrt(lam))
 
 
 def a1_from_fraction(interval: SelfMapInterval, fraction: float) -> float:

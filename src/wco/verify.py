@@ -173,10 +173,6 @@ class NormEquivalence:
         gap = max(self.hardy - self.flat, self.flat - self.level * self.hardy, 0.0)
         return gap / max(1.0, self.hardy)
 
-    @property
-    def ratio_ok(self) -> bool:
-        return self.violation <= NORM_BOUND_SLACK
-
 
 def norm_equivalence_check(f: TruncatedSeries, level: float = 2.0) -> NormEquivalence:
     """Two-sided comparison of the Hardy norm with the flat-weight norm
@@ -280,12 +276,12 @@ def _selfmap_check(sp: SymbolPair) -> Check:
         return _residual_check(
             "selfmap", residual, symbols.ENDPOINT_SLACK, "exact interval", notes
         )
-    grid_max = float(
-        np.max(np.abs(sp.phi(0.999 * np.exp(2j * np.pi * np.arange(1024) / 1024))))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_grid = sp.phi(0.999 * np.exp(2j * np.pi * np.arange(1024) / 1024))
+    grid_max = float(np.max(np.abs(on_grid)))
     return _residual_check(
         "selfmap",
-        max(0.0, grid_max - 1.0),
+        max(0.0, grid_max - 1.0) if math.isfinite(grid_max) else math.inf,  # max(0, nan - 1) = 0
         BOUNDARY_GRID_TOL,
         "boundary grid on the truncated phi",
         notes or "grid estimate; truncation tail not included",

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -432,6 +433,14 @@ SWEEP = {"space": {"family": "binomial", "lambda": 0.5, "eta": 1.0}, "order": 16
 SWEEP_LAMBDA_2 = {
     "space": {"family": "binomial", "lambda": 2.0}, "grid": {"a0_mod": [0.2, 0.4]}, "order": 32,
 }
+#: order-6 weight files spanning the double range: Fock b = 1e-30 through
+#: beta(5), then beta(6) = 1e150, where the quotient z k'/k of the general
+#: shape overflows and phi comes out NaN; and the reverse, b = 1e30 then
+#: 1e-150, where a1 beta(1)^2 / conj(a0) scales phi past the range
+SPANNING, SPANNING_REVERSE = (
+    {"order": 6, "beta": [math.sqrt(math.factorial(j)) * b**j for j in range(6)] + [last]}
+    for b, last in ((1e-30, 1e150), (1e30, 1e-150))
+)
 
 
 @pytest.mark.parametrize(
@@ -490,6 +499,25 @@ SWEEP_LAMBDA_2 = {
         (SWEEP_LAMBDA_2, ["sweep", "--config", "{file}"], "space.lambda must lie in (0, 1]"),
         (SWEEP_LAMBDA_2, ["sweep", "--config", "{file}", "--csv"],
          "space.lambda must lie in (0, 1]"),
+        # b^2 underflows to 0 (b = 1e-200) or to a subnormal (b = 1e-155)
+        (None, ["check", "--family", "fock", "--b", "1e-200", *PAIR],
+         "b_sq must be a positive normal double (got 0.0)"),
+        (None, ["quad", "--family", "fock", "--b", "1e-200", "--f", "z"],
+         "b_sq must be a positive normal double (got 0.0)"),
+        ({**SWEEP, "space": {"family": "fock", "b": 1e-200}}, ["sweep", "--config", "{file}"],
+         "b_sq must be a positive normal double (got 0.0)"),
+        (None, ["check", "--family", "fock", "--b", "1e-155", *PAIR],
+         f"b_sq must be a positive normal double (got {1e-155 * 1e-155})"),
+        # refused before any check: the boundary grid of a NaN phi reads no
+        # excess, and numpy would warn on stderr
+        (SPANNING, ["check", "--beta-file", "{file}", *PAIR],
+         "phi coefficient 6 is not finite: (nan+nanj)"),
+        (SPANNING, ["report", "--beta-file", "{file}", *PAIR],
+         "phi coefficient 6 is not finite: (nan+nanj)"),
+        (SPANNING_REVERSE, ["check", "--beta-file", "{file}", *PAIR],
+         "phi coefficient 6 is not finite: (inf+0j)"),
+        (SPANNING_REVERSE, ["report", "--beta-file", "{file}", *PAIR],
+         "phi coefficient 6 is not finite: (inf+0j)"),
     ],
     ids=[
         "check-beta-file-without-order", "classify-beta-file-without-order",
@@ -502,6 +530,9 @@ SWEEP_LAMBDA_2 = {
         "beta-file-nan", "beta-file-infinity", "bergman-eta-0", "binomial-eta-0",
         "sweep-eta-0", "sweep-b-0", "sweep-b-negative-json", "sweep-b-negative-csv",
         "sweep-fock-order-200", "sweep-lambda-2-json", "sweep-lambda-2-csv",
+        "check-fock-b-1e-200", "quad-fock-b-1e-200", "sweep-fock-b-1e-200",
+        "check-fock-b-1e-155", "check-spanning-file", "report-spanning-file",
+        "check-spanning-file-reverse", "report-spanning-file-reverse",
     ],
 )
 def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -500,12 +501,14 @@ class TestConjugation:
 class TestFockBound:
     def test_centered_case_by_hand(self):
         sp = synthesize(Exponential(b_sq=1.0), 0.0, 0.5, 1.0, 8)
-        assert operators.fock_bound(sp) == pytest.approx(4.0)
+        assert operators.fock_log_bound(sp) == pytest.approx(math.log(4.0))
 
     def test_c_scaling(self):
         sp1 = synthesize(Exponential(b_sq=1.0), 0.2, 0.5, 1.0, 8)
         sp3 = synthesize(Exponential(b_sq=1.0), 0.2, 0.5, 3.0, 8)
-        assert operators.fock_bound(sp3) == pytest.approx(9.0 * operators.fock_bound(sp1))
+        assert operators.fock_log_bound(sp3) == pytest.approx(
+            math.log(9.0) + operators.fock_log_bound(sp1)
+        )
 
     def test_dominates_finite_sections(self):
         rng = np.random.default_rng(71)
@@ -517,39 +520,44 @@ class TestFockBound:
             c = rng.uniform(0.2, 2.0)
             cls = Exponential(b_sq=b * b)
             sp = synthesize(cls, a0, a1, c, 48)
-            bound = operators.fock_bound(sp)
+            log_bound = operators.fock_log_bound(sp)
             sigma = operators.finite_section_norm(
                 operators.build_matrix(sp, fock_weights(b, 48))
             )
-            assert sigma * sigma <= bound * (1 + 1e-12)
+            assert 2.0 * math.log(sigma) <= log_bound + math.log1p(1e-12)
 
     def test_a1_domain(self):
         sp = synthesize(Exponential(b_sq=1.0), 0.3, 1.0, 1.0, 8)
         with pytest.raises(DomainError):
-            operators.fock_bound(sp)
+            operators.fock_log_bound(sp)
 
 
 class TestFockLogBound:
-    def test_log_of_the_bound(self):
+    def test_vertex_is_the_supremum(self):
+        # log(c^2/a1^2) + max g(r)/b^2 over a fine grid in r = |z - a0| stays
+        # below the closed form and within the grid's step of it; the vertex
+        # r = |a0| a1/(1 - a1) lies below 1 for these draws
         rng = np.random.default_rng(5)
         for _ in range(20):
             b, m = rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.6)
+            a1, c = rng.uniform(0.05, 1.0 - m - 0.01), rng.uniform(0.2, 2.0)
             sp = synthesize(
-                Exponential(b_sq=b * b), m * np.exp(1j * rng.uniform(0, 6.3)),
-                rng.uniform(0.05, 1.0 - m - 0.01), rng.uniform(0.2, 2.0), 8,
+                Exponential(b_sq=b * b), m * np.exp(1j * rng.uniform(0, 6.3)), a1, c, 8
             )
-            assert operators.fock_log_bound(sp) == pytest.approx(
-                math.log(operators.fock_bound(sp)), rel=1e-14, abs=1e-14
-            )
+            r = np.linspace(0.0, 1.0, 1_000_001)
+            g = (1.0 - 1.0 / a1**2) * r**2 + 2.0 * m * (1.0 + 1.0 / a1) * r + m * m
+            on_grid = math.log(c * c / (a1 * a1)) + float(np.max(g)) / (b * b)
+            log_bound = operators.fock_log_bound(sp)
+            assert on_grid <= log_bound + 1e-12 * max(1.0, abs(log_bound))
+            assert on_grid == pytest.approx(log_bound, rel=1e-8, abs=1e-8)
 
     def test_finite_where_the_bound_overflows(self):
         sp = synthesize(Exponential(b_sq=0.035**2), 0.6, 0.3, 1.0, 8)
-        assert operators.fock_bound(sp) == math.inf
+        assert operators.fock_log_bound(sp) > math.log(sys.float_info.max)
         assert operators.fock_log_bound(sp) == pytest.approx(842.058, rel=1e-6)
 
     def test_zero_c(self):
         sp = synthesize(Exponential(b_sq=1.0), 0.2, 0.5, 0.0, 8)
-        assert operators.fock_bound(sp) == 0.0
         assert operators.fock_log_bound(sp) == -math.inf
 
 

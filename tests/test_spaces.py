@@ -16,7 +16,6 @@ from wco.spaces import (
     WeightSequence,
     bergman_norm_quadrature,
     bergman_weights,
-    classify_space,
     classify_weights,
     derivative_norm_bounds,
     dirichlet_weights,
@@ -48,36 +47,37 @@ def inner_product(f, g, ws):
 
 class TestClassify:
     def test_flat_weights_rejected_with_exact_lambda(self):
-        cls = classify_space(2.0, 2.0)
+        cls = classify_weights(WeightSequence([1.0, 2.0, 2.0]))
         assert isinstance(cls, NotHospitable)
         assert cls.reason == "lambda-exceeds-one"
         assert abs(cls.lam - 1.75) < 1e-12
 
     def test_hardy(self):
-        cls = classify_space(1.0, 1.0)
+        cls = classify_weights(WeightSequence([1.0, 1.0, 1.0]))
         assert isinstance(cls, Binomial)
         assert abs(cls.lam - 1.0) < 1e-12 and abs(cls.eta - 1.0) < 1e-12
 
     def test_bergman(self):
-        cls = classify_space(math.sqrt(0.5), math.sqrt(1.0 / 3.0))
+        cls = classify_weights(WeightSequence([1.0, math.sqrt(0.5), math.sqrt(1.0 / 3.0)]))
         assert isinstance(cls, Binomial)
         assert abs(cls.lam - 1.0) < 1e-9 and abs(cls.eta - 2.0) < 1e-9
 
     def test_gaussian_case(self):
         b_sq = 1.7
-        cls = classify_space(math.sqrt(b_sq), math.sqrt(2.0 * b_sq * b_sq))
+        beta1, beta2 = math.sqrt(b_sq), math.sqrt(2.0 * b_sq * b_sq)
+        cls = classify_weights(WeightSequence([1.0, beta1, beta2]))
         assert isinstance(cls, Exponential)
         assert abs(cls.b_sq - b_sq) < 1e-12
 
     def test_negative_lambda_rejected(self):
         # beta2 large makes gamma < 1
-        cls = classify_space(1.0, 10.0)
+        cls = classify_weights(WeightSequence([1.0, 1.0, 10.0]))
         assert isinstance(cls, NotHospitable)
         assert cls.reason == "lambda-negative"
 
     def test_nonpositive_inputs(self):
         with pytest.raises(ValueError):
-            classify_space(0.0, 1.0)
+            classify_weights(WeightSequence([1.0, 0.0, 1.0]))
 
     def test_tiny_lambda_folds_into_exponential(self):
         # lam within classification tolerance of zero is the gaussian limit
@@ -85,7 +85,7 @@ class TestClassify:
         for lam in (5e-10, -5e-10):
             gamma = 1.0 + lam * b1 * b1
             beta2 = math.sqrt(2.0 * b1**4 / gamma)
-            cls = classify_space(b1, beta2)
+            cls = classify_weights(WeightSequence([1.0, b1, beta2]))
             assert isinstance(cls, Exponential)
 
     def test_lambda_just_above_one_clamped(self):
@@ -93,7 +93,7 @@ class TestClassify:
         b1 = 1.0
         lam = 1.0 + 5e-10
         beta2 = math.sqrt(2.0 * b1**4 / (1.0 + lam * b1 * b1))
-        cls = classify_space(b1, beta2)
+        cls = classify_weights(WeightSequence([1.0, b1, beta2]))
         assert isinstance(cls, Binomial)
         assert cls.lam == 1.0
 
@@ -102,13 +102,13 @@ class TestClassify:
         for lam in (0.1, 0.25, 0.5, 1.0):
             for eta in (0.5, 1.0, 2.0, 3.7):
                 ws = family_weights(Binomial(lam, eta, (eta + 1) / eta), 8)
-                cls = classify_space(float(ws.beta[1]), float(ws.beta[2]))
+                cls = classify_weights(WeightSequence(ws.beta[:3]))
                 assert isinstance(cls, Binomial)
                 assert abs(cls.lam - lam) < 1e-9 * max(1, lam)
                 assert abs(cls.eta - eta) < 1e-9 * max(1, eta)
         for b in (0.5, 1.0, 2.0):
             ws = fock_weights(b, 8)
-            cls = classify_space(float(ws.beta[1]), float(ws.beta[2]))
+            cls = classify_weights(WeightSequence(ws.beta[:3]))
             assert isinstance(cls, Exponential)
             assert abs(cls.b_sq - b * b) < 1e-9 * max(1, b * b)
 
@@ -119,7 +119,7 @@ class TestClassify:
     )
     def test_every_finite_positive_pair_gets_one_variant(self, beta1, beta2):
         try:
-            cls = classify_space(beta1, beta2)
+            cls = classify_weights(WeightSequence([1.0, beta1, beta2]))
         except ValueError as exc:
             # only where gamma or lambda cannot be held in a double
             assert "floating-point range" in str(exc)
@@ -145,7 +145,7 @@ class TestVerifyCandidate:
 
     def test_dirichlet_fails_at_index_three(self):
         ws = dirichlet_weights(64)
-        cls = classify_space(float(ws.beta[1]), float(ws.beta[2]))
+        cls = classify_weights(WeightSequence(ws.beta[:3]))
         assert isinstance(cls, Binomial)
         assert abs(cls.lam - 5.0 / 6.0) < 1e-12
         assert abs(cls.eta - 3.0 / 5.0) < 1e-12
@@ -169,7 +169,7 @@ class TestVerifyCandidate:
     def test_inhospitable_input_rejected(self):
         ws = flat_weights(8)
         with pytest.raises(ValueError):
-            verify_candidate(ws, classify_space(2.0, 2.0))
+            verify_candidate(ws, classify_weights(ws))
 
     def test_classify_weights_flags_mismatch(self):
         cls = classify_weights(dirichlet_weights(16))
@@ -207,6 +207,11 @@ class TestWeightSequence:
     def test_binomial_refuses_non_positive_eta(self, eta):
         with pytest.raises(ValueError, match="eta must be positive"):
             Binomial(lam=0.5, eta=eta)
+
+    @pytest.mark.parametrize("b_sq", [0.0, 1e-310, -1.0, math.inf, math.nan])
+    def test_exponential_refuses_b_sq_outside_the_normal_range(self, b_sq):
+        with pytest.raises(ValueError, match="b_sq must be a positive normal double"):
+            Exponential(b_sq=b_sq)
 
     @pytest.mark.parametrize(
         "cls, order, index",

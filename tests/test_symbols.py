@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from wco.series import binomial_series
-from wco.spaces import Binomial, DomainError, Exponential, dirichlet_weights
+from wco.spaces import Binomial, DomainError, Exponential, WeightSequence, dirichlet_weights
 from wco.symbols import (
     FIXED_ORIGIN,
     NONTRIVIAL,
     RANK_ONE,
     ZERO_WEIGHT,
     a1_from_fraction,
-    check_sqrt_lambda_lift,
     dilate,
-    is_selfmap,
     mobius_circle_max,
     selfmap_interval,
     synthesize,
@@ -92,6 +90,13 @@ class TestSynthesize:
         assert np.allclose(sp.psi.coeffs, [2.0] + [0.0] * 12)
         assert np.allclose(sp.phi.coeffs, [0.0, 0.7] + [0.0] * 11)
 
+    def test_general_shape_beyond_the_double_range_is_refused(self):
+        # khat(2) = 1e300 times a0^2 = 1e10 leaves the range in psi (phi:
+        # tests/test_cli.py, through check and report)
+        ws = WeightSequence([1.0, 1.0, 1e-150])
+        with pytest.raises(DomainError, match="psi coefficient 2 is not finite"):
+            synthesize_from_weights(ws, 1e5, 0.2, 1.0)
+
 
 class TestTriviality:
     def test_cases(self):
@@ -136,9 +141,10 @@ class TestSelfMapInterval:
             selfmap_interval(0.9, 1.0, 1.2)  # rho|a0|lam >= 1 (and rho > 1)
 
     def test_membership(self):
-        assert is_selfmap(0.5, 0.25, 1.0, 1.0)  # endpoint included
-        assert not is_selfmap(0.5, 0.26, 1.0, 1.0)
-        assert is_selfmap(0.5, 0.0, 1.0, 1.0)  # constant-map direction
+        interval = selfmap_interval(0.5, 1.0, 1.0)
+        assert interval.contains(0.25)  # endpoint included
+        assert not interval.contains(0.26)
+        assert interval.contains(0.0)  # constant-map direction
 
     def test_opposite_sign_endpoints(self):
         rng = np.random.default_rng(53)
@@ -180,16 +186,18 @@ class TestBoundaryOracle:
 
 
 class TestSqrtLambdaLift:
-    def test_explicit_case(self):
-        assert check_sqrt_lambda_lift(0.5, 0.2, 0.64)
+    """A unit-disk self-map of this shape also maps the disk of radius
+    1/sqrt(lam) into itself: a1 lies in both intervals, the ones that
+    `wco region A0 LAM` and `wco region A0 LAM 1/sqrt(LAM)` print."""
 
-    def test_right_endpoint(self):
-        lam, m = 0.64, 0.5
-        a1 = (1 - m) * (1 - m * lam)  # unit-disk right endpoint
-        assert check_sqrt_lambda_lift(m, a1, lam)
-
-    def test_lambda_one_trivial(self):
-        assert check_sqrt_lambda_lift(0.3, 0.1, 1.0)
+    @pytest.mark.parametrize(
+        "a0, a1, lam",
+        [(0.5, 0.2, 0.64), (0.5, (1 - 0.5) * (1 - 0.5 * 0.64), 0.64), (0.3, 0.1, 1.0)],
+        ids=["explicit-case", "unit-disk-right-endpoint", "lambda-one"],
+    )
+    def test_lifts(self, a0, a1, lam):
+        assert selfmap_interval(a0, lam, 1.0).contains(a1)
+        assert selfmap_interval(a0, lam, 1.0 / math.sqrt(lam)).contains(a1)
 
     def test_random_admissible(self):
         rng = np.random.default_rng(61)
@@ -198,14 +206,8 @@ class TestSqrtLambdaLift:
             a0 = rng.uniform(0.0, 0.999) * np.exp(2j * np.pi * rng.uniform())
             interval = selfmap_interval(a0, lam, 1.0)
             a1 = a1_from_fraction(interval, rng.uniform(-1.0, 1.0))
-            assert check_sqrt_lambda_lift(a0, a1, lam)
-
-    def test_non_selfmap_rejected(self):
-        with pytest.raises(DomainError):
-            check_sqrt_lambda_lift(0.5, 0.9, 1.0)
-        # at lam = 0 the disk of radius 1/sqrt(lam) is the whole plane
-        with pytest.raises(DomainError, match="lam > 0"):
-            check_sqrt_lambda_lift(0.5, 0.2, 0.0)
+            assert interval.contains(a1)
+            assert selfmap_interval(a0, lam, 1.0 / math.sqrt(lam)).contains(a1)
 
 
 class TestDilate:

@@ -20,10 +20,11 @@ from wco.spaces import (
     fock_weights,
     hardy_weights,
 )
-from wco.symbols import synthesize_from_weights
+from wco.symbols import NONTRIVIAL, SymbolPair, synthesize_from_weights
 from wco.verify import (
     NORM_BOUND_SLACK,
     NormEquivalence,
+    _selfmap_check,
     full_report,
     norm_equivalence_check,
     ode_residual,
@@ -189,11 +190,11 @@ class TestOdeResidual:
 class TestNormEquivalence:
     def test_constant(self):
         out = norm_equivalence_check(monomial(0, 4))
-        assert out.hardy == 1.0 and out.flat == 1.0 and out.ratio_ok
+        assert out.hardy == 1.0 and out.flat == 1.0 and out.violation <= NORM_BOUND_SLACK
 
     def test_single_z_hits_upper_constant(self):
         out = norm_equivalence_check(monomial(1, 4))
-        assert out.ratio_ok
+        assert out.violation <= NORM_BOUND_SLACK
         assert out.flat / out.hardy >= 2.0 - 1e-6
 
     def test_random_polynomials(self):
@@ -202,12 +203,12 @@ class TestNormEquivalence:
             deg = int(rng.integers(0, 21))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             out = norm_equivalence_check(TruncatedSeries(coeffs))
-            assert out.ratio_ok
+            assert out.violation <= NORM_BOUND_SLACK
 
     def test_violation_is_relative_to_the_hardy_norm(self):
         assert NormEquivalence(hardy=4.0, flat=9.0, level=2.0).violation == 0.25
         assert NormEquivalence(hardy=0.5, flat=0.25, level=2.0).violation == 0.25
-        assert not NormEquivalence(hardy=1.0, flat=1.0 - 1e-9, level=2.0).ratio_ok
+        assert NormEquivalence(hardy=1.0, flat=1.0 - 1e-9, level=2.0).violation > NORM_BOUND_SLACK
 
 
 class TestFullReport:
@@ -385,6 +386,17 @@ class TestFullReport:
             selfmap = next(c for c in report.checks if c.name == "selfmap")
             assert selfmap.passed and selfmap.oracle == "exact interval"
             assert "endpoint" in selfmap.notes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+def test_selfmap_fails_where_the_boundary_grid_leaves_the_double_range(bad):
+    # max(0.0, nan - 1.0) is 0.0, so a grid maximum that is not finite must
+    # fail on its own, with a null residual
+    phi = TruncatedSeries([0.3, 0.2, bad, bad])
+    cls = spaces.classify_weights(dirichlet_weights(3))
+    sp = SymbolPair(a0=0.3, a1=0.2, c=1.0, cls=cls, psi=phi, phi=phi, trivial=NONTRIVIAL)
+    check = _selfmap_check(sp)
+    assert not check.passed and check.to_dict()["residual"] is None
 
 
 def fock_with_beta60_off() -> spaces.WeightSequence:
