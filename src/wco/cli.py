@@ -199,6 +199,8 @@ def _print_json(payload) -> None:
 
 
 def cmd_classify(args) -> int:
+    if args.beta1 is not None and (args.beta_file or args.order is not None):
+        raise ValueError("BETA1 BETA2 are order-2 weights: give no --beta-file or --order")
     if args.beta_file:
         ws = _weights_from_args(args)
     elif args.beta1 is None or args.beta2 is None:
@@ -268,7 +270,7 @@ def cmd_quad(args) -> int:
     series_norm = _in_double_range(spaces.norm(f, ws), "series")
     domain, q = spaces.integral_norm(cls, f)
     q = _in_double_range(q, "quadrature")
-    gap = abs(q - series_norm) / max(series_norm, 1e-300)
+    gap = verify.quadrature_gap(series_norm, q)
     _print_json({
         "f": args.f,
         "order": ws.order,

@@ -95,22 +95,28 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
     Either way every coefficient is computed from entries with smaller i
     and j in an order that does not depend on N, so the section at order N
     is bitwise the top-left block of the section at 2N.  The normalization
-    (x * beta(i)) / beta(j) is applied in place once the table is done.
+    (x * beta(i)) / beta(j) is applied in place once the table is done; an
+    entry beyond the double range raises DomainError naming the first one.
     Measured entry error against a 50-digit reference: at most 2.0e-16 at
     N = 40 on Hardy, Bergman, binomial, Fock and Dirichlet pairs.
     """
     n = common_order(symbols=sp.order, weights=ws.order)
     psi = sp.psi.coeffs
-    if sp.phi_pole is None:
-        phi = sp.phi.coeffs
-        entries = np.empty((n + 1, n + 1), dtype=complex)
-        entries[:, 0] = psi
-        for j in range(n):
-            entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
-    else:
-        entries = _linear_fractional_table(psi, sp.a0, sp.a1, sp.phi_pole)
-    entries *= ws.beta[:, None]
-    entries /= ws.beta[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if sp.phi_pole is None:
+            phi = sp.phi.coeffs
+            entries = np.empty((n + 1, n + 1), dtype=complex)
+            entries[:, 0] = psi
+            for j in range(n):
+                entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
+        else:
+            entries = _linear_fractional_table(psi, sp.a0, sp.a1, sp.phi_pole)
+        entries *= ws.beta[:, None]
+        entries /= ws.beta[None, :]
+    parts = entries.view(float)  # min and max are nan or inf at a non-finite entry
+    if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+        i, j = divmod(int(np.argmin(np.isfinite(entries))), n + 1)
+        raise DomainError(f"section entry ({i}, {j}) is not finite: {entries[i, j]}")
     entries.setflags(write=False)
     return entries
 

@@ -60,9 +60,6 @@ __all__ = [
     "kernel",
     "norm",
     "integral_norm",
-    "fock_norm_quadrature",
-    "bergman_norm_quadrature",
-    "hardy_norm_quadrature",
     "DerivativeNormBounds",
     "derivative_norm_bounds",
     "weights_from_json",
@@ -83,8 +80,6 @@ class QuadratureError(RuntimeError):
 CLASSIFICATION_TOL = 1e-9
 #: relative tolerance of `verify_candidate`'s ratio-by-ratio fit
 FIT_TOL = 1e-10
-#: radial Gauss-Legendre nodes of the Gaussian-plane quadrature
-QUAD_RADIAL_NODES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -450,115 +445,83 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def fock_norm_quadrature(f: TruncatedSeries, b_sq: float) -> float:
-    """Gaussian-integral norm of a polynomial: the radial-angular quadrature of
-    (1/(pi b^2)) * integral |f(z)|^2 exp(-|z|^2/b^2) dA over the plane.
+@functools.lru_cache(maxsize=32)
+def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [0, inf) for the weight e^(-t): read-only
+    increasing nodes t and weights w, exact below degree 2n.
 
-    The radial factor is integrated in u = |z|^2 / b^2 by the
-    `QUAD_RADIAL_NODES`-point Gauss-Legendre rule (`_gauss_jacobi` with
-    alpha = 0; nodes within 6e-17 of 40-digit roots at n = 200) on
-    [0, 60 + 2 N]; the dropped tail is bounded by `_fock_tail_bound` and
-    must be negligible relative to the result, else a QuadratureError
-    reports the node configuration.
+    The nodes are the eigenvalues of the Jacobi matrix (diagonal 2k + 1,
+    off-diagonal k; Golub & Welsch, Math. Comp. 23, 1969), polished by two
+    Newton steps with t L_n' = n D_n, D_n = L_n - L_(n-1).  The recurrence
+    (k + 1) D_(k+1) = k D_k - t L_k keeps the small roots accurate, where
+    2k + 1 - t would round t away.  The weights are not read off
+    eigenvectors (see `_gauss_jacobi`) but are the Christoffel numbers
+    1/sum_(k<n) L_k(t)^2, which a node's rounding moves far less than
+    1/(t L_n'(t)^2).  Every step divides by a power of two, exactly, so
+    nothing overflows near e^(t/2); a weight below the double range is 0,
+    at a node beyond every moment the rule is exact for.
     """
-    if b_sq <= 0:
-        raise DomainError("b_sq must be positive")
-    n_angular = _angular_nodes(f)
-    u_max = 60.0 + 2.0 * f.order
-    s, w = _gauss_jacobi(QUAD_RADIAL_NODES, 0.0)
-    u = u_max * s
-    b = math.sqrt(b_sq)
-    means = _eval_on_grid(f, b * np.sqrt(u), n_angular)
-    value = float(u_max * np.sum(w * np.exp(-u) * means))
-    tail = _fock_tail_bound(f, b, u_max)
-    if not np.isfinite(value) or tail > 1e-9 * max(value, 1e-300):
-        raise QuadratureError(
-            f"Gaussian norm quadrature not converged: nodes {QUAD_RADIAL_NODES}x{n_angular}, "
-            f"radial cutoff u={u_max:.1f}, tail bound {tail:.3e}, value {value:.3e}"
-        )
-    return math.sqrt(value)
-
-
-def _log_upper_gamma_bound(s: np.ndarray, u: float) -> np.ndarray:
-    """log of u^(s-1) e^(-u) u/(u - s + 1), which bounds the upper
-    incomplete gamma function Gamma(s, u) from above for 1 <= s < u + 1
-    (substitute t = u + tau and use (1 + tau/u)^(s-1) <= exp((s-1) tau/u))."""
-    return s * math.log(u) - u - np.log(u - s + 1.0)
-
-
-def _fock_tail_bound(f: TruncatedSeries, b: float, u_max: float) -> float:
-    """Upper bound for the dropped radial tail of the Gaussian integral:
-    the sum over p, q of |f_p| |f_q| b^(p+q) Gamma((p+q)/2 + 1, u_max).
-
-    Terms are grouped by m = p + q (a convolution of the moduli) and summed
-    from log space, so neither b^m nor Gamma(s) overflows.  The incomplete
-    gamma bound applies because u_max = 60 + 2N exceeds s - 1 <= N.
-    """
-    mags = np.abs(f.coeffs)
-    grouped = np.convolve(mags, mags)
-    m = np.flatnonzero(grouped)
-    log_terms = (
-        np.log(grouped[m]) + m * math.log(b) + _log_upper_gamma_bound(0.5 * m + 1.0, u_max)
-    )
-    return float(np.sum(np.exp(log_terms)))
-
-
-def bergman_norm_quadrature(f: TruncatedSeries, eta: float) -> float:
-    """Disk-integral norm for the eta > 1 family:
-    (eta - 1)/pi * integral |f(z)|^2 (1 - |z|^2)^(eta-2) dA over the disk.
-
-    The angular mean of |f|^2 on |z|^2 = s has degree deg f in s, so the
-    (deg f // 2 + 1)-point Gauss-Jacobi rule for (1 - s)^(eta - 2)
-    (`_gauss_jacobi`) integrates it exactly, boundary singularity (eta < 2)
-    included; so few nodes also build at large eta (4 at eta = 1200).
-    The eta <= 1 spaces have no such integral form and are refused; their
-    norms are series-side only, cross-checked by `derivative_norm_bounds`.
-    """
-    if eta <= 1.0:
-        raise DomainError(
-            "the disk-integral norm requires eta > 1; "
-            "for eta <= 1 use the series norm and the derivative sandwich"
-        )
-    n_radial, n_angular = _degree(f) // 2 + 1, _angular_nodes(f)
-    s, w = _gauss_jacobi(n_radial, eta - 2.0)
-    means = _eval_on_grid(f, np.sqrt(s), n_angular)
-    value = float((eta - 1.0) * np.sum(w * means))
-    if not np.isfinite(value):
-        raise QuadratureError(
-            f"disk norm quadrature failed: nodes {n_radial}x{n_angular}, eta={eta}"
-        )
-    return math.sqrt(value)
-
-
-def hardy_norm_quadrature(f: TruncatedSeries) -> float:
-    """Circle-average norm (1/2pi) * integral |f(e^it)|^2 dt, by the uniform
-    rule, which is exact once the node count exceeds twice the degree."""
-    mean = _eval_on_grid(f, np.ones(1), _angular_nodes(f))[0]
-    return math.sqrt(float(mean))
+    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
+    for polish in (True, True, False):
+        cur, diff, total = np.ones(n), np.zeros(n), np.zeros(n)
+        exponent = np.zeros(n, dtype=np.intc)
+        for k in range(n):
+            total += cur * cur
+            diff = (k * diff - t * cur) / (k + 1)
+            cur = cur + diff
+            _, e = np.frexp(np.maximum(np.abs(cur), np.abs(diff)))
+            cur, diff, total = np.ldexp(cur, -e), np.ldexp(diff, -e), np.ldexp(total, -2 * e)
+            exponent += e
+        if polish:
+            t = t - t * cur / (n * diff)
+    weights = np.ldexp(1.0 / total, -2 * exponent)
+    t.setflags(write=False)
+    weights.setflags(write=False)
+    return t, weights
 
 
 def integral_norm(cls: SpaceClass, f: TruncatedSeries) -> tuple[str, float]:
-    """The norm of ``f`` as an integral, for the family spaces that have one.
+    """The domain and the integral norm of ``f``, for the family spaces that
+    have one.  With M(r^2) the angular mean of |f|^2 on |z| = r, of degree
+    deg f in r^2, the norm squared is, on the domain
 
-    Returns the integration domain and the norm: "gaussian-plane" for the
-    exponential family, and for lam = 1 "disk" when eta > 1 or "circle" when
-    eta = 1.  Every other space has no integral form and raises DomainError.
+    * "gaussian-plane" (exponential family), (1/(pi b^2)) integral
+      |f|^2 e^(-|z|^2/b^2) dA = integral_0^inf e^(-t) M(b^2 t) dt;
+    * "disk" (lam = 1, eta > 1), (eta - 1)/pi integral |f|^2
+      (1 - |z|^2)^(eta-2) dA = (eta - 1) integral_0^1 (1 - s)^(eta-2) M(s) ds;
+    * "circle" (lam = 1, eta = 1), M(1).
+
+    The (deg f // 2 + 1)-point Gauss rule of the radial weight and 2 deg f + 1
+    uniform angular nodes make it exact.  Any other space raises DomainError
+    (eta < 1 has the derivative sandwich); a value past the range, QuadratureError.
     """
+    n_radial, n_angular = _degree(f) // 2 + 1, _angular_nodes(f)
+    scale, r_sq = 1.0, 1.0
     if isinstance(cls, Exponential):
-        return "gaussian-plane", fock_norm_quadrature(f, cls.b_sq)
-    if isinstance(cls, Binomial) and cls.normal_form:
-        if cls.eta > 1.0 + 1e-9:
-            return "disk", bergman_norm_quadrature(f, cls.eta)
-        if abs(cls.eta - 1.0) <= 1e-9:
-            return "circle", hardy_norm_quadrature(f)
+        domain, r_sq, (t, w) = "gaussian-plane", cls.b_sq, _gauss_laguerre(n_radial)
+    elif not (isinstance(cls, Binomial) and cls.normal_form):
+        raise DomainError(
+            "integral norms are available for the fock family and the "
+            "lam = 1 binomial family only"
+        )
+    elif cls.eta > 1.0 + 1e-9:
+        domain, scale, (t, w) = "disk", cls.eta - 1.0, _gauss_jacobi(n_radial, cls.eta - 2.0)
+    elif abs(cls.eta - 1.0) <= 1e-9:
+        domain, t, w = "circle", np.ones(1), np.ones(1)
+    else:
         raise DomainError(
             "no integral norm for eta < 1; use the series norm "
             "(cross-checked by the derivative sandwich)"
         )
-    raise DomainError(
-        "integral norms are available for the fock family and the "
-        "lam = 1 binomial family only"
-    )
+    means = _eval_on_grid(f, np.sqrt(r_sq * t), n_angular)
+    with np.errstate(invalid="ignore"):  # a weight of 0 times an infinite mean
+        value = float(scale * np.sum(w * means))
+    if not math.isfinite(value):
+        label = "Gaussian" if domain == "gaussian-plane" else domain
+        raise QuadratureError(
+            f"{label} norm quadrature not converged: nodes {w.size}x{n_angular}, value {value}"
+        )
+    return domain, math.sqrt(value)
 
 
 # ---------------------------------------------------------------------------

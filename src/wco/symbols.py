@@ -88,7 +88,8 @@ class SymbolPair:
     accepted so perturbation tests can demonstrate that realness is sharp.
     ``phi_pole`` is q = lam conj(a0) in the closed form
     phi = a0 + a1 z / (1 - q z) of a family pair (zero for the exponential
-    family, lam = 0) and None when phi is only known as a series.
+    family, lam = 0) and None when phi is only known as a series.  A psi or
+    phi coefficient that is not finite raises DomainError naming it.
     """
 
     a0: complex
@@ -99,6 +100,12 @@ class SymbolPair:
     phi: TruncatedSeries
     trivial: str
     phi_pole: complex | None = None
+
+    def __post_init__(self):
+        for name, coeffs in (("psi", self.psi.coeffs), ("phi", self.phi.coeffs)):
+            if not np.all(np.isfinite(coeffs)):
+                j = int(np.argmin(np.isfinite(coeffs)))
+                raise DomainError(f"{name} coefficient {j} is not finite: {coeffs[j]}")
 
     @property
     def order(self) -> int:
@@ -119,7 +126,8 @@ def synthesize(
             "cannot synthesize family symbols for an inhospitable space; "
             "use synthesize_from_weights for the general shape"
         )
-    psi = c * cls.generating_series(order, a0_bar)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by SymbolPair
+        psi = c * cls.generating_series(order, a0_bar)
     pole = cls.lam * a0_bar
     phi_c = np.empty(order + 1, dtype=complex)
     phi_c[0] = a0
@@ -143,7 +151,6 @@ def synthesize_from_weights(
     Uses the sequence's own generating coefficients, so it works for any
     space, hospitable or not.  phi comes from the series quotient
     z k'(conj(a0) z) / k(conj(a0) z), exact through the truncation order.
-    A psi or phi coefficient past the double range raises DomainError naming it.
     """
     a0, a1, c = complex(a0), complex(a1), complex(c)
     n = ws.order
@@ -166,10 +173,6 @@ def synthesize_from_weights(
             phi_c = phi.coeffs.copy()
             phi_c[0] = a0
             phi = TruncatedSeries(phi_c)
-    for name, coeffs in (("psi", psi.coeffs), ("phi", phi.coeffs)):
-        if not np.all(np.isfinite(coeffs)):
-            j = int(np.argmin(np.isfinite(coeffs)))
-            raise DomainError(f"{name} coefficient {j} is not finite: {coeffs[j]}")
     return SymbolPair(
         a0=a0, a1=a1, c=c, cls=cls, psi=psi, phi=phi, trivial=triviality(a0, a1, c)
     )

@@ -52,6 +52,7 @@ __all__ = [
     "NormEquivalence",
     "norm_equivalence_check",
     "full_report",
+    "quadrature_gap",
     "DEFAULT_TOLERANCES",
 ]
 
@@ -395,6 +396,11 @@ def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> Ver
     return VerificationReport(subject=subject, checks=checks)
 
 
+def quadrature_gap(series_norm: float, quad_norm: float) -> float:
+    """Relative gap |q - s|/s of integral norm q from series norm s, s read as at least 1e-300."""
+    return abs(quad_norm - series_norm) / max(series_norm, 1e-300)
+
+
 #: report oracle names of the `spaces.integral_norm` domains
 _QUADRATURE_ORACLES = {
     "gaussian-plane": "Gaussian-plane quadrature",
@@ -441,7 +447,7 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
         checks.append(
             _residual_check(
                 "quadrature-vs-series-norm",
-                abs(series_norm - quad_norm) / series_norm,
+                quadrature_gap(series_norm, quad_norm),
                 tol["quadrature"],
                 _QUADRATURE_ORACLES[domain],
                 quad_note,

@@ -18,14 +18,12 @@ from wco.spaces import (
     Exponential,
     NotHospitable,
     WeightSequence,
-    bergman_norm_quadrature,
     classify_weights,
     dirichlet_weights,
     family_weights,
-    fock_norm_quadrature,
     fock_weights,
-    hardy_norm_quadrature,
     hardy_weights,
+    integral_norm,
     verify_candidate,
 )
 from wco.symbols import (
@@ -171,18 +169,18 @@ def test_criterion_08_quadrature_norms():
         for b in (0.5, 1.0, 2.0):
             for j in range(21):
                 f = monomial(j, max(j, 1))
-                got = fock_norm_quadrature(f, b * b) ** 2
+                got = integral_norm(Exponential(b_sq=b * b), f)[1] ** 2
                 want = b ** (2 * j) * math.factorial(j)
                 assert abs(got - want) <= 1e-6 * want
         for eta in (2.0, 3.0):
             ws = spaces.bergman_weights(eta, 20)
             for j in range(21):
                 f = monomial(j, max(j, 1))
-                got = bergman_norm_quadrature(f, eta) ** 2
+                got = integral_norm(Binomial(1.0, eta), f)[1] ** 2
                 want = float(ws.beta[j] ** 2)
                 assert abs(got - want) <= 1e-8 * want
         for j in range(21):
-            assert abs(hardy_norm_quadrature(monomial(j, max(j, 1))) - 1.0) <= 1e-10
+            assert abs(integral_norm(Binomial(1.0, 1.0), monomial(j, max(j, 1)))[1] - 1.0) <= 1e-10
 
 
 def test_criterion_09_selfmap_sharpness():

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, config handling."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -518,6 +519,17 @@ SPANNING, SPANNING_REVERSE = (
          "phi coefficient 6 is not finite: (inf+0j)"),
         (SPANNING_REVERSE, ["report", "--beta-file", "{file}", *PAIR],
          "phi coefficient 6 is not finite: (inf+0j)"),
+        # a large c with a0 near the circle takes section entries past the
+        # double range: refused by index, with no RuntimeWarning
+        (None, ["check", "--family", "bergman", "--eta", "3", "--order", "64", "--a0", "0.9",
+                "--a1", "0.05", "--c", "1e305"], "section entry (20, 48) is not finite: (inf+0j)"),
+        (None, ["check", "--family", "dirichlet", "--order", "64", "--a0", "0.95",
+                "--a1", "0.04", "--c", "1e307"], "section entry (9, 44) is not finite"),
+        # classify reads BETA1 BETA2 or a weight file, never both, and the
+        # order of BETA1 BETA2 is 2
+        ({"order": 2, "beta": [1, 1, 1]}, ["classify", "2", "2", "--beta-file", "{file}"],
+         "BETA1 BETA2 are order-2 weights: give no"),
+        (None, ["classify", "1.5", "2", "--order", "10"], "BETA1 BETA2 are order-2 weights: give no"),
     ],
     ids=[
         "check-beta-file-without-order", "classify-beta-file-without-order",
@@ -533,6 +545,8 @@ SPANNING, SPANNING_REVERSE = (
         "check-fock-b-1e-200", "quad-fock-b-1e-200", "sweep-fock-b-1e-200",
         "check-fock-b-1e-155", "check-spanning-file", "report-spanning-file",
         "check-spanning-file-reverse", "report-spanning-file-reverse",
+        "check-bergman-section-overflow", "check-dirichlet-section-overflow",
+        "classify-weights-and-file", "classify-weights-and-order",
     ],
 )
 def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message):
@@ -559,11 +573,36 @@ def test_quad_beyond_the_double_range_writes_no_warning(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("quadrature error: Gaussian norm quadrature not converged")
+    # |z^370|^2 overflows at the outer Gauss-Laguerre nodes of b = 0.1, and
+    # |f|^2 of a finite series norm at z = 1 on the circle
+    for space_args, f, domain in (
+        (["--family", "fock", "--b", "0.1", "--order", "400"], "z^370", "Gaussian"),
+        (["--family", "hardy", "--order", "2"], "9e153+9e153*z", "circle"),
+    ):
+        code, out, err = run_cli(capsys, "quad", *space_args, "--f", f)
+        assert code == 1 and out == ""
+        assert err.startswith(f"quadrature error: {domain} norm quadrature not converged")
     for space_args, f in ((["--family", "hardy"], "1e308+1e308*z"),
                           (["--family", "bergman", "--eta", "2"], "1e200*z^3")):
         code, out, err = run_cli(capsys, "quad", *space_args, "--f", f)
         assert code == 2 and out == ""
         assert err == "error: the series norm of f or its square leaves the double range\n"
+
+
+@pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+def test_sweep_cell_past_the_double_range_is_an_error_row(capsys, tmp_path, as_csv):
+    # at a0 = 0.97, c = 1e308 psi overflows; at a0 = 0.3 the section stays in
+    # range and fails on its deviation; the c = 1 rows pass
+    config = {"space": {"family": "binomial", "lambda": 1.0, "eta": 3.0}, "order": 64,
+              "grid": {"a0_mod": [0.3, 0.97], "c": [1, 1e308]}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path), *(["--csv"] if as_csv else []))
+    assert code == 1 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out))) if as_csv else strict_json(out)["rows"]
+    assert [str(row["pass"]) for row in rows] == ["True", "False", "True", "False"]
+    assert rows[3]["error"] == "psi coefficient 1 is not finite: (inf+0j)"
+    assert all(not row.get("error") for row in rows[:3])
 
 
 def test_subnormal_fock_weight_is_usage_error(capsys):

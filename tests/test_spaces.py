@@ -14,29 +14,33 @@ from wco.spaces import (
     Exponential,
     NotHospitable,
     WeightSequence,
-    bergman_norm_quadrature,
     bergman_weights,
     classify_weights,
     derivative_norm_bounds,
     dirichlet_weights,
     family_weights,
     flat_weights,
-    fock_norm_quadrature,
     fock_weights,
-    hardy_norm_quadrature,
     hardy_weights,
+    integral_norm,
     kernel,
     norm,
     verify_candidate,
     weights_from_json,
 )
-from wco.spaces import (
-    _angular_nodes,
-    _eval_on_grid,
-    _fock_tail_bound,
-    _gauss_jacobi,
-    _log_upper_gamma_bound,
-)
+from wco.spaces import _angular_nodes, _eval_on_grid, _gauss_jacobi, _gauss_laguerre
+
+
+def fock_norm(f, b_sq):
+    return integral_norm(Exponential(b_sq=b_sq), f)[1]
+
+
+def disk_norm(f, eta):
+    return integral_norm(Binomial(1.0, eta), f)[1]
+
+
+def circle_norm(f):
+    return integral_norm(Binomial(1.0, 1.0), f)[1]
 
 
 def inner_product(f, g, ws):
@@ -303,15 +307,15 @@ class TestFockQuadrature:
         for b in (0.5, 1.0, 2.0):
             for j in (0, 1, 3, 7, 20):
                 f = monomial(j, j if j else 0)
-                got = fock_norm_quadrature(f, b * b) ** 2
+                got = fock_norm(f, b * b) ** 2
                 want = b ** (2 * j) * math.factorial(j)
                 assert abs(got - want) <= 1e-6 * want
 
     def test_constant_is_normalized(self):
-        assert abs(fock_norm_quadrature(monomial(0, 0), 2.3) - 1.0) < 1e-12
+        assert abs(fock_norm(monomial(0, 0), 2.3) - 1.0) < 1e-12
 
     def test_one_plus_z(self):
-        got = fock_norm_quadrature(polynomial([1, 1]), 1.0) ** 2
+        got = fock_norm(polynomial([1, 1]), 1.0) ** 2
         assert abs(got - 2.0) <= 2e-6
 
     def test_agrees_with_series_norm(self):
@@ -320,44 +324,38 @@ class TestFockQuadrature:
             ws = fock_weights(b, 12)
             for _ in range(5):
                 f = TruncatedSeries(rng.standard_normal(13) + 1j * rng.standard_normal(13))
-                got = fock_norm_quadrature(f, b * b)
+                got = fock_norm(f, b * b)
                 want = norm(f, ws)
                 assert abs(got - want) <= 1e-6 * want
 
 
-class TestFockTailBound:
-    """The closed-form tail bound against 30-digit mpmath incomplete gammas."""
+class TestGaussLaguerre:
+    """The Gauss-Laguerre rule of the Gaussian plane against the moments
+    integral_0^inf e^(-t) t^k/k! dt = 1."""
 
-    @pytest.mark.parametrize("order", [12, 64, 170])
-    def test_incomplete_gamma_bound(self, order):
-        import mpmath
+    @pytest.mark.parametrize("n", [1, 4, 50, 251])
+    def test_nodes_weights_and_moments(self, n):
+        t, w = _gauss_laguerre(n)
+        assert t.shape == w.shape == (n,)
+        assert np.all(np.diff(t) > 0.0) and t[0] > 0.0
+        assert np.all(w >= 0.0) and w[0] > 0.0
+        assert not (t.flags.writeable or w.flags.writeable)
+        # w t^k / k! by a running product, so no t^k or k! leaves the range
+        terms, worst = w.copy(), abs(float(np.sum(w)) - 1.0)
+        for k in range(1, 2 * n):
+            terms *= t / k
+            worst = max(worst, abs(float(np.sum(terms)) - 1.0))
+        print(f"n={n}: worst moment error {worst:.2e}")
+        assert worst <= 1e-14
 
-        u = 60.0 + 2.0 * order
-        s = 0.5 * np.arange(2 * order + 1) + 1.0
-        bound = _log_upper_gamma_bound(s, u)
-        with mpmath.workdps(30):
-            exact = np.array([float(mpmath.log(mpmath.gammainc(sk, u))) for sk in s])
-        # at s = 1 the bound is exact: allow rounding of the float logarithm
-        assert np.all(bound >= exact - 1e-12)
-        assert np.all(bound <= exact + math.log(2.0))
-
-    @pytest.mark.parametrize("order", [12, 64, 170])
-    def test_polynomial_tail(self, order):
-        import mpmath
-
-        rng = np.random.default_rng(order)
-        coeffs = rng.standard_normal(order + 1) * 0.7 ** np.arange(order + 1)
-        coeffs[order // 3] = 0.0
-        b, u = 1.3, 60.0 + 2.0 * order
-        with mpmath.workdps(30):
-            tails = [mpmath.gammainc(0.5 * m + 1, u) for m in range(2 * order + 1)]
-            exact = mpmath.fsum(
-                abs(coeffs[p]) * abs(coeffs[q]) * mpmath.mpf(b) ** (p + q) * tails[p + q]
-                for p in range(order + 1)
-                for q in range(order + 1)
-            )
-            ratio = float(_fock_tail_bound(TruncatedSeries(coeffs), b, u) / exact)
-        assert 1.0 - 1e-12 <= ratio <= 2.0
+    @pytest.mark.parametrize("n", [1, 4, 50, 251])
+    def test_matches_scipy(self, n):
+        special = pytest.importorskip("scipy.special")
+        x, v = special.roots_laguerre(n)
+        t, w = _gauss_laguerre(n)
+        assert np.max(np.abs(t - x) / x) <= 1e-15
+        normal = v > 1e-290  # scipy keeps weights that this rule flushes to 0
+        np.testing.assert_allclose(w[normal], v[normal], rtol=1e-10)
 
 
 #: alpha = eta - 2 for the disk norms, and alpha = 0 (Gauss-Legendre)
@@ -408,21 +406,23 @@ class TestDiskQuadrature:
             ws = bergman_weights(eta, 20)
             for j in (0, 1, 2, 5, 11, 20):
                 f = monomial(j, j if j else 0)
-                got = bergman_norm_quadrature(f, eta) ** 2
+                got = disk_norm(f, eta) ** 2
                 want = float(ws.beta[j] ** 2)
                 assert abs(got - want) <= 1e-8 * want
 
     def test_bergman_one_plus_z(self):
-        got = bergman_norm_quadrature(polynomial([1, 1]), 3.0) ** 2
+        got = disk_norm(polynomial([1, 1]), 3.0) ** 2
         assert abs(got - 4.0 / 3.0) < 1e-8
 
     def test_eta_at_most_one_refused(self):
-        with pytest.raises(DomainError):
-            bergman_norm_quadrature(monomial(1, 1), 1.0)
+        # eta = 1 is the circle, and eta < 1 has no integral form at all
+        assert integral_norm(Binomial(1.0, 1.0), monomial(1, 1))[0] == "circle"
+        with pytest.raises(DomainError, match="no integral norm for eta < 1"):
+            disk_norm(monomial(1, 1), 0.5)
 
     def test_hardy_monomials(self):
         for j in (0, 1, 4, 9):
-            got = hardy_norm_quadrature(monomial(j, j if j else 0))
+            got = circle_norm(monomial(j, j if j else 0))
             assert abs(got - 1.0) < 1e-10
 
     def test_agreement_random_polynomials(self):
@@ -431,13 +431,13 @@ class TestDiskQuadrature:
             ws = bergman_weights(eta, 12)
             for _ in range(5):
                 f = TruncatedSeries(rng.standard_normal(13) + 1j * rng.standard_normal(13))
-                got = bergman_norm_quadrature(f, eta)
+                got = disk_norm(f, eta)
                 want = norm(f, ws)
                 assert abs(got - want) <= 1e-6 * want
         ws = hardy_weights(12)
         for _ in range(5):
             f = TruncatedSeries(rng.standard_normal(13) + 1j * rng.standard_normal(13))
-            assert abs(hardy_norm_quadrature(f) - norm(f, ws)) <= 1e-6 * norm(f, ws)
+            assert abs(circle_norm(f) - norm(f, ws)) <= 1e-6 * norm(f, ws)
 
 
 class TestDerivativeSandwich:
@@ -474,4 +474,4 @@ def test_angular_nodes_follow_the_degree_not_the_order():
     # the smaller rule is still exact for |f|^2 on the circle
     f = probe.truncated(512)
     exact = float(np.sum(np.abs(f.coeffs) ** 2))
-    assert hardy_norm_quadrature(f) ** 2 == pytest.approx(exact, rel=1e-14)
+    assert circle_norm(f) ** 2 == pytest.approx(exact, rel=1e-14)

@@ -391,11 +391,16 @@ class TestFullReport:
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
 def test_selfmap_fails_where_the_boundary_grid_leaves_the_double_range(bad):
     # max(0.0, nan - 1.0) is 0.0, so a grid maximum that is not finite must
-    # fail on its own, with a null residual
+    # fail on its own, with a null residual; a coefficient that is not
+    # finite is refused before, by SymbolPair
     phi = TruncatedSeries([0.3, 0.2, bad, bad])
     cls = spaces.classify_weights(dirichlet_weights(3))
-    sp = SymbolPair(a0=0.3, a1=0.2, c=1.0, cls=cls, psi=phi, phi=phi, trivial=NONTRIVIAL)
-    check = _selfmap_check(sp)
+    pair = dict(a0=0.3, a1=0.2, c=1.0, cls=cls, psi=phi, phi=phi, trivial=NONTRIVIAL)
+    if not math.isfinite(bad):
+        with pytest.raises(spaces.DomainError, match="psi coefficient 2 is not finite"):
+            SymbolPair(**pair)
+        return
+    check = _selfmap_check(SymbolPair(**pair))
     assert not check.passed and check.to_dict()["residual"] is None
 
 
