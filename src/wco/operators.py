@@ -167,22 +167,26 @@ def hermitian_deviation(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[fl
     section is allocated.  The entry reported is the first maximum in
     row-major order (a later block wins only with a strictly larger value;
     a NaN wins over every number), exactly as an argmax over the whole
-    table would give.
+    table would give.  A |M - M*| beyond the double range (entries near
+    its top) raises DomainError naming the first such entry.
     """
     n = m.shape[0]
     peak, where = -np.inf, (0, 0)
     moments = np.full(3, -np.inf)
     block = np.empty((min(ROW_BLOCK, n), n), dtype=complex)
     modulus = np.empty(block.shape)
-    for r in range(0, n, ROW_BLOCK):
-        rows = min(ROW_BLOCK, n - r)
-        diff = np.conjugate(m[:, r : r + rows].T, out=block[:rows])
-        np.subtract(m[r : r + rows], diff, out=diff)
-        diff = np.abs(diff, out=modulus[:rows])
-        i, j = divmod(int(np.argmax(diff)), n)
-        if diff[i, j] > peak or (np.isnan(diff[i, j]) and not np.isnan(peak)):
-            peak, where = diff[i, j], (r + i, j)
-        np.maximum(moments, diff[:, :3].max(axis=0), out=moments)
+    with np.errstate(over="ignore"):  # refused below
+        for r in range(0, n, ROW_BLOCK):
+            rows = min(ROW_BLOCK, n - r)
+            diff = np.conjugate(m[:, r : r + rows].T, out=block[:rows])
+            np.subtract(m[r : r + rows], diff, out=diff)
+            diff = np.abs(diff, out=modulus[:rows])
+            i, j = divmod(int(np.argmax(diff)), n)
+            if diff[i, j] > peak or (np.isnan(diff[i, j]) and not np.isnan(peak)):
+                peak, where = diff[i, j], (r + i, j)
+            np.maximum(moments, diff[:, :3].max(axis=0), out=moments)
+    if peak == np.inf:
+        raise DomainError(f"|M - M*| at entry {where} is beyond the double range")
     m0, m1, m2 = (float(x) for x in moments)
     return float(peak), where, (m0, m1, m2)
 

@@ -439,8 +439,8 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
     except DomainError:
         domain = None
     except QuadratureError as exc:
-        # a rule that cannot be built (Gauss-Jacobi nodes that do not
-        # converge) fails this check only; the report keeps every other check
+        # a quadrature value past the double range fails this check only;
+        # the report keeps every other check
         domain, quad_norm, quad_note = "unbuilt", math.inf, f"quadrature did not run: {exc}"
     if domain is not None:
         series_norm = spaces.norm(probe, ws)

@@ -313,6 +313,15 @@ class TestQuadCommand:
             assert code == 2 and out == ""
             assert "not finite" in err
 
+    def test_high_degree_at_large_eta(self, capsys):
+        # the 200-node Gauss-Jacobi rule of (1 - s)^498
+        code, out, err = run_cli(
+            capsys, "quad", "--family", "bergman", "--eta", "500", "--order", "398",
+            "--f", "1+z^398",
+        )
+        assert code == 0 and err == ""
+        assert strict_json(out)["relative_gap"] <= 1e-12
+
     def test_series_json_file_input(self, capsys, tmp_path):
         payload = {"order": 3, "coeffs": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
         path = tmp_path / "f.json"
@@ -525,6 +534,9 @@ SPANNING, SPANNING_REVERSE = (
                 "--a1", "0.05", "--c", "1e305"], "section entry (20, 48) is not finite: (inf+0j)"),
         (None, ["check", "--family", "dirichlet", "--order", "64", "--a0", "0.95",
                 "--a1", "0.04", "--c", "1e307"], "section entry (9, 44) is not finite"),
+        # a finite section whose M - M* leaves the double range
+        (None, ["check", "--family", "hardy", "--a0", "0.3", "--a1", "0.2", "--c", "1.5e308i"],
+         "|M - M*| at entry (0, 0) is beyond the double range"),
         # classify reads BETA1 BETA2 or a weight file, never both, and the
         # order of BETA1 BETA2 is 2
         ({"order": 2, "beta": [1, 1, 1]}, ["classify", "2", "2", "--beta-file", "{file}"],
@@ -546,6 +558,7 @@ SPANNING, SPANNING_REVERSE = (
         "check-fock-b-1e-155", "check-spanning-file", "report-spanning-file",
         "check-spanning-file-reverse", "report-spanning-file-reverse",
         "check-bergman-section-overflow", "check-dirichlet-section-overflow",
+        "check-hardy-deviation-overflow",
         "classify-weights-and-file", "classify-weights-and-order",
     ],
 )

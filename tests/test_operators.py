@@ -285,6 +285,12 @@ class TestRowBlocks:
         assert repr(operators.hermitian_deviation(m)) == repr(dense_deviation(m))
         assert operators.hermitian_deviation(m)[1] == (1, 100)
 
+    def test_deviation_beyond_the_double_range_is_refused(self):
+        m = np.zeros((3, 3), dtype=complex)
+        m[1, 2], m[2, 1] = 1e308, -1e308
+        with pytest.raises(DomainError, match=r"at entry \(1, 2\) is beyond the double range"):
+            operators.hermitian_deviation(m)
+
 
 class TestApply:
     def test_constant_gives_psi(self):

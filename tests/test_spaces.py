@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +330,24 @@ class TestFockQuadrature:
                 assert abs(got - want) <= 1e-6 * want
 
 
+#: the order of the 40-digit mpmath references
+MPMATH_N = 50
+
+
+def assert_all_roots(roots):
+    """n distinct zeros of a degree-n polynomial are all of its zeros."""
+    assert len({mpmath.nstr(x, 30) for x in roots}) == len(roots)
+
+
+def max_relative_error(values, reference):
+    return float(max(abs((mpmath.mpf(float(x)) - r) / r) for x, r in zip(values, reference)))
+
+
+def jacobi_derivative(n, a, x):
+    """P_n^(a, 0)'(x) = (n + a + 1)/2 P_(n-1)^(a + 1, 1)(x)."""
+    return (n + a + 1) / 2 * mpmath.jacobi(n - 1, a + 1, 1, x)
+
+
 class TestGaussLaguerre:
     """The Gauss-Laguerre rule of the Gaussian plane against the moments
     integral_0^inf e^(-t) t^k/k! dt = 1."""
@@ -357,13 +376,29 @@ class TestGaussLaguerre:
         normal = v > 1e-290  # scipy keeps weights that this rule flushes to 0
         np.testing.assert_allclose(w[normal], v[normal], rtol=1e-10)
 
+    def test_matches_mpmath(self):
+        n = MPMATH_N
+        t, w = _gauss_laguerre(n)
+        with mpmath.workdps(40):
+            nodes, weights = [], []
+            for x in map(mpmath.mpf, t):
+                for _ in range(6):  # Newton steps, with L_n' = -L_(n-1)^(1)
+                    x += mpmath.laguerre(n, 0, x) / mpmath.laguerre(n - 1, 1, x)
+                nodes.append(x)
+                weights.append(x / ((n + 1) * mpmath.laguerre(n + 1, 0, x)) ** 2)
+            assert_all_roots(nodes)
+            assert max_relative_error(t, nodes) <= 4e-16
+            assert max_relative_error(w, weights) <= 5e-14
+
 
 #: alpha = eta - 2 for the disk norms, and alpha = 0 (Gauss-Legendre)
-GAUSS_JACOBI_ALPHAS = [eta - 2.0 for eta in (1.01, 1.5, 3.0, 5.5, 10.0, 30.0)] + [0.0]
+GAUSS_JACOBI_ALPHAS = [
+    eta - 2.0 for eta in (1.001, 1.01, 1.5, 3.0, 5.5, 10.0, 30.0, 100.0, 500.0)
+] + [0.0]
 
 
 class TestGaussJacobi:
-    """The LAPACK-free Gauss-Jacobi rule against closed-form Beta moments."""
+    """The Gauss-Jacobi rule against closed-form Beta moments, scipy and mpmath."""
 
     @pytest.mark.parametrize("n", [7, 50, 200])
     @pytest.mark.parametrize("alpha", GAUSS_JACOBI_ALPHAS)
@@ -382,7 +417,7 @@ class TestGaussJacobi:
             )
             worst = max(worst, abs(float(np.sum(w * s**m)) - beta_fn) / beta_fn)
         print(f"alpha={alpha:g} n={n}: worst moment relative error {worst:.2e}")
-        assert worst <= 1e-9
+        assert worst <= 1e-11
 
     @pytest.mark.parametrize("alpha", GAUSS_JACOBI_ALPHAS)
     def test_matches_scipy(self, alpha):
@@ -391,6 +426,23 @@ class TestGaussJacobi:
         s, w = _gauss_jacobi(200, alpha)
         assert np.max(np.abs((2.0 * s - 1.0) - x)) <= 1e-15
         np.testing.assert_allclose(w * 2.0 ** (alpha + 1.0), v, rtol=1e-7)
+
+    @pytest.mark.parametrize("alpha", [-0.999, 0.0, 28.0, 498.0])
+    def test_matches_mpmath(self, alpha):
+        n = MPMATH_N
+        s, w = _gauss_jacobi(n, alpha)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            nodes, weights = [], []
+            for x in (2 * mpmath.mpf(float(v)) - 1 for v in s):
+                for _ in range(6):  # Newton steps on P_n^(a, 0)(x)
+                    x -= mpmath.jacobi(n, a, 0, x) / jacobi_derivative(n, a, x)
+                nodes.append((x + 1) / 2)
+                # the Gauss-Jacobi weight, over 2^(a + 1) for the interval [0, 1]
+                weights.append(1 / ((1 - x) * (1 + x) * jacobi_derivative(n, a, x) ** 2))
+            assert_all_roots(nodes)
+            assert max(abs(mpmath.mpf(float(v)) - x) for v, x in zip(s, nodes)) <= 2.3e-16
+            assert max_relative_error(w, weights) <= 5e-13
 
 
 def test_grid_evaluation_ignores_zero_padding():
