@@ -4,9 +4,11 @@ Output is JSON by default (CSV where it makes sense for tables); exit codes
 follow the verification contract: 0 all checks passed, 1 some check failed,
 2 usage or domain error.  Every subcommand reads its weights at one order
 (`_weights_from_args`) and classifies them by their coefficient ratios
-(`spaces.classify_weights`).  The verdicts read one fixed table,
-`verify.DEFAULT_TOLERANCES`, and the classifier's `spaces.CLASSIFICATION_TOL`
-(its first slope) and `spaces.FIT_TOL` (its ratio fit); no option overrides them.
+(`spaces.classify_weights`).  Every verdict is a report check: `check` and
+`report` print `verify.full_report`, a `sweep` row reads its section's
+`verify.section_checks` and `quad` its `verify.quadrature_check`.  No option
+overrides their thresholds, `verify.DEFAULT_TOLERANCES` and the classifier's
+`spaces.CLASSIFICATION_TOL` and `spaces.FIT_TOL`.
 `sweep` runs its cells one after another in this process; `--workers` is
 still accepted (an integer >= 1) so that existing command lines run, but it
 starts no other process.
@@ -270,7 +272,7 @@ def cmd_quad(args) -> int:
     series_norm = _in_double_range(spaces.norm(f, ws), "series")
     domain, q = spaces.integral_norm(cls, f)
     q = _in_double_range(q, "quadrature")
-    gap = verify.quadrature_gap(series_norm, q)
+    check = verify.quadrature_check(domain, series_norm, q)
     _print_json({
         "f": args.f,
         "order": ws.order,
@@ -280,9 +282,9 @@ def cmd_quad(args) -> int:
         "quadrature": domain,
         "quadrature_norm": q,
         "quadrature_norm_sq": q**2,
-        "relative_gap": gap,
+        "relative_gap": check.residual,
     })
-    return EXIT_OK if gap <= verify.DEFAULT_TOLERANCES["quadrature"] else EXIT_FAIL
+    return EXIT_OK if check.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +343,7 @@ def _sweep_cell(index, cls, ws, a0_mod, a0_arg, a1_fraction, c):
             "pass": False,
             "error": str(exc),
         }
-    deviation, _, (m0, m1, m2) = operators.hermitian_deviation(matrix)
+    deviation, *moments = verify.section_checks(matrix)
     return {
         "index": index,
         "a0_mod": a0_mod,
@@ -349,11 +351,9 @@ def _sweep_cell(index, cls, ws, a0_mod, a0_arg, a1_fraction, c):
         "a1": float(np.real(a1)),
         "a1_fraction": a1_fraction,
         "c": c,
-        "deviation": deviation,
-        "m0": m0,
-        "m1": m1,
-        "m2": m2,
-        "pass": deviation <= verify.DEFAULT_TOLERANCES["identity"],
+        "deviation": deviation.residual,
+        **{f"m{j}": moment.residual for j, moment in enumerate(moments)},
+        "pass": deviation.passed,
     }
 
 

@@ -24,7 +24,8 @@ with subnormal tails (lam |a0| = 0.05) or without.
 
 The section is the one power table of a pair, a read-only square complex
 array: `hermitian_deviation` reads |M - M*| off it in blocks of
-`ROW_BLOCK` rows, `kernel_identity_residual` reads W K_w off it as a
+`ROW_BLOCK` rows (and its three moments off the first three rows),
+`kernel_identity_residual` reads W K_w off it as a
 matrix-vector product, and `conjugation_check` compares it, again row
 block by row block, with the dilated pair's section.  Each check takes the
 section, reads the order from its shape and refuses symbols or weights of
@@ -167,12 +168,14 @@ def hermitian_deviation(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[fl
     section is allocated.  The entry reported is the first maximum in
     row-major order (a later block wins only with a strictly larger value;
     a NaN wins over every number), exactly as an argmax over the whole
-    table would give.  A |M - M*| beyond the double range (entries near
-    its top) raises DomainError naming the first such entry.
+    table would give.  The moments are the maxima of the first three rows
+    of |M - M*|, formed after the blocks: bitwise its column maxima, since
+    |M - M*| is bitwise symmetric (negation is exact, addition commutes and
+    the modulus ignores signs).  A |M - M*| beyond the double range (entries
+    near its top) raises DomainError naming the first such entry.
     """
     n = m.shape[0]
     peak, where = -np.inf, (0, 0)
-    moments = np.full(3, -np.inf)
     block = np.empty((min(ROW_BLOCK, n), n), dtype=complex)
     modulus = np.empty(block.shape)
     with np.errstate(over="ignore"):  # refused below
@@ -184,11 +187,10 @@ def hermitian_deviation(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[fl
             i, j = divmod(int(np.argmax(diff)), n)
             if diff[i, j] > peak or (np.isnan(diff[i, j]) and not np.isnan(peak)):
                 peak, where = diff[i, j], (r + i, j)
-            np.maximum(moments, diff[:, :3].max(axis=0), out=moments)
+        moments = np.abs(m[:3] - np.conjugate(m[:, :3].T)).max(axis=1)
     if peak == np.inf:
         raise DomainError(f"|M - M*| at entry {where} is beyond the double range")
-    m0, m1, m2 = (float(x) for x in moments)
-    return float(peak), where, (m0, m1, m2)
+    return float(peak), where, tuple(float(x) for x in moments)
 
 
 def apply(sp: SymbolPair, f: TruncatedSeries) -> TruncatedSeries:
@@ -249,40 +251,58 @@ def kernel_identity_residual(
 def kernel_tail_bound(cls, w: complex, order: int) -> float:
     """log10 of an upper bound on sum_{j > N} |w|^(2j) / beta(j)^2 for a
     family space, the squared-norm mass of the kernel tail dropped by
-    truncation (-inf at w = 0; inf if the tail does not converge).
+    truncation (-inf at w = 0; inf when the tail diverges, |w|^2 lam >= 1,
+    or when |w|^2 ratio(j) past its peak rounds to 1: Fock |w|^2/b^2 > ~1e20).
 
-    The terms t_j are summed from their logs relative to t_(N+1), so a mass
-    beyond the double range (Fock b = 0.01 has about 10^564) has a finite
-    log.  Both families' coefficient ratios are monotone with limit lam, so
+    The terms t_j are summed from their logs relative to the first summed
+    term t_s, so a mass beyond the double range (Fock b = 0.01 has about
+    10^564) has a finite log.  Both families' coefficient ratios are
+    ratio(j) = lam + (ratio(0) - lam) / (j + 1), monotone with limit lam, so
     r = |w|^2 max(ratio(j), lam) bounds every later t_(i+1) / t_i and the
     terms after t_j sum to at most t_j r / (1 - r): the sum stops once that
-    is below 1e-30 of the running mass and adds it.  The result is raised by
-    2 eps per unit of the logs summed, which covers their rounding.
+    is below 1e-30 of the running mass, or after `KERNEL_TAIL_TERMS` terms,
+    and adds it.  s = N + 1 unless the terms, which rise while |w|^2 ratio(j)
+    >= 1, peak more than half that budget later (Fock b = 0.00115 at |w|^2 =
+    0.13): then s is half the budget before the peak, log t_s comes from the
+    closed-form coefficient, and the s - N - 1 rising terms skipped sum to at
+    most (s - N - 1) t_s.  The result is raised by 2 eps per unit of the
+    logs summed, which covers their rounding.
     """
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("tail bounds are available for family spaces only")
     w_sq = abs(complex(w)) ** 2
     if w_sq == 0.0:
         return -math.inf
+    if w_sq * cls.lam >= 1.0:
+        return math.inf
     log_w_sq = math.log(w_sq)
-    log_ratios = [math.log(cls.coefficient_ratio(j)) for j in range(order + 1)]
-    # log t_(N+1) = log(|w|^(2(N+1)) khat(N+1)), and the size of the logs in it
-    log_head = (order + 1) * log_w_sq + math.fsum(log_ratios)
-    log_size = (order + 1) * abs(log_w_sq) + math.fsum(map(abs, log_ratios))
-    log_term, log_total = 0.0, -math.inf
-    for j in range(order + 1, order + 1 + KERNEL_TAIL_TERMS):
+    peak = w_sq * (cls.coefficient_ratio(0) - cls.lam) / (1.0 - w_sq * cls.lam)
+    start = max(order + 1, math.floor(peak) - KERNEL_TAIL_TERMS // 2)
+    if start == order + 1:  # log khat(N+1), the sum of the logs of the ratios 0..N
+        logs, log_total = [math.log(cls.coefficient_ratio(j)) for j in range(order + 1)], -math.inf
+    else:  # log khat(s) = log(b^(-2s) / s!) or log(lam^s Gamma(eta + s) / (Gamma(eta) s!))
+        if isinstance(cls, Exponential):
+            logs = [-start * math.log(cls.b_sq)]
+        else:
+            logs = [start * math.log(cls.lam), math.lgamma(cls.eta + start), -math.lgamma(cls.eta)]
+        logs, log_total = [*logs, -math.lgamma(start + 1)], math.log(start - order - 1)
+    # log t_s = log(|w|^(2s) khat(s)), and the size of the logs in it
+    log_head = start * log_w_sq + math.fsum(logs)
+    log_size = start * abs(log_w_sq) + math.fsum(map(abs, logs))
+    log_term = 0.0
+    for j in range(start, start + KERNEL_TAIL_TERMS):
         log_total = _log_add(log_total, log_term)
         ratio = cls.coefficient_ratio(j)
         r = w_sq * max(ratio, cls.lam)
         rest = log_term + math.log(r / (1.0 - r)) if r < 1.0 else math.inf
         if rest < LOG_TAIL_CUTOFF + log_total:
-            log_mass = log_head + _log_add(log_total, rest)
-            slack = 2.0 * sys.float_info.epsilon * (log_size + abs(log_mass))
-            return (log_mass + slack) / math.log(10.0)
+            break
         log_ratio = math.log(ratio)
         log_term += log_w_sq + log_ratio
         log_size += abs(log_w_sq) + abs(log_ratio)
-    return math.inf
+    log_mass = log_head + _log_add(log_total, rest)
+    slack = 2.0 * sys.float_info.epsilon * (log_size + abs(log_mass))
+    return (log_mass + slack) / math.log(10.0)
 
 
 def _log_add(x: float, y: float) -> float:

@@ -1,8 +1,8 @@
 """Truncated power-series arithmetic over complex coefficients.
 
 A :class:`TruncatedSeries` of order ``N`` stores the Maclaurin coefficients
-``0..N`` of an analytic function.  Multiplication and integer powers are
-*exact through order N*: coefficient ``j`` of a product depends only on
+``0..N`` of an analytic function.  Multiplication is *exact through
+order N*: coefficient ``j`` of a product depends only on
 coefficients ``0..j`` of the factors, so the stored entries equal the true
 product coefficients whenever the inputs are exact.  Differentiation loses
 the last order, so consumers that need second derivatives exact at order
@@ -77,23 +77,8 @@ class TruncatedSeries:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            common_order(left=self.order, right=other.order)
-            return TruncatedSeries(self.coeffs + other.coeffs)
-        c = self.coeffs.copy()
-        c[0] += other
-        return TruncatedSeries(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        common_order(left=self.order, right=other.order)
+        return TruncatedSeries(self.coeffs + other.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -108,15 +93,6 @@ class TruncatedSeries:
         return TruncatedSeries(prod)
 
     __rmul__ = __mul__
-
-    def __pow__(self, j: int):
-        """Integer power by repeated multiplication; ``f ** 0`` is 1."""
-        if not isinstance(j, (int, np.integer)) or j < 0:
-            raise ValueError("series powers must use non-negative integer exponents")
-        out = one(self.order)
-        for _ in range(int(j)):
-            out = out * self
-        return out
 
     def __truediv__(self, other):
         """Series division; the divisor must have a nonzero constant term."""

@@ -3,7 +3,8 @@
 Three routes certify (or refute) Hermitian-ness of a candidate operator:
 
 * the finite-section matrix (`hermitian_deviation` and its three
-  moments), exact entry by entry;
+  moments), exact entry by entry, judged by `section_checks` for the
+  report and the command line's sweep rows alike;
 * the kernel identity W K_w = W* K_w, checked pointwise through series;
 * the generating function's nonlinear ODE
   beta(1)^4 k'(z)^2 / k(z) = (beta(2)^2 / 2) k''(z),
@@ -52,17 +53,20 @@ __all__ = [
     "NormEquivalence",
     "norm_equivalence_check",
     "full_report",
-    "quadrature_gap",
+    "section_checks",
+    "quadrature_check",
     "DEFAULT_TOLERANCES",
 ]
 
 #: pass/fail thresholds of the report checks: a residual at or below its
-#: entry passes (exact identities at N = 64 are clean to ~1e-13)
+#: entry passes.  Each comment is the largest residual the entry's checks
+#: reach on the hospitable candidates of bench/inputs.py: cli_pool(1..3) at
+#: N = 64, report_pool(1..3) at N = 512
 DEFAULT_TOLERANCES = {
-    "identity": 1e-10,
-    "kernel": 1e-8,
-    "ode": 1e-12,
-    "quadrature": 1e-6,
+    "identity": 1e-10,  # 2.4e-15, 8.7e-15: deviation, moments, dilation conjugation
+    "kernel": 1e-8,  # 5.1e-15, 1.2e-14
+    "ode": 1e-12,  # 5.1e-16, 2.8e-15
+    "quadrature": 1e-6,  # 2.8e-16, 2.0e-16
 }
 
 #: relative slack of the norm comparisons (sigma_max^2 against the Gaussian
@@ -227,8 +231,8 @@ class VerificationReport:
             "pass": self.passed,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     def lines(self) -> list[str]:
         out = []
@@ -346,22 +350,7 @@ def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> Ver
     checks.append(_selfmap_check(sp))
 
     m = operators.build_matrix(sp, ws)
-    deviation, argmax, moments = operators.hermitian_deviation(m)
-    checks.append(
-        _residual_check(
-            "hermitian-deviation",
-            deviation,
-            tol["identity"],
-            "finite-section matrix (exact entries)",
-            f"argmax entry {list(argmax)}",
-        )
-    )
-    for label, value in zip(("moment-0", "moment-1", "moment-2"), moments):
-        checks.append(
-            _residual_check(
-                label, value, tol["identity"], "finite-section matrix (exact entries)"
-            )
-        )
+    checks.extend(section_checks(m))
 
     # the ODE on the weights' own 1/beta^2, coefficients 0..N, exact at every m
     k = TruncatedSeries(ws.generating_coefficients())
@@ -391,14 +380,9 @@ def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> Ver
         _residual_check("kernel-identity", kernel_res, tol["kernel"], "adjoint on kernels", notes)
     )
 
-    checks.extend(_family_specific_checks(ws, cls, sp, m, n, tol))
+    checks.extend(_family_specific_checks(ws, cls, sp, m))
 
     return VerificationReport(subject=subject, checks=checks)
-
-
-def quadrature_gap(series_norm: float, quad_norm: float) -> float:
-    """Relative gap |q - s|/s of integral norm q from series norm s, s read as at least 1e-300."""
-    return abs(quad_norm - series_norm) / max(series_norm, 1e-300)
 
 
 #: report oracle names of the `spaces.integral_norm` domains
@@ -410,7 +394,33 @@ _QUADRATURE_ORACLES = {
 }
 
 
-def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
+def section_checks(m: np.ndarray) -> list[Check]:
+    """The `hermitian-deviation` check of a finite section (noting the entry
+    where it peaks) and its three moment checks, against the ``identity``
+    tolerance: every verdict on a section, the report's and a sweep row's."""
+    deviation, argmax, moments = operators.hermitian_deviation(m)
+    tol, oracle = DEFAULT_TOLERANCES["identity"], "finite-section matrix (exact entries)"
+    return [
+        _residual_check("hermitian-deviation", deviation, tol, oracle, f"argmax entry {list(argmax)}"),
+        *(_residual_check(f"moment-{j}", value, tol, oracle) for j, value in enumerate(moments)),
+    ]
+
+
+def quadrature_check(domain: str, series_norm: float, quad_norm: float, notes: str = "") -> Check:
+    """The `quadrature-vs-series-norm` check: the relative gap |q - s|/s of
+    the integral norm q over ``domain`` (a `spaces.integral_norm` domain, or
+    "unbuilt") from the series norm s, s read as at least 1e-300, against
+    the ``quadrature`` tolerance."""
+    return _residual_check(
+        "quadrature-vs-series-norm",
+        abs(quad_norm - series_norm) / max(series_norm, 1e-300),
+        DEFAULT_TOLERANCES["quadrature"],
+        _QUADRATURE_ORACLES[domain],
+        notes,
+    )
+
+
+def _family_specific_checks(ws, cls, sp, m) -> list[Check]:
     checks: list[Check] = []
     if isinstance(cls, NotHospitable):
         # inhospitable with a constant weight tail: the norms are equivalent
@@ -419,7 +429,7 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
         beta_tail = ws.beta[1:]
         lo, hi = float(np.min(beta_tail)), float(np.max(beta_tail))
         if hi - lo <= 1e-12 * hi and lo >= 1.0 - 1e-12:
-            equivalence = norm_equivalence_check(_probe_polynomial(n), level=hi)
+            equivalence = norm_equivalence_check(_probe_polynomial(ws.order), level=hi)
             checks.append(
                 _residual_check(
                     "hardy-norm-equivalence",
@@ -432,7 +442,7 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
             )
         return checks
 
-    probe = _probe_polynomial(n)
+    probe = _probe_polynomial(ws.order)
     try:
         domain, quad_norm = spaces.integral_norm(cls, probe)
         quad_note = ""
@@ -443,16 +453,7 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
         # the report keeps every other check
         domain, quad_norm, quad_note = "unbuilt", math.inf, f"quadrature did not run: {exc}"
     if domain is not None:
-        series_norm = spaces.norm(probe, ws)
-        checks.append(
-            _residual_check(
-                "quadrature-vs-series-norm",
-                quadrature_gap(series_norm, quad_norm),
-                tol["quadrature"],
-                _QUADRATURE_ORACLES[domain],
-                quad_note,
-            )
-        )
+        checks.append(quadrature_check(domain, spaces.norm(probe, ws), quad_norm, quad_note))
     elif cls.normal_form:
         bounds = spaces.derivative_norm_bounds(probe, cls.eta)
         violation = max(bounds.lower - bounds.value, bounds.value - bounds.upper, 0.0)
@@ -471,7 +472,7 @@ def _family_specific_checks(ws, cls, sp, m, n, tol) -> list[Check]:
             _residual_check(
                 "dilation-conjugation",
                 conj_res,
-                tol["identity"],
+                DEFAULT_TOLERANCES["identity"],
                 "matrix identity across the dilation unitary",
             )
         )

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wco
-from wco import spaces
+from wco import cli, operators, spaces, symbols, verify
 from wco.cli import main, parse_complex, parse_polynomial
-from wco.spaces import Binomial, QuadratureError
+from wco.spaces import Binomial, Exponential, QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -951,6 +951,49 @@ def test_quad_and_report_share_the_integral_norm(capsys, space_args, fallback_ch
         eta = float(space_args[space_args.index("--eta") + 1])
         lam = float(space_args[space_args.index("--lam") + 1]) if "--lam" in space_args else 1.0
         assert Binomial(lam, eta).gamma == (eta + 1) / eta
+
+
+@pytest.mark.parametrize("c, passes", [(1.0, True), (1e8, False)], ids=["hermitian", "c-1e8"])
+@pytest.mark.parametrize(
+    "cls, ws",
+    [
+        (Binomial(0.5, 2.0), spaces.family_weights(Binomial(0.5, 2.0), 64)),
+        (Exponential(b_sq=1.44), spaces.fock_weights(1.2, 64)),
+    ],
+    ids=["binomial-lam-0.5", "fock"],
+)
+def test_sweep_row_is_the_section_verdict(cls, ws, c, passes):
+    # at c = 1e8 the entries' rounding alone takes |M - M*| past the identity tolerance
+    row = cli._sweep_cell(0, cls, ws, 0.3, 0.7, 0.4, c)
+    a0 = 0.3 * np.exp(0.7j)
+    a1 = symbols.a1_from_fraction(symbols.selfmap_interval(a0, cls.lam, 1.0), 0.4)
+    section = operators.build_matrix(symbols.synthesize(cls, a0, a1, c, 64), ws)
+    checks = verify.section_checks(section)
+    assert [check.name for check in checks] == ["hermitian-deviation", "moment-0", "moment-1", "moment-2"]
+    assert [row[key] for key in ("deviation", "m0", "m1", "m2")] == [check.residual for check in checks]
+    assert row["pass"] is checks[0].passed is passes
+
+
+@pytest.mark.parametrize("skew", [1.0, 1.001], ids=["exact", "skewed"])
+@pytest.mark.parametrize(
+    "space_args",
+    [["--family", "fock", "--b", "1.2"], ["--family", "hardy"], ["--family", "bergman", "--eta", "2"]],
+    ids=["fock", "hardy", "bergman-2"],
+)
+def test_quad_verdict_is_the_quadrature_check(capsys, monkeypatch, space_args, skew):
+    integral_norm = spaces.integral_norm
+
+    def skewed(cls, f):
+        domain, q = integral_norm(cls, f)
+        return domain, q * skew
+
+    monkeypatch.setattr(spaces, "integral_norm", skewed)
+    code, out, _ = run_cli(capsys, "quad", *space_args, "--order", "24", "--f", "1+0.5*z-z^3")
+    payload = strict_json(out)
+    check = verify.quadrature_check(payload["quadrature"], payload["series_norm"], payload["quadrature_norm"])
+    assert payload["relative_gap"] == check.residual
+    assert check.passed is (skew == 1.0)
+    assert code == (0 if check.passed else 1)
 
 
 @pytest.mark.parametrize("weight", [1e-200, 1e200])

@@ -58,7 +58,7 @@ class TestBuildMatrix:
         assert operators.hermitian_deviation(m)[0] <= 1e-12
         # independent check on a few entries: <W e_j, e_i> via direct convolution
         for i, j in ((0, 0), (1, 3), (5, 2)):
-            conv = np.convolve(sp.psi.coeffs, (sp.phi ** j).coeffs)[i]
+            conv = np.convolve(sp.psi.coeffs, compose_poly(monomial(j, sp.order), sp.phi).coeffs)[i]
             assert abs(m[i, j] - conv * ws.beta[i] / ws.beta[j]) < 1e-14
 
     @pytest.mark.parametrize("general", [False, True], ids=["recurrence", "convolution"])
@@ -421,6 +421,46 @@ class TestKernelIdentity:
         exact = self.exact_tail_log10(cls, w, order)
         excess = (operators.kernel_tail_bound(cls, w, order) - exact) * mpmath.log(10)
         assert 0 <= excess <= 1e-12, excess  # relative excess of the mass
+
+    @staticmethod
+    def closed_form_tail_log10(cls, w, order):
+        """log10 of the kernel tail mass in closed form, at 50 digits: with
+        y = |w|^2 / b^2 the Fock tail is e^y P(N + 1, y); with x = lam |w|^2
+        the binomial tail is (1 - x)^(-eta) I_x(N + 1, eta), and
+        I_x(N + 1, eta) = 1 - I_(1-x)(eta, N + 1), whose series ends."""
+        with mpmath.workdps(50):
+            w_sq = mpmath.mpf(abs(complex(w))) ** 2
+            if isinstance(cls, Exponential):
+                y = w_sq / mpmath.mpf(cls.b_sq)
+                return mpmath.log10(mpmath.exp(y) * mpmath.gammainc(order + 1, 0, y, regularized=True))
+            x, eta = mpmath.mpf(cls.lam) * w_sq, mpmath.mpf(cls.eta)
+            upper = mpmath.betainc(eta, order + 1, 0, 1 - x, regularized=True)
+            return mpmath.log10((1 - x) ** -eta * (1 - upper))
+
+    @pytest.mark.parametrize(
+        "cls", [Exponential(b_sq=0.01**2), Binomial(lam=1.0, eta=1200.0), Binomial(lam=0.5, eta=1.3)],
+        ids=["fock-0.01", "bergman-1200", "binomial"],
+    )
+    def test_closed_form_tail_matches_a_50_digit_sum(self, cls):
+        closed = self.closed_form_tail_log10(cls, 0.3 + 0.2j, 64)
+        assert abs(closed - self.exact_tail_log10(cls, 0.3 + 0.2j, 64)) <= 1e-40 * abs(closed)
+
+    @pytest.mark.parametrize(
+        "cls, mass_log10",
+        [(Exponential(b_sq=0.00115**2), 42690.57), (Binomial(lam=1.0, eta=1e6), 60480.75)],
+        ids=["fock-0.00115", "bergman-1e6"],
+    )
+    def test_tail_peaking_past_the_term_budget_is_bounded(self, cls, mass_log10):
+        # the terms rise for ~1e5 indices past N = 64, more than KERNEL_TAIL_TERMS / 2
+        exact = self.closed_form_tail_log10(cls, 0.3 + 0.2j, 64)
+        assert round(float(exact), 2) == mass_log10
+        bound = operators.kernel_tail_bound(cls, 0.3 + 0.2j, 64)
+        assert math.isfinite(bound)
+        excess = (bound - exact) * mpmath.log(10)
+        assert 0 <= excess <= 1e-7, excess  # relative excess of the mass
+
+    def test_divergent_tail_is_unbounded(self):
+        assert operators.kernel_tail_bound(HARDY, 1.0, 64) == math.inf
 
     def test_far_point_rejected(self):
         sp, ws = hardy_pair(order=16)

@@ -71,34 +71,21 @@ class TestMul:
 
 
 class TestPower:
-    def test_zeroth_power(self):
-        rng = np.random.default_rng(11)
-        f = rand_series(rng, 8)
-        assert np.array_equal((f ** 0).coeffs, one(8).coeffs)
-
     def test_affine_square(self):
         a0, a1 = 0.3 + 0.1j, -0.7
         f = polynomial([a0, a1], order=2)
-        sq = f ** 2
+        sq = f * f
         assert np.allclose(sq.coeffs, [a0 * a0, 2 * a0 * a1, a1 * a1])
 
     def test_binomial_power_identity(self):
-        # (1 - lam z)^(-eta*m) computed two ways
+        # (1 - lam z)^(-eta*m) computed two ways, m = 3
         lam, eta, m = 0.8, 1.3, 3
-        lhs = binomial_series(lam, eta, 40) ** m
+        f = binomial_series(lam, eta, 40)
+        lhs = f * f * f
         rhs = binomial_series(lam, eta * m, 40)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12 * np.max(
             np.abs(rhs.coeffs)
         )
-
-    def test_power_peels_one_factor_exactly(self):
-        rng = np.random.default_rng(12)
-        f = rand_series(rng, 20)
-        assert np.array_equal((f ** 5).coeffs, ((f ** 4) * f).coeffs)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            one(3) ** -1
 
 
 class TestDerivative:
@@ -153,7 +140,7 @@ class TestCompose:
     def test_square_pulls_through(self):
         rng = np.random.default_rng(17)
         g = rand_series(rng, 10)
-        assert np.array_equal(compose_poly(monomial(2, 10), g).coeffs, (g ** 2).coeffs)
+        assert np.array_equal(compose_poly(monomial(2, 10), g).coeffs, (g * g).coeffs)
 
     def test_identity_map(self):
         rng = np.random.default_rng(18)
@@ -232,6 +219,6 @@ def test_division_inverts_multiplication():
     rng = np.random.default_rng(29)
     f = rand_series(rng, 24)
     g = rand_series(rng, 24)
-    g = g + (3.0 - g.coeffs[0])  # pin a safely nonzero constant term
+    g = g + polynomial([3.0 - g.coeffs[0]], order=24)  # pin a safely nonzero constant term
     back = (f * g) / g
     assert np.allclose(back.coeffs, f.coeffs, atol=1e-12)
