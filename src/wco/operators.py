@@ -239,10 +239,11 @@ def kernel_identity_residual(
         # on the BLAS library numpy links, so the residual's bits do not either
         forward = np.einsum("ij,j->i", m, kernel(w, ws).coeffs * ws.beta)
         # scaled by a power of two before squaring (bitwise the same, unless
-        # entries near the top of the double range would overflow: Fock b = 0.01)
+        # entries near the top of the double range would overflow: Fock b = 0.01,
+        # or subnormal ones underflow: c = 1e-300)
         diff = np.abs(forward - backward)
-        scale = 2.0 ** -math.frexp(float(np.max(diff)))[1]
-        residual = float(np.sqrt(np.sum((diff * scale) ** 2)) / scale)
+        e = math.frexp(float(np.max(diff)))[1]
+        residual = float(np.ldexp(np.sqrt(np.sum(np.ldexp(diff, -e) ** 2)), e))
     if not math.isfinite(residual):
         raise DomainError("the kernel terms at w leave the double range")
     return residual
@@ -251,22 +252,21 @@ def kernel_identity_residual(
 def kernel_tail_bound(cls, w: complex, order: int) -> float:
     """log10 of an upper bound on sum_{j > N} |w|^(2j) / beta(j)^2 for a
     family space, the squared-norm mass of the kernel tail dropped by
-    truncation (-inf at w = 0; inf when the tail diverges, |w|^2 lam >= 1,
-    or when |w|^2 ratio(j) past its peak rounds to 1: Fock |w|^2/b^2 > ~1e20).
+    truncation (-inf at w = 0; inf when the tail diverges, |w|^2 lam >= 1).
 
-    The terms t_j are summed from their logs relative to the first summed
-    term t_s, so a mass beyond the double range (Fock b = 0.01 has about
-    10^564) has a finite log.  Both families' coefficient ratios are
+    The terms t_j are summed from their logs relative to t_(N+1), so a mass
+    beyond the double range (Fock b = 0.01 has about 10^564) has a finite
+    log.  Both families' coefficient ratios are
     ratio(j) = lam + (ratio(0) - lam) / (j + 1), monotone with limit lam, so
     r = |w|^2 max(ratio(j), lam) bounds every later t_(i+1) / t_i and the
     terms after t_j sum to at most t_j r / (1 - r): the sum stops once that
     is below 1e-30 of the running mass, or after `KERNEL_TAIL_TERMS` terms,
-    and adds it.  s = N + 1 unless the terms, which rise while |w|^2 ratio(j)
-    >= 1, peak more than half that budget later (Fock b = 0.00115 at |w|^2 =
-    0.13): then s is half the budget before the peak, log t_s comes from the
-    closed-form coefficient, and the s - N - 1 rising terms skipped sum to at
-    most (s - N - 1) t_s.  The result is raised by 2 eps per unit of the
-    logs summed, which covers their rounding.
+    and adds it.  The result is raised by 2 eps per unit of the logs summed,
+    which covers their rounding.  The terms rise while |w|^2 ratio(j) >= 1;
+    when they peak more than half that budget past N (Fock b = 0.00115 at
+    |w|^2 = 0.13) the whole series, log k(|w|^2) = |w|^2/b^2 or
+    -eta log1p(-lam |w|^2), bounds the tail instead, raised by 2 eps times its
+    size plus its growth |w|^2 (log k)', which covers the rounding of |w|^2.
     """
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("tail bounds are available for family spaces only")
@@ -275,22 +275,22 @@ def kernel_tail_bound(cls, w: complex, order: int) -> float:
         return -math.inf
     if w_sq * cls.lam >= 1.0:
         return math.inf
-    log_w_sq = math.log(w_sq)
     peak = w_sq * (cls.coefficient_ratio(0) - cls.lam) / (1.0 - w_sq * cls.lam)
-    start = max(order + 1, math.floor(peak) - KERNEL_TAIL_TERMS // 2)
-    if start == order + 1:  # log khat(N+1), the sum of the logs of the ratios 0..N
-        logs, log_total = [math.log(cls.coefficient_ratio(j)) for j in range(order + 1)], -math.inf
-    else:  # log khat(s) = log(b^(-2s) / s!) or log(lam^s Gamma(eta + s) / (Gamma(eta) s!))
+    if peak - order - 1 > KERNEL_TAIL_TERMS // 2:
         if isinstance(cls, Exponential):
-            logs = [-start * math.log(cls.b_sq)]
+            log_k = w_sq / cls.b_sq
         else:
-            logs = [start * math.log(cls.lam), math.lgamma(cls.eta + start), -math.lgamma(cls.eta)]
-        logs, log_total = [*logs, -math.lgamma(start + 1)], math.log(start - order - 1)
-    # log t_s = log(|w|^(2s) khat(s)), and the size of the logs in it
-    log_head = start * log_w_sq + math.fsum(logs)
-    log_size = start * abs(log_w_sq) + math.fsum(map(abs, logs))
-    log_term = 0.0
-    for j in range(start, start + KERNEL_TAIL_TERMS):
+            log_k = -cls.eta * math.log1p(-cls.lam * w_sq)
+        growth = w_sq * cls.coefficient_ratio(0) / (1.0 - w_sq * cls.lam)
+        return (log_k + 2.0 * sys.float_info.epsilon * (log_k + growth)) / math.log(10.0)
+    # log t_(N+1) = log(|w|^(2(N+1)) khat(N+1)), khat(N+1) the product of the
+    # ratios 0..N, and the size of the logs in it
+    log_w_sq = math.log(w_sq)
+    logs = [math.log(cls.coefficient_ratio(j)) for j in range(order + 1)]
+    log_head = (order + 1) * log_w_sq + math.fsum(logs)
+    log_size = (order + 1) * abs(log_w_sq) + math.fsum(map(abs, logs))
+    log_term, log_total = 0.0, -math.inf
+    for j in range(order + 1, order + 1 + KERNEL_TAIL_TERMS):
         log_total = _log_add(log_total, log_term)
         ratio = cls.coefficient_ratio(j)
         r = w_sq * max(ratio, cls.lam)
@@ -336,22 +336,18 @@ def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:
 def fock_log_bound(sp: SymbolPair) -> float:
     """log of the Gaussian-space bound on the squared operator norm,
     log(c^2/a1^2) + sup_r g(r)/b^2, where g(r) = (1 - 1/a1^2) r^2 + 2|a0|(1 +
-    1/|a1|) r + |a0|^2 is a downward parabola in r = |z - a0| (its vertex gives
-    the supremum).  Finite where the bound itself overflows (small b); -inf
+    1/|a1|) r + |a0|^2 is a downward parabola in r = |z - a0|.  Its vertex
+    r* = |a0||a1|/(1 - |a1|) >= 0 gives the supremum g(r*) = 2|a0|^2/(1 - |a1|),
+    so the bound is 2 log|c| - 2 log|a1| + 2|a0|^2/((1 - |a1|) b^2): finite
+    where the bound itself overflows (small b, large c or small a1); -inf
     when c = 0."""
     if not isinstance(sp.cls, Exponential):
         raise ValueError("the Gaussian norm bound applies to exponential-family pairs")
     a1 = abs(sp.a1)
     if not (0.0 < a1 < 1.0):
         raise DomainError(f"the bound requires 0 < |a1| < 1 (got {a1})")
-    b_sq = sp.cls.b_sq
-    m = abs(sp.a0)
-    quad = 1.0 - 1.0 / (a1 * a1)
-    lin = 2.0 * m * (1.0 + 1.0 / a1)
-    r_star = -lin / (2.0 * quad)  # >= 0 since quad < 0
-    sup_exponent = m * m + lin * r_star + quad * r_star * r_star
-    scale = abs(sp.c) ** 2 / (a1 * a1)
-    return (math.log(scale) if scale > 0.0 else -math.inf) + sup_exponent / b_sq
+    log_c = math.log(abs(sp.c)) if sp.c != 0 else -math.inf
+    return 2.0 * (log_c - math.log(a1)) + 2.0 * abs(sp.a0) ** 2 / ((1.0 - a1) * sp.cls.b_sq)
 
 
 def finite_section_norm(m: np.ndarray) -> float:

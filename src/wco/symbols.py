@@ -13,10 +13,10 @@ lam = 0 (an affine phi) for the exponential one.  `synthesize` materializes
 these closed forms; `synthesize_from_weights` builds the same shape over an
 arbitrary weight sequence, which is what makes inhospitable spaces testable.
 
-The self-map region of phi is an exact closed interval in a1
-(`selfmap_interval`, for 0 <= lam <= 1); `mobius_circle_max`, |phi| on the
-circle by direct evaluation, is the reference oracle that acceptance
-criterion 09 holds its endpoints to.
+The self-map region of phi is an exact closed interval in real a1
+(`selfmap_interval`, for 0 <= lam <= 1), and sup |phi| over the disk has a
+closed form for any a1 (`selfmap_excess`).  `mobius_circle_max`, |phi| on
+the circle by direct evaluation, is the reference oracle of both.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "synthesize_from_weights",
     "SelfMapInterval",
     "selfmap_interval",
+    "selfmap_excess",
     "dilate",
     "mobius_circle_max",
     "a1_from_fraction",
@@ -59,8 +60,6 @@ RANK_ONE = "rank-one"
 
 #: absolute slack for closed-interval membership at the self-map boundary
 ENDPOINT_SLACK = 1e-12
-#: distance in a1 within which `SelfMapInterval.at_endpoint` flags an endpoint
-ENDPOINT_FLAG_TOL = 1e-9
 #: uniform circle points of `mobius_circle_max`, besides the two extremal ones
 CIRCLE_GRID = 4096
 
@@ -198,12 +197,6 @@ class SelfMapInterval:
             self.a1_min - ENDPOINT_SLACK <= a1 <= self.a1_max + ENDPOINT_SLACK
         )
 
-    def at_endpoint(self, a1: float) -> bool:
-        return self.admissible and (
-            abs(a1 - self.a1_min) <= ENDPOINT_FLAG_TOL
-            or abs(a1 - self.a1_max) <= ENDPOINT_FLAG_TOL
-        )
-
 
 def _check_region_preconditions(a0: complex, lam: float, rho: float) -> float:
     if not (0.0 <= lam <= 1.0):
@@ -240,6 +233,23 @@ def selfmap_interval(a0: complex, lam: float, rho: float = 1.0) -> SelfMapInterv
     return SelfMapInterval(
         a0_mod=m, lam=lam, rho=rho, a1_min=a1_min, a1_max=a1_max, admissible=admissible
     )
+
+
+def selfmap_excess(a0: complex, a1: complex, q: complex) -> float:
+    """sup |phi| - 1 over the unit disk for phi = a0 + a1 z/(1 - q z), |q| < 1
+    (else DomainError: the pole is in the closed disk).  z -> z/(1 - q z)
+    maps the unit circle onto the circle of centre conj(q)/(1 - |q|^2) and
+    radius 1/(1 - |q|^2), so by the maximum principle sup |phi| is
+    |a0 + a1 conj(q)/(1 - |q|^2)| + |a1|/(1 - |q|^2).
+    """
+    a0, a1, q = complex(a0), complex(a1), complex(q)
+    if abs(q) >= 1.0:
+        raise DomainError(
+            f"rho*|a0|*lam must be < 1 (got {abs(q)}); phi is not analytic "
+            "on the closed disk otherwise"
+        )
+    shrink = 1.0 - abs(q) ** 2
+    return abs(a0 + a1 * q.conjugate() / shrink) + abs(a1) / shrink - 1.0
 
 
 def a1_from_fraction(interval: SelfMapInterval, fraction: float) -> float:

@@ -73,7 +73,8 @@ DEFAULT_TOLERANCES = {
 #: bound, the derivative-norm sandwich, the flat-weight norm equivalence),
 #: scaled by max(1, bound)
 NORM_BOUND_SLACK = 1e-12
-#: largest max|phi| - 1 on the 0.999-radius grid that still counts as a self-map
+#: largest max|phi| - 1 on the 0.999-radius grid that still counts as a self-map,
+#: for general pairs only (phi known as a series); family pairs have a closed form
 BOUNDARY_GRID_TOL = 1e-9
 #: the point w of the kernel identity W K_w = W* K_w in every report
 KERNEL_POINT = 0.3 + 0.2j
@@ -258,28 +259,19 @@ def _residual_check(name, residual, tol, oracle, notes="") -> Check:
 
 
 def _selfmap_check(sp: SymbolPair) -> Check:
-    """Is phi a self-map of the unit disk?  Pairs over a hospitable space
-    (lam = 0 for the exponential family) use the exact interval; general
-    pairs fall back to a boundary grid on the truncation."""
-    cls = sp.cls
-    a1r, notes = sp.a1.real, ""
-    if abs(sp.a1.imag) > 0:
-        notes = "a1 has an imaginary part; treated via |phi| on the boundary grid"
-    if not isinstance(cls, NotHospitable) and sp.a1.imag == 0:
-        interval = symbols.selfmap_interval(sp.a0, cls.lam, 1.0)
-        if not interval.admissible:
-            # phi(0) = a0 is not inside the disk; the endpoint formulas can
-            # still coincide with a1 (both 0 at |a0| = 1, a1 = 0)
-            return _residual_check(
-                "selfmap", math.inf, symbols.ENDPOINT_SLACK, "exact interval",
-                f"|a0| = {interval.a0_mod!r} >= 1: no self-map interval",
-            )
-        inside = interval.contains(a1r)
-        residual = 0.0 if inside else max(interval.a1_min - a1r, a1r - interval.a1_max)
-        if interval.at_endpoint(a1r):
+    """Is phi a self-map of the unit disk?  A family pair (``sp.phi_pole``
+    set, zero for the exponential family) is judged by the closed-form
+    sup |phi| - 1 of `symbols.selfmap_excess`, for real or complex a1;
+    general pairs fall back to a boundary grid on the truncation."""
+    if sp.phi_pole is not None:
+        excess, notes = symbols.selfmap_excess(sp.a0, sp.a1, sp.phi_pole), ""
+        if sp.a1 == 0 and abs(sp.a0) >= 1.0:
+            # a constant phi = a0 on the circle has excess |a0| - 1, 0 at |a0| = 1
+            excess, notes = math.inf, f"|a0| = {abs(sp.a0)!r} >= 1: no self-map interval"
+        elif abs(excess) <= symbols.ENDPOINT_SLACK:
             notes = "a1 sits at a self-map interval endpoint (boundary-touching phi)"
         return _residual_check(
-            "selfmap", residual, symbols.ENDPOINT_SLACK, "exact interval", notes
+            "selfmap", max(excess, 0.0), symbols.ENDPOINT_SLACK, "exact image circle", notes
         )
     with np.errstate(over="ignore", invalid="ignore"):
         on_grid = sp.phi(0.999 * np.exp(2j * np.pi * np.arange(1024) / 1024))
@@ -289,7 +281,7 @@ def _selfmap_check(sp: SymbolPair) -> Check:
         max(0.0, grid_max - 1.0) if math.isfinite(grid_max) else math.inf,  # max(0, nan - 1) = 0
         BOUNDARY_GRID_TOL,
         "boundary grid on the truncated phi",
-        notes or "grid estimate; truncation tail not included",
+        "grid estimate; truncation tail not included",
     )
 
 

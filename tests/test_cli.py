@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, config handling."""
 
+import cmath
 import contextlib
 import csv
 import io
@@ -218,6 +219,57 @@ class TestCheckCommand:
         selfmap = {c["name"]: c for c in strict_json(out)["checks"]}["selfmap"]
         assert selfmap["pass"] is False and selfmap["residual"] is None
         assert ">= 1" in selfmap["notes"]
+
+    def test_selfmap_fails_a_complex_a1_outside_the_disk(self, capsys):
+        # sup |phi| = 1.00074: the image circle of phi leaves the disk
+        code, out, _ = run_cli(
+            capsys, "check", "--family", "hardy", "--a0", "0.3", "--a1", "0.06+0.57i", "--c", "1",
+        )
+        assert code == 1
+        selfmap = {c["name"]: c for c in strict_json(out)["checks"]}["selfmap"]
+        assert selfmap["pass"] is False and selfmap["oracle"] == "exact image circle"
+        assert selfmap["residual"] == pytest.approx(7.39e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("a1", ["0.1", "0.1+0.1i"], ids=["real-a1", "complex-a1"])
+    def test_pole_of_phi_in_the_disk_is_a_domain_error(self, capsys, a1):
+        code, out, err = run_cli(
+            capsys, "check", "--family", "bergman", "--eta", "2", "--a0", "1.2", "--a1", a1,
+            "--c", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: rho*|a0|*lam must be < 1 (got 1.2); phi is not analytic on the "
+            "closed disk otherwise\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the kernel residual's difference is subnormal
+            ["--family", "hardy", "--a0", "0.3", "--a1", "0.2", "--c", "1e-300"],
+            # c^2/a1^2 and 1/a1^2 of the Gaussian bound leave the double range
+            ["--family", "fock", "--b", "1", "--a0", "0.3", "--a1", "0.2", "--c", "1e160"],
+            ["--family", "fock", "--b", "1", "--a0", "0.3", "--a1", "1e-170", "--c", "1"],
+        ],
+        ids=["hardy-c-1e-300", "fock-c-1e160", "fock-a1-1e-170"],
+    )
+    def test_symbols_far_from_one_get_a_report(self, capsys, argv):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code in (0, 1) and err == ""
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert checks["kernel-identity"]["residual"] is not None
+        if "fock" in argv:
+            assert checks["norm-bound-dominance"]["pass"] is True
+
+    def test_tail_far_past_the_term_budget_is_finite(self, capsys):
+        # |w|^2/b^2 = 1.3e21: the whole series log k(|w|^2) bounds the tail
+        code, out, _ = run_cli(
+            capsys, "check", "--family", "fock", "--b", "1e-11", "--order", "5",
+            "--a0", "0.3", "--a1", "0.2", "--c", "1",
+        )
+        notes = {c["name"]: c for c in strict_json(out)["checks"]}["kernel-identity"]["notes"]
+        log10_mass = float(re.fullmatch(r".*\(log10 (.*)\)", notes).group(1))
+        assert log10_mass == pytest.approx(5.645828265e20, rel=1e-9)
 
     def test_fock_pass(self, capsys):
         code, out, _ = run_cli(
@@ -663,6 +715,53 @@ def test_check_below_order_two_is_usage_error(space, order, a0, a1, c):
         ])
     assert code == 2 and out.getvalue() == ""
     assert "error" in err.getvalue()
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def any_family(draw) -> list[str]:
+    """``--family`` and its options, one of the six families the CLI builds."""
+    family = draw(st.sampled_from(["hardy", "fock", "bergman", "binomial", "dirichlet", "flat"]))
+    args = ["--family", family]
+    if family == "fock":
+        args.append(f"--b={draw(log_uniform(1e-3, 1e3))!r}")
+    if family in ("bergman", "binomial"):
+        args.append(f"--eta={draw(log_uniform(0.5, 1000.0))!r}")
+    if family == "binomial":
+        args.append(f"--lam={draw(st.floats(0.0, 1.0, exclude_min=True))!r}")
+    return args
+
+
+def polar(modulus, real=st.just(False)):
+    """A complex number of the given modulus, at any argument or (when
+    ``real`` draws True) on the real line, of either sign."""
+    return st.tuples(modulus, st.floats(0.0, 2.0 * math.pi), real).map(
+        lambda t: complex(math.copysign(t[0], math.cos(t[1]))) if t[2] else cmath.rect(t[0], t[1])
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    space=any_family(),
+    order=st.sampled_from(["3", "5", "16", "64"]),
+    a0=polar(st.floats(0.0, 1.0, exclude_max=True)),
+    a1=polar(log_uniform(1e-300, 1.0), st.booleans()),
+    c=polar(log_uniform(1e-300, 1e300), st.just(True)),
+)
+def test_check_writes_a_report_or_an_error_and_no_traceback(space, order, a0, a1, c):
+    # symbols and scales far from 1: a traceback here is a crash on valid input
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "check", *space, "--order", order, f"--a0={a0!r}", f"--a1={a1!r}", f"--c={c!r}",
+        ])
+    assert code in (0, 1, 2)
+    if code != 2:
+        strict_json(out.getvalue())
+        assert err.getvalue() == ""
 
 
 def subprocess_env() -> dict:

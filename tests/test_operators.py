@@ -446,18 +446,26 @@ class TestKernelIdentity:
         assert abs(closed - self.exact_tail_log10(cls, 0.3 + 0.2j, 64)) <= 1e-40 * abs(closed)
 
     @pytest.mark.parametrize(
-        "cls, mass_log10",
-        [(Exponential(b_sq=0.00115**2), 42690.57), (Binomial(lam=1.0, eta=1e6), 60480.75)],
-        ids=["fock-0.00115", "bergman-1e6"],
+        "cls, order, mass_log10",
+        [
+            (Exponential(b_sq=0.00115**2), 64, 42690.57),
+            (Binomial(lam=1.0, eta=1e6), 64, 60480.75),
+            # |w|^2 ratio(j) rounds to 1 past the peak, so no sum of terms ends
+            (Exponential(b_sq=1e-11**2), 5, 5.645828265e20),
+            (Exponential(b_sq=1e-13**2), 5, 5.645828265e24),
+        ],
+        ids=["fock-0.00115", "bergman-1e6", "fock-1e-11", "fock-1e-13"],
     )
-    def test_tail_peaking_past_the_term_budget_is_bounded(self, cls, mass_log10):
-        # the terms rise for ~1e5 indices past N = 64, more than KERNEL_TAIL_TERMS / 2
-        exact = self.closed_form_tail_log10(cls, 0.3 + 0.2j, 64)
-        assert round(float(exact), 2) == mass_log10
-        bound = operators.kernel_tail_bound(cls, 0.3 + 0.2j, 64)
+    def test_tail_peaking_past_the_term_budget_is_bounded(self, cls, order, mass_log10):
+        # the terms rise for ~1e5 indices or more past N, more than
+        # KERNEL_TAIL_TERMS / 2: the whole series log k(|w|^2) bounds the tail
+        exact = self.closed_form_tail_log10(cls, 0.3 + 0.2j, order)
+        assert float(exact) == pytest.approx(mass_log10, rel=1e-9, abs=0.005)
+        bound = operators.kernel_tail_bound(cls, 0.3 + 0.2j, order)
         assert math.isfinite(bound)
         excess = (bound - exact) * mpmath.log(10)
-        assert 0 <= excess <= 1e-7, excess  # relative excess of the mass
+        # relative excess of the mass; past 1e7 its log is rounded by more than 1e-7
+        assert 0 <= excess <= max(1e-7, 1e-14 * exact * mpmath.log(10)), excess
 
     def test_divergent_tail_is_unbounded(self):
         assert operators.kernel_tail_bound(HARDY, 1.0, 64) == math.inf
@@ -605,6 +613,25 @@ class TestFockLogBound:
     def test_zero_c(self):
         sp = synthesize(Exponential(b_sq=1.0), 0.2, 0.5, 0.0, 8)
         assert operators.fock_log_bound(sp) == -math.inf
+
+    def test_closed_form_against_a_50_digit_vertex(self):
+        # the parabola at its vertex r* = -lin/(2 quad), at 50 digits, with c
+        # and a1 where c^2/a1^2 and 1/a1^2 leave the double range
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            b, m = 10.0 ** rng.uniform(-2, 2), rng.uniform(0.0, 0.99)
+            a1, c = 10.0 ** rng.uniform(-300, -1e-3), 10.0 ** rng.uniform(-300, 300)
+            cls = Exponential(b_sq=b * b)
+            sp = synthesize(cls, m * np.exp(2j * np.pi * rng.uniform()), a1, c, 3)
+            log_bound = operators.fock_log_bound(sp)
+            with mpmath.workdps(50):
+                m_, a1_, c_ = (mpmath.mpf(abs(x)) for x in (sp.a0, sp.a1, sp.c))
+                quad, lin = 1 - 1 / a1_**2, 2 * m_ * (1 + 1 / a1_)
+                r = -lin / (2 * quad)
+                vertex = quad * r**2 + lin * r + m_**2
+                exact = mpmath.log(c_**2 / a1_**2) + vertex / mpmath.mpf(cls.b_sq)
+                size = 2 * abs(mpmath.log(c_)) + 2 * abs(mpmath.log(a1_)) + vertex / cls.b_sq
+            assert abs(log_bound - exact) <= 1e-14 * size, (log_bound, exact)
 
 
 class TestStressOrder:

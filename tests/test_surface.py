@@ -23,7 +23,8 @@ REFERENCES = {
     "polynomial": "builds the probe series of the tests",
     "monomial": "builds the probe series of the tests",
     "mobius_circle_max": "|phi| on the circle by direct evaluation: the reference that "
-    "acceptance criterion 09 holds the `selfmap_interval` endpoints to",
+    "acceptance criterion 09 holds the `selfmap_interval` endpoints to, and "
+    "tests/test_symbols.py the closed-form `selfmap_excess`",
 }
 
 

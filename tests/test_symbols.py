@@ -15,6 +15,7 @@ from wco.symbols import (
     a1_from_fraction,
     dilate,
     mobius_circle_max,
+    selfmap_excess,
     selfmap_interval,
     synthesize,
     synthesize_from_weights,
@@ -183,6 +184,48 @@ class TestBoundaryOracle:
         assert a1_from_fraction(interval, -1.0) == interval.a1_min
         assert a1_from_fraction(interval, 0.0) == 0.0
         assert a1_from_fraction(interval, 0.5) == 0.5 * interval.a1_max
+
+
+class TestSelfMapExcess:
+    """The closed-form sup |phi| - 1 against phi evaluated on the circle."""
+
+    @staticmethod
+    def draw(rng, m_max=0.95):
+        lam = rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])
+        return lam, rng.uniform(0.0, m_max) * np.exp(2j * np.pi * rng.uniform())
+
+    def test_real_a1_against_the_circle_maximum(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            lam, a0 = self.draw(rng)
+            a1 = rng.uniform(-1.5, 1.5)
+            excess = selfmap_excess(a0, a1, lam * np.conj(a0))
+            assert abs(excess - (mobius_circle_max(a0, a1, lam) - 1.0)) <= 1e-13
+
+    def test_complex_a1_against_a_dense_circle(self):
+        # the excess is never below the maximum over 2^18 points, and the
+        # grid's step leaves it at most 1e-8 below the excess
+        rng = np.random.default_rng(67)
+        z = np.exp(2j * np.pi * np.arange(2**18) / 2**18)
+        for _ in range(50):
+            lam, a0 = self.draw(rng)
+            a1 = rng.uniform(0.0, 1.2) * np.exp(2j * np.pi * rng.uniform())
+            q = lam * np.conj(a0)
+            on_circle = float(np.max(np.abs(a0 + a1 * z / (1.0 - q * z)))) - 1.0
+            assert 0.0 <= selfmap_excess(a0, a1, q) - on_circle + 1e-15 <= 1e-8
+
+    def test_zero_at_the_interval_endpoints(self):
+        rng = np.random.default_rng(73)
+        for _ in range(300):
+            lam, a0 = self.draw(rng, m_max=0.99)
+            interval = selfmap_interval(a0, lam)
+            for a1 in (interval.a1_min, interval.a1_max):
+                assert abs(selfmap_excess(a0, a1, lam * np.conj(a0))) <= 1e-14
+                assert selfmap_excess(a0, a1 * (1 + 1e-6), lam * np.conj(a0)) > 1e-12
+
+    def test_pole_in_the_closed_disk_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"rho\*\|a0\|\*lam must be < 1"):
+            selfmap_excess(1.2, 0.1, 1.2)
 
 
 class TestSqrtLambdaLift:

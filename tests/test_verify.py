@@ -384,7 +384,7 @@ class TestFullReport:
             interval = selfmap_interval(0.5, lam, 1.0)
             report = full_report(ws, 0.5, interval.a1_max, 1.0)
             selfmap = next(c for c in report.checks if c.name == "selfmap")
-            assert selfmap.passed and selfmap.oracle == "exact interval"
+            assert selfmap.passed and selfmap.oracle == "exact image circle"
             assert "endpoint" in selfmap.notes
 
 
