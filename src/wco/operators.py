@@ -67,10 +67,8 @@ __all__ = [
 ]
 
 
-#: terms of the kernel tail summed at most by `kernel_tail_bound`
+#: terms of a falling kernel tail summed at most by `kernel_tail_bound`
 KERNEL_TAIL_TERMS = 100_000
-#: `kernel_tail_bound` stops at a remainder below 1e-30 of the running mass
-LOG_TAIL_CUTOFF = math.log(1e-30)
 #: rows of a section read at once by the O(N^2) checks after the fill
 ROW_BLOCK = 16
 
@@ -252,63 +250,61 @@ def kernel_identity_residual(
 def kernel_tail_bound(cls, w: complex, order: int) -> float:
     """log10 of an upper bound on sum_{j > N} |w|^(2j) / beta(j)^2 for a
     family space, the squared-norm mass of the kernel tail dropped by
-    truncation (-inf at w = 0; inf when the tail diverges, |w|^2 lam >= 1).
+    truncation (-inf at w = 0; inf when |w|^2 lam >= 1 - 8 eps, where the
+    tail diverges or rounding could make a ratio reach 1).
 
-    The terms t_j are summed from their logs relative to t_(N+1), so a mass
-    beyond the double range (Fock b = 0.01 has about 10^564) has a finite
-    log.  Both families' coefficient ratios are
+    Both families' coefficient ratios are
     ratio(j) = lam + (ratio(0) - lam) / (j + 1), monotone with limit lam, so
-    r = |w|^2 max(ratio(j), lam) bounds every later t_(i+1) / t_i and the
-    terms after t_j sum to at most t_j r / (1 - r): the sum stops once that
-    is below 1e-30 of the running mass, or after `KERNEL_TAIL_TERMS` terms,
-    and adds it.  The result is raised by 2 eps per unit of the logs summed,
-    which covers their rounding.  The terms rise while |w|^2 ratio(j) >= 1;
-    when they peak more than half that budget past N (Fock b = 0.00115 at
-    |w|^2 = 0.13) the whole series, log k(|w|^2) = |w|^2/b^2 or
-    -eta log1p(-lam |w|^2), bounds the tail instead, raised by 2 eps times its
-    size plus its growth |w|^2 (log k)', which covers the rounding of |w|^2.
+    the terms, t_(j+1) / t_j = |w|^2 ratio(j), rise to at most one peak and
+    then fall.  While they still rise at N + 1, |w|^2 ratio(N + 1) >= 1
+    (less 8 eps: a falling case rounded up lands here, which is safe), no
+    earlier term exceeds t_(N+1), so the tail is at least 1/(N + 2) of the
+    whole series log k(|w|^2) = |w|^2/b^2 or -eta log1p(-lam |w|^2), which
+    bounds it, raised by 2 eps times its size plus its growth |w|^2 (log k)'.
+    Otherwise r = |w|^2 max(ratio(j), lam) < 1 bounds every ratio past j,
+    the terms after t_j sum to at most t_j r / (1 - r), and the tail
+    t_(N+1) (1 + s_(N+1) + s_(N+1) s_(N+2) + ...), s_j = |w|^2 ratio(j), is
+    summed in doubles until that remainder is below 1e-30 of the sum, or
+    for `KERNEL_TAIL_TERMS` terms, and the remainder added.  log t_(N+1) is
+    summed from logs, so a mass beyond the double range has a finite log.
+    Rounding: 2 eps per unit of the logs summed; 3 eps (K + 1) for K summed
+    terms (five roundings make a term, three in the binomial ratio, and a
+    sixth adds it); 2 eps r / (1 - r) of the remainder's share for 1 - r.
     """
     if not isinstance(cls, (Exponential, Binomial)):
         raise ValueError("tail bounds are available for family spaces only")
+    eps = sys.float_info.epsilon
     w_sq = abs(complex(w)) ** 2
     if w_sq == 0.0:
         return -math.inf
-    if w_sq * cls.lam >= 1.0:
+    if w_sq * cls.lam >= 1.0 - 8.0 * eps:
         return math.inf
-    peak = w_sq * (cls.coefficient_ratio(0) - cls.lam) / (1.0 - w_sq * cls.lam)
-    if peak - order - 1 > KERNEL_TAIL_TERMS // 2:
+    if w_sq * cls.coefficient_ratio(order + 1) >= 1.0 - 8.0 * eps:
         if isinstance(cls, Exponential):
             log_k = w_sq / cls.b_sq
         else:
             log_k = -cls.eta * math.log1p(-cls.lam * w_sq)
         growth = w_sq * cls.coefficient_ratio(0) / (1.0 - w_sq * cls.lam)
-        return (log_k + 2.0 * sys.float_info.epsilon * (log_k + growth)) / math.log(10.0)
+        return (log_k + 2.0 * eps * (log_k + growth)) / math.log(10.0)
     # log t_(N+1) = log(|w|^(2(N+1)) khat(N+1)), khat(N+1) the product of the
     # ratios 0..N, and the size of the logs in it
     log_w_sq = math.log(w_sq)
     logs = [math.log(cls.coefficient_ratio(j)) for j in range(order + 1)]
     log_head = (order + 1) * log_w_sq + math.fsum(logs)
     log_size = (order + 1) * abs(log_w_sq) + math.fsum(map(abs, logs))
-    log_term, log_total = 0.0, -math.inf
-    for j in range(order + 1, order + 1 + KERNEL_TAIL_TERMS):
-        log_total = _log_add(log_total, log_term)
-        ratio = cls.coefficient_ratio(j)
+    term, total = 1.0, 0.0  # relative to t_(N+1)
+    for k in range(1, KERNEL_TAIL_TERMS + 1):
+        total += term
+        ratio = cls.coefficient_ratio(order + k)
         r = w_sq * max(ratio, cls.lam)
-        rest = log_term + math.log(r / (1.0 - r)) if r < 1.0 else math.inf
-        if rest < LOG_TAIL_CUTOFF + log_total:
+        rest = term * r / (1.0 - r)
+        if rest < 1e-30 * total:
             break
-        log_ratio = math.log(ratio)
-        log_term += log_w_sq + log_ratio
-        log_size += abs(log_w_sq) + abs(log_ratio)
-    log_mass = log_head + _log_add(log_total, rest)
-    slack = 2.0 * sys.float_info.epsilon * (log_size + abs(log_mass))
+        term *= w_sq * ratio
+    log_mass = log_head + math.log(total + rest)
+    rounding = 3.0 * (k + 1) + 2.0 * r / (1.0 - r) * rest / (total + rest)
+    slack = 2.0 * eps * (log_size + abs(log_mass)) + eps * rounding
     return (log_mass + slack) / math.log(10.0)
-
-
-def _log_add(x: float, y: float) -> float:
-    """log(e^x + e^y), with x = -inf allowed."""
-    hi = max(x, y)
-    return hi + math.log1p(math.exp(min(x, y) - hi))
 
 
 def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:

@@ -22,7 +22,6 @@ family's.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -426,7 +425,6 @@ def _gauss_rule(
     return t, weights
 
 
-@functools.lru_cache(maxsize=32)
 def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule on [0, inf) for the weight e^(-t) (`_gauss_rule`):
     the Laguerre polynomials, (k + 1) D_(k+1) = k D_k - t L_k and h_k = 1."""
@@ -434,7 +432,6 @@ def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_rule(-1.0 / (k + 1.0), k / (k + 1.0), np.ones(n), 1.0)
 
 
-@functools.lru_cache(maxsize=32)
 def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule on [0, 1] for the weight (1 - s)^alpha, alpha > -1:
     read-only increasing nodes s and weights w, exact below degree 2n.

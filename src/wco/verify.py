@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,9 +364,14 @@ def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> Ver
         if hospitable:
             log_tail = operators.kernel_tail_bound(cls, KERNEL_POINT, n)
             try:
-                notes = f"truncated-kernel tail mass {10.0 ** log_tail:.3e}"
+                mass = 10.0 ** log_tail
             except OverflowError:
-                notes = f"truncated-kernel tail mass beyond the double range (log10 {log_tail:.1f})"
+                mass = math.inf
+            if sys.float_info.min <= mass < math.inf:
+                notes = f"truncated-kernel tail mass {mass:.3e}"
+            else:  # the log to one decimal, in at most 17 digits
+                side = "beyond" if log_tail > 0 else "below"
+                notes = f"truncated-kernel tail mass {side} the double range (log10 {round(log_tail, 1)})"
     except DomainError as exc:
         kernel_res, notes = math.inf, f"skipped: {exc}"
     checks.append(

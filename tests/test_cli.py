@@ -271,6 +271,23 @@ class TestCheckCommand:
         log10_mass = float(re.fullmatch(r".*\(log10 (.*)\)", notes).group(1))
         assert log10_mass == pytest.approx(5.645828265e20, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv, mass",
+        [
+            (["--family", "hardy", "--order", "340"], "8.226e-303"),
+            # |w|^(2(N+1)) / (1 - |w|^2) is subnormal, then below every double
+            (["--family", "hardy", "--order", "349"], "below the double range (log10 -310.1)"),
+            (["--family", "hardy", "--order", "512"], "below the double range (log10 -454.5)"),
+            (["--family", "fock", "--b", "1e-11", "--order", "5"],
+             "beyond the double range (log10 5.645828264742277e+20)"),
+        ],
+        ids=["normal", "subnormal", "underflow", "overflow"],
+    )
+    def test_tail_mass_outside_the_normal_range_is_noted_by_its_log(self, capsys, argv, mass):
+        _, out, _ = run_cli(capsys, "check", *argv, "--a0", "0.3", "--a1", "0.2", "--c", "1")
+        notes = {c["name"]: c for c in strict_json(out)["checks"]}["kernel-identity"]["notes"]
+        assert notes == f"truncated-kernel tail mass {mass}"
+
     def test_fock_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--family", "fock", "--b", "1",

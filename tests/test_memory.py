@@ -2,8 +2,8 @@
 (N+1)^2-sized array.
 
 Peaks are measured with tracemalloc, which numpy reports its data buffers
-to, after one untraced warm-up call (memoized quadrature nodes, first-use
-imports).  One section is (N+1)^2 complex doubles.
+to, after one untraced warm-up call (first-use imports).  One section is
+(N+1)^2 complex doubles.
 """
 
 import cmath

@@ -1,5 +1,6 @@
 """Finite-section matrices: assembly, Hermitian checks, bounds."""
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -7,6 +8,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wco import operators
 from wco.series import TruncatedSeries, compose_poly, monomial
@@ -385,6 +388,16 @@ class TestKernelIdentity:
         excess = (operators.kernel_tail_bound(HARDY, 0.3 + 0.2j, order) - exact) * mpmath.log(10)
         assert 0 <= excess <= 1e-12, excess  # relative excess of the mass
 
+    @pytest.mark.parametrize("w", [0.99999, 0.99999997])
+    def test_tail_bound_at_the_term_cap(self, w):
+        # |w|^2 near 1: the sum stops after KERNEL_TAIL_TERMS terms, and the
+        # remainder t r / (1 - r) carries the rounding of 1 - r
+        with mpmath.workdps(50):
+            w_sq = mpmath.mpf(w) ** 2
+            exact = mpmath.log10(w_sq**65 / (1 - w_sq))
+            excess = (operators.kernel_tail_bound(HARDY, w, 64) - exact) * mpmath.log(10)
+        assert 0 <= excess <= 1e-7, excess  # relative excess of the mass
+
     @staticmethod
     def exact_tail_log10(cls, w, order):
         """log10 of the kernel tail mass, summed at 50 digits until the terms
@@ -414,8 +427,11 @@ class TestKernelIdentity:
             (Binomial(lam=1.0, eta=30.0), 64, -0.337877573768143 + 0.0004189489552700598j),
             (Binomial(lam=0.3, eta=0.4), 64, -0.3615431512472318 - 0.03590300914237443j),
             (Exponential(b_sq=1.0), 16, 0.5385924501660933 + 0.5248580293702018j),
+            # |w|^2 ratio(N + 1) = 1 - 1e-9: the terms fall from N + 1 on
+            (Exponential(b_sq=0.13 / 18 * (1 + 1e-9)), 16, 0.3 + 0.2j),
         ],
-        ids=["binomial", "fock", "hardy-32", "bergman-30", "binomial-eta-0.4", "fock-16"],
+        ids=["binomial", "fock", "hardy-32", "bergman-30", "binomial-eta-0.4", "fock-16",
+             "fock-falling-at-1"],
     )
     def test_tail_bound_against_a_50_digit_sum(self, cls, order, w):
         exact = self.exact_tail_log10(cls, w, order)
@@ -438,6 +454,44 @@ class TestKernelIdentity:
             return mpmath.log10((1 - x) ** -eta * (1 - upper))
 
     @pytest.mark.parametrize(
+        "cls, order",
+        [
+            (Binomial(lam=1.0, eta=450.0), 64),
+            (Binomial(lam=1.0, eta=600.0), 64),
+            (Binomial(lam=1.0, eta=1200.0), 64),
+            (Exponential(b_sq=0.01**2), 64),
+            (Exponential(b_sq=0.02**2), 64),
+            (Exponential(b_sq=0.04**2), 64),
+            (Exponential(b_sq=0.08**2), 16),
+            # |w|^2 ratio(N + 1) = 1 + 1e-9
+            (Exponential(b_sq=0.13 / 18 * (1 - 1e-9)), 16),
+        ],
+        ids=["bergman-450", "bergman-600", "bergman-1200", "fock-0.01", "fock-0.02", "fock-0.04",
+             "fock-0.08-16", "fock-rising-at-1"],
+    )
+    def test_rising_tail_is_bounded_within_n_plus_2(self, cls, order):
+        # the terms still rise at N + 1, so the tail is at least 1/(N + 2) of
+        # the whole series, which bounds it
+        w = 0.3 + 0.2j
+        assert abs(w) ** 2 * cls.coefficient_ratio(order + 1) >= 1.0
+        exact = self.closed_form_tail_log10(cls, w, order)
+        bound = operators.kernel_tail_bound(cls, w, order)
+        assert exact <= bound <= exact + math.log10(order + 2)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        cls=st.one_of(
+            st.floats(0.05, 2.0).map(lambda b: Exponential(b_sq=b * b)),
+            st.floats(1.0, 300.0).map(lambda eta: Binomial(lam=1.0, eta=eta)),
+            st.builds(Binomial, lam=st.floats(0.05, 1.0), eta=st.floats(0.05, 50.0)),
+        ),
+        w=st.builds(cmath.rect, st.floats(1e-3, 0.8), st.floats(0.0, 2.0 * math.pi)),
+        order=st.sampled_from([4, 16, 64]),
+    )
+    def test_tail_bound_is_never_below_a_50_digit_sum(self, cls, w, order):
+        assert operators.kernel_tail_bound(cls, w, order) >= self.exact_tail_log10(cls, w, order)
+
+    @pytest.mark.parametrize(
         "cls", [Exponential(b_sq=0.01**2), Binomial(lam=1.0, eta=1200.0), Binomial(lam=0.5, eta=1.3)],
         ids=["fock-0.01", "bergman-1200", "binomial"],
     )
@@ -457,8 +511,8 @@ class TestKernelIdentity:
         ids=["fock-0.00115", "bergman-1e6", "fock-1e-11", "fock-1e-13"],
     )
     def test_tail_peaking_past_the_term_budget_is_bounded(self, cls, order, mass_log10):
-        # the terms rise for ~1e5 indices or more past N, more than
-        # KERNEL_TAIL_TERMS / 2: the whole series log k(|w|^2) bounds the tail
+        # the terms still rise at N + 1 (for ~1e5 indices or more past N):
+        # the whole series log k(|w|^2) bounds the tail
         exact = self.closed_form_tail_log10(cls, 0.3 + 0.2j, order)
         assert float(exact) == pytest.approx(mass_log10, rel=1e-9, abs=0.005)
         bound = operators.kernel_tail_bound(cls, 0.3 + 0.2j, order)
@@ -469,6 +523,11 @@ class TestKernelIdentity:
 
     def test_divergent_tail_is_unbounded(self):
         assert operators.kernel_tail_bound(HARDY, 1.0, 64) == math.inf
+
+    def test_tail_within_rounding_of_divergence_is_unbounded(self):
+        # |w|^2 lam = 1 - 1.1e-16, and lam (eta + j) / (j + 1) rounds above lam
+        cls = Binomial(lam=0.1, eta=1.0 - 1e-12)
+        assert operators.kernel_tail_bound(cls, 3.162277660168379, 4) == math.inf
 
     def test_far_point_rejected(self):
         sp, ws = hardy_pair(order=16)
