@@ -24,16 +24,15 @@ with subnormal tails (lam |a0| = 0.05) or without.
 
 The section is the one power table of a pair, a read-only square complex
 array: `hermitian_deviation` reads |M - M*| off it in blocks of
-`ROW_BLOCK` rows (and its three moments off the first three rows),
-`kernel_identity_residual` reads W K_w off it as a
-matrix-vector product, and `conjugation_check` compares it, again row
-block by row block, with the dilated pair's section.  Each check takes the
-section, reads the order from its shape and refuses symbols or weights of
-another order.  A report therefore holds at
-most two sections, the pair's and the dilated pair's, plus O(N) rows of
-scratch: at N = 512 (one section is 4.02 MiB) one `full_report` on a
-binomial pair peaks at 2.07 sections under tracemalloc (1.08 when lam = 1
-leaves out the dilated section).
+`ROW_BLOCK` rows (and its three moments off the first three rows), and
+`kernel_identity_residual` reads W K_w off it as a matrix-vector product.
+Each check takes the section, reads the order from its shape and refuses
+symbols or weights of another order.  Below lam = 1, `conjugation_check`
+fills the pair and its dilated pair in one pass and compares them one
+anti-diagonal at a time, so the dilated section is never stored.  A report
+therefore holds one section plus an O(N) ring and rows of scratch: at
+N = 512 (one section is 4.02 MiB) one `full_report` on a binomial pair
+peaks at 1.08 sections under tracemalloc, lam < 1 or lam = 1.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
 
     from column 0 = psi (E[-1, .] = 0): three multiply-adds per entry.
     Entry (i, j+1) reads anti-diagonals i + j and i + j - 1 only, so the
-    table is filled one anti-diagonal at a time (`_linear_fractional_table`).
+    table is filled one anti-diagonal at a time (`_anti_diagonals`).
     Any other pair (phi known only as a series) takes column j + 1 as
     column j convolved with phi, truncated at order N.
 
@@ -100,55 +99,83 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
     N = 40 on Hardy, Bergman, binomial, Fock and Dirichlet pairs.
     """
     n = common_order(symbols=sp.order, weights=ws.order)
-    psi = sp.psi.coeffs
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    entries = np.empty((n + 1, n + 1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _normalized
         if sp.phi_pole is None:
             phi = sp.phi.coeffs
-            entries = np.empty((n + 1, n + 1), dtype=complex)
-            entries[:, 0] = psi
+            entries[:, 0] = sp.psi.coeffs
             for j in range(n):
                 entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
         else:
-            entries = _linear_fractional_table(psi, sp.a0, sp.a1, sp.phi_pole)
-        entries *= ws.beta[:, None]
-        entries /= ws.beta[None, :]
+            for _ in _anti_diagonals([sp], entries):
+                pass
+    return _normalized(entries, ws.beta)
+
+
+def _normalized(entries: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The table (x * beta(i)) / beta(j), in place and read-only; DomainError
+    naming the first entry, in row-major order, that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        entries *= beta[:, None]
+        entries /= beta[None, :]
     parts = entries.view(float)  # min and max are nan or inf at a non-finite entry
     if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
-        i, j = divmod(int(np.argmin(np.isfinite(entries))), n + 1)
+        i, j = divmod(int(np.argmin(np.isfinite(entries))), entries.shape[1])
         raise DomainError(f"section entry ({i}, {j}) is not finite: {entries[i, j]}")
     entries.setflags(write=False)
     return entries
 
 
-def _linear_fractional_table(
-    psi: np.ndarray, a0: complex, a1: complex, q: complex
-) -> np.ndarray:
-    """Coefficients [z^i](psi phi^j), i, j <= N, for phi = a0 + a1 z/(1 - q z).
+def _anti_diagonals(pairs: list[SymbolPair], section: np.ndarray):
+    """Fill the coefficients E[i, j] = [z^i](psi phi^j), i, j <= N, of b
+    family pairs side by side, one anti-diagonal s = i + j at a time, and
+    copy the first pair's into ``section``, (N+1) x (N+1), N their order.
 
-    The table sits below one zero row that stands for E[-1, .], so the
-    recurrence needs no edge case.  In the flattened row-major buffer the
-    entries (i, s - i) of anti-diagonal s are a basic slice of stride N;
-    its three inputs are the same slice shifted one row up, one column
-    left, and both.  Two scratch buffers hold the partial sums.
+    The three-term recurrence of `build_matrix` reads anti-diagonals s - 1
+    and s - 2 only, so three ring rows hold everything it needs: slot
+    b (i + 1) + c of a row holds pair c's E[i, s - i], and slots 0..b-1 stay
+    zero for E[-1, .].  The entries (i, s - i), i = lo..hi, of every pair
+    are then one contiguous run, and so are their inputs: the same slots
+    (left) and the slots b before (up) in the previous row, the slots b
+    before (up-left) in the row before that.  q, a0 and d are tiled to
+    match, so each of the five ufuncs per anti-diagonal reads contiguous
+    memory; they sum (q up + a0 left) + d up-left, the order that fixes the
+    section's bits.  d = a1 - a0 q is formed in Python's complex arithmetic
+    (numpy's may fuse the multiply-add and move its last bit).
+
+    Yields (s, lo, run) once anti-diagonal s is done: lo its first row and
+    run the ring's slots for rows lo..min(s, N), pairs interleaved, valid
+    until the next step.
     """
-    n = psi.size - 1
-    d = a1 - a0 * q
-    padded = np.zeros((n + 2, n + 1), dtype=complex)
-    padded[1:, 0] = psi
-    flat = padded.reshape(-1)
-    up, left = n + 1, 1
-    buf_a = np.empty(n + 1, dtype=complex)
-    buf_b = np.empty(n + 1, dtype=complex)
-    for s in range(1, 2 * n + 1):
-        lo, hi = max(0, s - n), min(s - 1, n)  # rows of entries (i, s - i), s - i >= 1
-        start = (lo + 1) * (n + 1) + s - lo
-        stop = start + (hi - lo) * n + 1
-        a = np.multiply(flat[start - up : stop - up : n], q, out=buf_a[: hi - lo + 1])
-        b = np.multiply(flat[start - left : stop - left : n], a0, out=buf_b[: hi - lo + 1])
-        np.add(a, b, out=a)
-        np.multiply(flat[start - up - left : stop - up - left : n], d, out=b)
-        np.add(a, b, out=flat[start:stop:n])
-    return padded[1:]
+    b, n = len(pairs), section.shape[0] - 1
+    psi = np.stack([sp.psi.coeffs for sp in pairs], axis=1).reshape(-1)
+    q, a0, d = (
+        np.tile(np.array(x, dtype=complex), n + 1)
+        for x in zip(*((sp.phi_pole, sp.a0, sp.a1 - sp.a0 * sp.phi_pole) for sp in pairs))
+    )
+    older, old, new = np.zeros((3, b * (n + 2)), dtype=complex)
+    buf = np.empty(b * (n + 1), dtype=complex)
+    flat = section.reshape(-1)
+    step = max(n, 1)  # entry (i, s - i) of the section is flat[s + i N]
+    multiply, add = np.multiply, np.add  # bound once: the loop is ufunc dispatch
+    for s in range(2 * n + 1):
+        lo, hi = (0, s - 1) if s <= n else (s - n, n)  # the rows with j >= 1
+        first, stop = b * lo, b * (hi + 1)
+        if stop > first:
+            k = stop - first
+            a, t = new[first + b : stop + b], buf[:k]
+            multiply(old[first:stop], q[:k], a)
+            multiply(old[first + b : stop + b], a0[:k], t)
+            add(a, t, a)
+            multiply(older[first:stop], d[:k], t)
+            add(a, t, a)
+        if s <= n:
+            new[stop + b : stop + 2 * b] = psi[b * s : b * (s + 1)]  # E[s, 0]
+            hi = s
+        run = new[first + b : b * (hi + 2)]
+        flat[s + lo * n : s + hi * n + 1 : step] = run[::b]
+        yield s, lo, run
+        older, old, new = old, new, older
 
 
 def hermitian_deviation(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[float, ...]]:
@@ -307,26 +334,52 @@ def kernel_tail_bound(cls, w: complex, order: int) -> float:
     return (log_mass + slack) / math.log(10.0)
 
 
-def conjugation_check(m: np.ndarray, sp: SymbolPair) -> float:
-    """Entrywise residual of the dilation conjugation identity.
+def conjugation_check(sp: SymbolPair, ws: WeightSequence) -> tuple[np.ndarray, float]:
+    """The pair's section, bitwise `build_matrix` (sp, ws), and the entrywise
+    residual max |M - M'| of the dilation conjugation identity.
 
-    The pair over the lam < 1 space and its dilated lam = 1 counterpart are
-    intertwined by the (unitary) dilation z -> sqrt(lam) z, whose matrix in
-    the two normalized bases is the identity; the pair's section ``m`` and
-    the dilated pair's section at the same order must agree entry by entry
-    (ValueError naming both orders when ``m`` and ``sp`` differ).
-    The dilated section is built in full (it is the oracle); the difference
-    is taken `ROW_BLOCK` rows at a time.
+    The pair over the lam < 1 space and its dilated lam = 1 counterpart M'
+    (`symbols.dilate`, over its family weights) are intertwined by the
+    (unitary) dilation z -> sqrt(lam) z, whose matrix in the two normalized
+    bases is the identity, so the two sections must agree entry by entry.
+    Both pairs are filled in one pass (`_anti_diagonals`); each anti-diagonal
+    of both is normalized as it finishes, in the same operations that
+    `build_matrix` applies to the whole table, and compared there, so the
+    dilated section is never stored: the pass holds one section and O(N)
+    scratch.  The maximum is NaN-propagating.  A dilated entry that is not
+    finite raises `build_matrix`'s DomainError naming the first one (the
+    dilated section is rebuilt to find it); the symbols and the weights
+    must share one order (else ValueError naming both).
     """
     if not isinstance(sp.cls, Binomial):
         raise ValueError("the conjugation identity applies to binomial pairs")
-    n = common_order(section=m.shape[0] - 1, symbols=sp.order)
+    n = common_order(symbols=sp.order, weights=ws.order)
+    # allocated before the small buffers, which could otherwise split the
+    # block a freed section left, and a second section's worth of memory
+    # would stay resident
+    entries = np.empty((n + 1, n + 1), dtype=complex)
     tilted = dilate(sp)
-    m_one = build_matrix(tilted, family_weights(tilted.cls, n))
-    return float(np.max([
-        np.max(np.abs(m[r : r + ROW_BLOCK] - m_one[r : r + ROW_BLOCK]))
-        for r in range(0, n + 1, ROW_BLOCK)
-    ]))
+    tilted_ws = family_weights(tilted.cls, n)
+    # slot 2 i + c holds pair c's beta(i), and slot 2 (N - j) + c of `by_column` its beta(j)
+    by_row = np.stack([ws.beta, tilted_ws.beta], axis=1).reshape(-1)
+    by_column = np.stack([ws.beta[::-1], tilted_ws.beta[::-1]], axis=1).reshape(-1)
+    scaled = np.empty(2 * (n + 1), dtype=complex)
+    diff = np.empty(n + 1, dtype=complex)
+    modulus = np.empty(n + 1)
+    peak = np.zeros(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for s, lo, run in _anti_diagonals([sp, tilted], entries):
+            k, rows, col = run.size, run.size // 2, 2 * (n - s + lo)
+            x = np.multiply(run, by_row[2 * lo : 2 * lo + k], scaled[:k])
+            np.divide(x, by_column[col : col + k], x)
+            np.subtract(x[0::2], x[1::2], diff[:rows])
+            np.abs(diff[:rows], modulus[:rows])
+            np.maximum(peak[:rows], modulus[:rows], out=peak[:rows])
+    m = _normalized(entries, ws.beta)
+    residual = float(np.max(peak))
+    if not math.isfinite(residual):
+        build_matrix(tilted, tilted_ws)
+    return m, residual
 
 
 def fock_log_bound(sp: SymbolPair) -> float:

@@ -34,6 +34,7 @@ import numpy as np
 from . import operators, spaces, symbols
 from .series import TruncatedSeries
 from .spaces import (
+    Binomial,
     DomainError,
     Exponential,
     NotHospitable,
@@ -342,7 +343,17 @@ def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> Ver
 
     checks.append(_selfmap_check(sp))
 
-    m = operators.build_matrix(sp, ws)
+    # a lam < 1 binomial pair is checked against its dilate in the pass that
+    # fills its section.  A refusal of the dilated pair is held for the
+    # check's place, so the pair's own refusals (the section, the deviation)
+    # still come first.
+    if isinstance(cls, Binomial) and not cls.normal_form:
+        try:
+            m, conjugation = operators.conjugation_check(sp, ws)
+        except ValueError as exc:
+            m, conjugation = operators.build_matrix(sp, ws), exc
+    else:
+        m, conjugation = operators.build_matrix(sp, ws), None
     checks.extend(section_checks(m))
 
     # the ODE on the weights' own 1/beta^2, coefficients 0..N, exact at every m
@@ -378,7 +389,7 @@ def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> Ver
         _residual_check("kernel-identity", kernel_res, tol["kernel"], "adjoint on kernels", notes)
     )
 
-    checks.extend(_family_specific_checks(ws, cls, sp, m))
+    checks.extend(_family_specific_checks(ws, cls, sp, m, conjugation))
 
     return VerificationReport(subject=subject, checks=checks)
 
@@ -418,7 +429,10 @@ def quadrature_check(domain: str, series_norm: float, quad_norm: float, notes: s
     )
 
 
-def _family_specific_checks(ws, cls, sp, m) -> list[Check]:
+def _family_specific_checks(ws, cls, sp, m, conjugation) -> list[Check]:
+    """The checks that depend on the space, after the section's: the norm
+    checks, or `conjugation` (`full_report`'s dilation residual, or the
+    dilated pair's refusal, raised here) for a lam < 1 binomial pair."""
     checks: list[Check] = []
     if isinstance(cls, NotHospitable):
         # inhospitable with a constant weight tail: the norms are equivalent
@@ -440,6 +454,17 @@ def _family_specific_checks(ws, cls, sp, m) -> list[Check]:
             )
         return checks
 
+    if conjugation is not None:
+        if isinstance(conjugation, Exception):
+            raise conjugation
+        return [
+            _residual_check(
+                "dilation-conjugation",
+                conjugation,
+                DEFAULT_TOLERANCES["identity"],
+                "matrix identity across the dilation unitary",
+            )
+        ]
     probe = _probe_polynomial(ws.order)
     try:
         domain, quad_norm = spaces.integral_norm(cls, probe)
@@ -452,7 +477,7 @@ def _family_specific_checks(ws, cls, sp, m) -> list[Check]:
         domain, quad_norm, quad_note = "unbuilt", math.inf, f"quadrature did not run: {exc}"
     if domain is not None:
         checks.append(quadrature_check(domain, spaces.norm(probe, ws), quad_norm, quad_note))
-    elif cls.normal_form:
+    else:
         bounds = spaces.derivative_norm_bounds(probe, cls.eta)
         violation = max(bounds.lower - bounds.value, bounds.value - bounds.upper, 0.0)
         checks.append(
@@ -462,16 +487,6 @@ def _family_specific_checks(ws, cls, sp, m) -> list[Check]:
                 NORM_BOUND_SLACK * max(1.0, bounds.upper),
                 "series norms in the shifted space",
                 "no disk-integral form for eta < 1; sandwich cross-check instead",
-            )
-        )
-    else:
-        conj_res = operators.conjugation_check(m, sp)
-        checks.append(
-            _residual_check(
-                "dilation-conjugation",
-                conj_res,
-                DEFAULT_TOLERANCES["identity"],
-                "matrix identity across the dilation unitary",
             )
         )
 

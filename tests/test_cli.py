@@ -639,6 +639,27 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--lam", "0.5", "--eta", "300", "--order", "64", "--a0", "0.9", "--a1", "0.001",
+          "--c", "1e250"], "psi coefficient 62 is not finite: (inf+0j)"),
+        (["--lam", "0.3", "--eta", "30", "--order", "32", "--a0", "0.5", "--a1", "1",
+          "--c", "1e300"], "section entry (32, 29) is not finite: (nan+nanj)"),
+        (["--lam", "0.25", "--eta", "10", "--a0", "0.3", "--a1", "0.2", "--c", "1.5e308i"],
+         "|M - M*| at entry (0, 0) is beyond the double range"),
+    ],
+    ids=["dilated-psi", "dilated-section-entry", "pair-refusal-first"],
+)
+def test_dilation_refusal_is_usage_error(capsys, argv, message):
+    """The pair is finite and its dilate is not: refused with the dilate's
+    first non-finite psi coefficient, or (psi finite) section entry in
+    row-major order.  Where the pair itself is refused too (its |M - M*|
+    overflows, while the dilate's psi does), the pair's refusal comes first."""
+    code, out, err = run_cli(capsys, "check", "--family", "binomial", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_underflowing_fock_weight_is_usage_error(capsys):
     # 1/j! is subnormal from j = 171 and 0 from j = 178: the first index is named
     code, out, err = run_cli(

@@ -1,5 +1,6 @@
-"""Memory contract: a report holds its one or two sections and no other
-(N+1)^2-sized array.
+"""Memory contract: a report holds its one section and no other
+(N+1)^2-sized array; below lam = 1 the dilated pair is compared as it is
+filled, never stored.
 
 Peaks are measured with tracemalloc, which numpy reports its data buffers
 to, after one untraced warm-up call (first-use imports).  One section is
@@ -38,6 +39,16 @@ def test_full_report_holds_at_most_two_sections(lam, eta, a0):
     report = verify.full_report(ws, a0, 0.1, 1.0)
     assert report.passed, report.to_json()
     assert sections_at_peak(lambda: verify.full_report(ws, a0, 0.1, 1.0), order) <= 2.15
+
+
+def test_lam_lt1_report_holds_one_section():
+    order = 512
+    a0 = cmath.rect(0.7, 1.0)
+    ws = family_weights(Binomial(0.8, 1.5), order)
+    report = verify.full_report(ws, a0, 0.1, 1.0)
+    assert report.passed, report.to_json()
+    assert "dilation-conjugation" in {c.name for c in report.checks}
+    assert sections_at_peak(lambda: verify.full_report(ws, a0, 0.1, 1.0), order) <= 1.2
 
 
 def test_sweep_cell_holds_one_section():

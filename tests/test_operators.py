@@ -244,8 +244,9 @@ def dense_deviation(m):
 
 
 class TestRowBlocks:
-    """The O(N^2) checks read the section in blocks of ROW_BLOCK rows and
-    must give bitwise what a whole-table pass gives."""
+    """The O(N^2) checks read the section in blocks of ROW_BLOCK rows, or
+    compare it anti-diagonal by anti-diagonal as it is filled, and must give
+    bitwise what a whole-table pass gives."""
 
     ORDERS = [2, 15, 16, 17, 63, 64, 65, 200]
 
@@ -264,10 +265,13 @@ class TestRowBlocks:
     def test_conjugation_matches_dense_reference(self, order):
         cls = Binomial(lam=0.7, eta=2.5)
         sp = synthesize(cls, 0.6 * np.exp(2.1j), 0.15, 1.0 - 0.5j, order)
-        m = operators.build_matrix(sp, family_weights(cls, order))
+        ws = family_weights(cls, order)
+        m = operators.build_matrix(sp, ws)
         tilted = dilate(sp)
         m_one = operators.build_matrix(tilted, family_weights(tilted.cls, order))
-        assert operators.conjugation_check(m, sp) == float(np.max(np.abs(m - m_one)))
+        section, residual = operators.conjugation_check(sp, ws)
+        assert section.tobytes() == m.tobytes()
+        assert residual == float(np.max(np.abs(m - m_one)))
 
     def test_tie_across_blocks_keeps_the_first_in_row_major_order(self):
         block = operators.ROW_BLOCK
@@ -383,9 +387,10 @@ class TestKernelIdentity:
 
     @pytest.mark.parametrize("order", [32, 64])
     def test_tail_bound_against_the_hardy_closed_form(self, order):
-        w_sq = mpmath.mpf(abs(0.3 + 0.2j)) ** 2
-        exact = mpmath.log10(w_sq ** (order + 1) / (1 - w_sq))
-        excess = (operators.kernel_tail_bound(HARDY, 0.3 + 0.2j, order) - exact) * mpmath.log(10)
+        with mpmath.workdps(50):  # |w|^2 of the doubles 0.3 and 0.2, not of their rounded modulus
+            w_sq = mpmath.mpf(0.3) ** 2 + mpmath.mpf(0.2) ** 2
+            exact = mpmath.log10(w_sq ** (order + 1) / (1 - w_sq))
+            excess = (operators.kernel_tail_bound(HARDY, 0.3 + 0.2j, order) - exact) * mpmath.log(10)
         assert 0 <= excess <= 1e-12, excess  # relative excess of the mass
 
     @pytest.mark.parametrize("w", [0.99999, 0.99999997])
@@ -583,8 +588,7 @@ class TestKernelIdentity:
 
 def conjugation_residual(sp):
     """The dilation identity on the pair's section over the family weights."""
-    m = operators.build_matrix(sp, family_weights(sp.cls, sp.order))
-    return operators.conjugation_check(m, sp)
+    return operators.conjugation_check(sp, family_weights(sp.cls, sp.order))[1]
 
 
 class TestConjugation:
@@ -605,10 +609,24 @@ class TestConjugation:
         j = np.arange(21)
         assert np.allclose(ws_lam.beta, ws_one.beta * lam ** (-j / 2.0), rtol=1e-12)
 
+    def test_non_finite_dilated_entry_is_named_as_build_matrix_names_it(self):
+        # the pair's section and the dilated psi are finite, the dilated section is not
+        cls = Binomial(lam=0.3, eta=30.0)
+        sp = synthesize(cls, 0.5, 1.0, 1e300, 32)
+        ws = family_weights(cls, 32)
+        assert np.all(np.isfinite(operators.build_matrix(sp, ws)))
+        tilted = dilate(sp)
+        with pytest.raises(DomainError) as dense:
+            operators.build_matrix(tilted, family_weights(tilted.cls, 32))
+        with pytest.raises(DomainError) as fused:
+            operators.conjugation_check(sp, ws)
+        assert str(fused.value) == str(dense.value)
+        assert str(dense.value) == "section entry (32, 29) is not finite: (nan+nanj)"
+
     def test_exponential_rejected(self):
         sp = synthesize(Exponential(b_sq=1.0), 0.3, 0.2, 1.0, 8)
         with pytest.raises(ValueError):
-            operators.conjugation_check(operators.build_matrix(sp, fock_weights(1.0, 8)), sp)
+            operators.conjugation_check(sp, fock_weights(1.0, 8))
 
 
 class TestFockBound:

@@ -213,31 +213,30 @@ class TestNormEquivalence:
 
 class TestFullReport:
     @pytest.mark.parametrize(
-        "cls, chains",
+        "cls, pairs",
         [(Binomial(lam=0.6, eta=1.5), 2), (Binomial(lam=1.0, eta=2.0), 1)],
         ids=["lam-below-1", "lam-1"],
     )
-    def test_one_power_chain_per_section(self, monkeypatch, cls, chains):
-        """The report's section serves the kernel identity and the dilation
-        check; only the dilated pair needs a chain of its own."""
-        calls = {"build_matrix": 0, "compose_poly": 0}
+    def test_one_power_chain_per_section(self, monkeypatch, cls, pairs):
+        """The report fills its section in one pass, which serves the kernel
+        identity too; below lam = 1 the dilated pair rides in the same pass."""
+        calls = {"fills": [], "compose_poly": 0}
+        fill = operators._anti_diagonals
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted_fill(sps, section):
+            calls["fills"].append(len(sps))
+            return fill(sps, section)
 
-            return wrapper
+        def counted_compose(*args, _compose=series.compose_poly, **kwargs):
+            calls["compose_poly"] += 1
+            return _compose(*args, **kwargs)
 
-        monkeypatch.setattr(
-            operators, "build_matrix", counted("build_matrix", operators.build_matrix)
-        )
-        compose = counted("compose_poly", series.compose_poly)
-        monkeypatch.setattr(series, "compose_poly", compose)
-        monkeypatch.setattr(operators, "compose_poly", compose)
+        monkeypatch.setattr(operators, "_anti_diagonals", counted_fill)
+        monkeypatch.setattr(series, "compose_poly", counted_compose)
+        monkeypatch.setattr(operators, "compose_poly", counted_compose)
         report = full_report(family_weights(cls, 48), 0.5 * np.exp(0.4j), 0.1, 1.0)
         assert report.passed, report.to_json()
-        assert calls == {"build_matrix": chains, "compose_poly": 0}
+        assert calls == {"fills": [pairs], "compose_poly": 0}
 
     @pytest.mark.parametrize(
         "cls, series_built",

@@ -3,8 +3,9 @@
     python tools/records.py dump ROOT OUT.json
     python tools/records.py diff OLD.json NEW.json
 
-``dump`` imports ``wco`` from ``ROOT/src`` and writes 105 records, each the
-text the program prints for one input:
+``dump`` imports ``wco`` from ``ROOT/src`` and writes 107 records, each the
+text the program prints for one input (a command's exit code and stderr
+head its stdout):
 
 * ``cli_pool(s)#k`` -- the 16 ``wco check`` argvs of the cli-check
   benchmark pool, seeds 1..3, at N = 64 (48 records);
@@ -12,10 +13,13 @@ text the program prints for one input:
   report-large pairs, seeds 1..3, at N = 512 (24 records);
 * ``sweep_configs(s)#k json`` and ``csv`` -- ``wco sweep`` on the 4
   sweep-grid configs, seeds 1..3, at N = 384 (24 records);
-* ``check <argv>`` -- 9 ``wco check`` commands with large kernel tails
-  (Bergman eta 100..1200 and Fock b = 0.01, 0.04 at N = 64, the larger ones
-  with terms still rising past N; Fock b = 1e-11 at N = 5, whose mass is
-  beyond the double range), all at a0 = 0.3, a1 = 0.2, c = 1.
+* ``check <argv>`` -- 11 ``wco check`` commands, at a0 = 0.3, a1 = 0.2,
+  c = 1 unless the argv names its own: 9 with large kernel tails (Bergman
+  eta 100..1200 and Fock b = 0.01, 0.04 at N = 64, the larger ones with
+  terms still rising past N; Fock b = 1e-11 at N = 5, whose mass is beyond
+  the double range), and two lam = 0.5, eta = 300 pairs at N = 64 that run
+  the dilation conjugation: this pair, and one (a0 = 0.9, a1 = 0.001,
+  c = 1e250) whose dilate's psi leaves the double range, which is refused.
 
 The inputs come from ``bench/inputs.py`` next to this script, so both dumps
 of a comparison read the same inputs whichever checkout they run.
@@ -49,6 +53,10 @@ EXTRA_CHECKS = [
     ["--family", "bergman", f"--eta={eta}", "--order=64"] for eta in (100, 150, 300, 450, 600, 1200)
 ] + [["--family", "fock", f"--b={b}", "--order=64"] for b in (0.01, 0.04)] + [
     ["--family", "fock", "--b=1e-11", "--order=5"]
+] + [
+    ["--family", "binomial", "--lam=0.5", "--eta=300", "--order=64"],
+    ["--family", "binomial", "--lam=0.5", "--eta=300", "--order=64",
+     "--a0=0.9", "--a1=0.001", "--c=1e250"],
 ]
 PAIR = ["--a0=0.3", "--a1=0.2", "--c=1"]
 
@@ -62,10 +70,11 @@ def dump(root: Path) -> dict[str, str]:
         raise SystemExit(f"imported wco from {wco.__file__}, not from {root / 'src'}")
 
     def cli(argv: list[str]) -> str:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = wco.cli.main(argv)
-        return f"exit {rc}\n{out.getvalue()}"
+        head = f"exit {rc}" + (f" stderr {json.dumps(err.getvalue())}" if err.getvalue() else "")
+        return f"{head}\n{out.getvalue()}"
 
     records = {}
     for seed in SEEDS:
@@ -86,7 +95,7 @@ def dump(root: Path) -> dict[str, str]:
                 records[f"sweep_configs({seed})#{k} json"] = cli(argv)
                 records[f"sweep_configs({seed})#{k} csv"] = cli(argv + ["--csv"])
     for argv in EXTRA_CHECKS:
-        records["check " + " ".join(argv)] = cli(["check", *argv, *PAIR])
+        records["check " + " ".join(argv)] = cli(["check", *PAIR, *argv])  # argv's own win
     return records
 
 
