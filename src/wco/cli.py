@@ -156,10 +156,35 @@ def parse_polynomial(text: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+#: the space options, in the order a run that ignores some names the first
+SPACE_OPTIONS = ("family", "lam", "eta", "b", "level")
+#: the parameters each --family reads; a --beta-file reads no space option
+FAMILY_OPTIONS = {
+    "hardy": (),
+    "bergman": ("eta",),
+    "fock": ("b",),
+    "binomial": ("lam", "eta"),
+    "dirichlet": (),
+    "flat": ("level",),
+}
+
+
 def _weights_from_args(args) -> WeightSequence:
     """The weights a subcommand works on, at the one order of its run: a
     family at --order (default 64); a --beta-file at its own order, cut when
-    --order is smaller and refused, naming both orders, when it is larger."""
+    --order is smaller and refused, naming both orders, when it is larger.
+    A space option that the space does not read (--family or a parameter
+    with --beta-file, another family's parameter) is refused, naming the
+    first one in `SPACE_OPTIONS` order, so no verdict is given on a space
+    that was not asked for."""
+    family = (getattr(args, "family", None) or "").lower()
+    if args.beta_file:
+        space, read = "--beta-file", ()
+    else:
+        space, read = f"--family {family}", ("family", *FAMILY_OPTIONS.get(family, SPACE_OPTIONS))
+    for name in SPACE_OPTIONS:
+        if getattr(args, name, None) is not None and name not in read:
+            raise ValueError(f"--{name} is not read with {space}")
     if args.beta_file:
         with open(args.beta_file, "r", encoding="utf-8") as handle:
             ws = weights_from_json(json.load(handle))
@@ -169,7 +194,6 @@ def _weights_from_args(args) -> WeightSequence:
             raise ValueError(f"--order {args.order} exceeds the weight file's order {ws.order}")
         return WeightSequence(ws.beta[: args.order + 1])
     order = DEFAULT_ORDER if args.order is None else args.order
-    family = (args.family or "").lower()
     if family == "hardy":
         return hardy_weights(order)
     if family == "bergman":

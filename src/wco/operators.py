@@ -23,16 +23,20 @@ paths, and at N = 256 the two paths agree to 1.3e-16 of the largest entry,
 with subnormal tails (lam |a0| = 0.05) or without.
 
 The section is the one power table of a pair, a read-only square complex
-array: `hermitian_deviation` reads |M - M*| off it in blocks of
-`ROW_BLOCK` rows (and its three moments off the first three rows), and
+array: `hermitian_deviation` keeps one maximum per row of |M - M*| over
+the upper triangle, read `ROW_BLOCK` rows at a time, and takes the
+deviation, its entry and the three moments from those row maxima;
 `kernel_identity_residual` reads W K_w off it as a matrix-vector product.
 Each check takes the section, reads the order from its shape and refuses
-symbols or weights of another order.  Below lam = 1, `conjugation_check`
-fills the pair and its dilated pair in one pass and compares them one
-anti-diagonal at a time, so the dilated section is never stored.  A report
-therefore holds one section plus an O(N) ring and rows of scratch: at
-N = 512 (one section is 4.02 MiB) one `full_report` on a binomial pair
-peaks at 1.08 sections under tracemalloc, lam < 1 or lam = 1.
+symbols or weights of another order.  `_anti_diagonals` only runs the
+recurrence; its callers store what they need.  Below lam = 1,
+`conjugation_check` walks the pair and its dilated pair in one pass,
+normalizes each finished anti-diagonal once, writes the pair's into the
+section and keeps a maximum per row of |M - M'|, so the dilated section is
+never stored.  A report therefore holds one section plus an O(N) ring and
+rows of scratch: at N = 512 (one section is 4.02 MiB) one `full_report` on
+a binomial pair peaks at 1.08 sections under tracemalloc, lam < 1 or
+lam = 1.
 """
 
 from __future__ import annotations
@@ -100,24 +104,24 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
     """
     n = common_order(symbols=sp.order, weights=ws.order)
     entries = np.empty((n + 1, n + 1), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _normalized
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_section
         if sp.phi_pole is None:
             phi = sp.phi.coeffs
             entries[:, 0] = sp.psi.coeffs
             for j in range(n):
                 entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
         else:
-            for _ in _anti_diagonals([sp], entries):
-                pass
-    return _normalized(entries, ws.beta)
+            flat, step = entries.reshape(-1), max(n, 1)  # entry (i, s - i) is flat[s + i N]
+            for s, lo, run in _anti_diagonals([sp], n):
+                flat[s + lo * n :: step][: run.size] = run
+        entries *= ws.beta[:, None]
+        entries /= ws.beta[None, :]
+    return _finite_section(entries)
 
 
-def _normalized(entries: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The table (x * beta(i)) / beta(j), in place and read-only; DomainError
-    naming the first entry, in row-major order, that is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        entries *= beta[:, None]
-        entries /= beta[None, :]
+def _finite_section(entries: np.ndarray) -> np.ndarray:
+    """The normalized table, made read-only; DomainError naming the first
+    entry, in row-major order, that is not finite."""
     parts = entries.view(float)  # min and max are nan or inf at a non-finite entry
     if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
         i, j = divmod(int(np.argmin(np.isfinite(entries))), entries.shape[1])
@@ -126,28 +130,29 @@ def _normalized(entries: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _anti_diagonals(pairs: list[SymbolPair], section: np.ndarray):
-    """Fill the coefficients E[i, j] = [z^i](psi phi^j), i, j <= N, of b
-    family pairs side by side, one anti-diagonal s = i + j at a time, and
-    copy the first pair's into ``section``, (N+1) x (N+1), N their order.
+def _anti_diagonals(pairs: list[SymbolPair], n: int):
+    """Run the recurrence of `build_matrix` for the coefficients
+    E[i, j] = [z^i](psi phi^j), i, j <= n, of b family pairs side by side,
+    one anti-diagonal s = i + j at a time, and yield each finished one.  It
+    writes no section: each caller stores (and normalizes) what it needs.
 
-    The three-term recurrence of `build_matrix` reads anti-diagonals s - 1
-    and s - 2 only, so three ring rows hold everything it needs: slot
-    b (i + 1) + c of a row holds pair c's E[i, s - i], and slots 0..b-1 stay
-    zero for E[-1, .].  The entries (i, s - i), i = lo..hi, of every pair
-    are then one contiguous run, and so are their inputs: the same slots
-    (left) and the slots b before (up) in the previous row, the slots b
-    before (up-left) in the row before that.  q, a0 and d are tiled to
-    match, so each of the five ufuncs per anti-diagonal reads contiguous
-    memory; they sum (q up + a0 left) + d up-left, the order that fixes the
-    section's bits.  d = a1 - a0 q is formed in Python's complex arithmetic
-    (numpy's may fuse the multiply-add and move its last bit).
+    The three-term recurrence reads anti-diagonals s - 1 and s - 2 only, so
+    three ring rows hold everything it needs: slot b (i + 1) + c of a row
+    holds pair c's E[i, s - i], and slots 0..b-1 stay zero for E[-1, .].
+    The entries (i, s - i), i = lo..hi, of every pair are then one
+    contiguous run, and so are their inputs: the same slots (left) and the
+    slots b before (up) in the previous row, the slots b before (up-left)
+    in the row before that.  q, a0 and d are tiled to match, so each of the
+    five ufuncs per anti-diagonal reads contiguous memory; they sum
+    (q up + a0 left) + d up-left, the order that fixes the section's bits.
+    d = a1 - a0 q is formed in Python's complex arithmetic (numpy's may fuse
+    the multiply-add and move its last bit).
 
     Yields (s, lo, run) once anti-diagonal s is done: lo its first row and
-    run the ring's slots for rows lo..min(s, N), pairs interleaved, valid
+    run the ring's slots for rows lo..min(s, n), pairs interleaved, valid
     until the next step.
     """
-    b, n = len(pairs), section.shape[0] - 1
+    b = len(pairs)
     psi = np.stack([sp.psi.coeffs for sp in pairs], axis=1).reshape(-1)
     q, a0, d = (
         np.tile(np.array(x, dtype=complex), n + 1)
@@ -155,8 +160,6 @@ def _anti_diagonals(pairs: list[SymbolPair], section: np.ndarray):
     )
     older, old, new = np.zeros((3, b * (n + 2)), dtype=complex)
     buf = np.empty(b * (n + 1), dtype=complex)
-    flat = section.reshape(-1)
-    step = max(n, 1)  # entry (i, s - i) of the section is flat[s + i N]
     multiply, add = np.multiply, np.add  # bound once: the loop is ufunc dispatch
     for s in range(2 * n + 1):
         lo, hi = (0, s - 1) if s <= n else (s - n, n)  # the rows with j >= 1
@@ -172,9 +175,7 @@ def _anti_diagonals(pairs: list[SymbolPair], section: np.ndarray):
         if s <= n:
             new[stop + b : stop + 2 * b] = psi[b * s : b * (s + 1)]  # E[s, 0]
             hi = s
-        run = new[first + b : b * (hi + 2)]
-        flat[s + lo * n : s + hi * n + 1 : step] = run[::b]
-        yield s, lo, run
+        yield s, lo, new[first + b : b * (hi + 2)]
         older, old, new = old, new, older
 
 
@@ -188,34 +189,34 @@ def hermitian_deviation(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[fl
     the third is the discriminating condition that forces the generating
     function's differential equation.
 
-    |M - M*| is formed `ROW_BLOCK` rows at a time into two buffers that
-    every block reuses (the difference and its modulus), so no second
-    section is allocated.  The entry reported is the first maximum in
-    row-major order (a later block wins only with a strictly larger value;
-    a NaN wins over every number), exactly as an argmax over the whole
-    table would give.  The moments are the maxima of the first three rows
-    of |M - M*|, formed after the blocks: bitwise its column maxima, since
     |M - M*| is bitwise symmetric (negation is exact, addition commutes and
-    the modulus ignores signs).  A |M - M*| beyond the double range (entries
-    near its top) raises DomainError naming the first such entry.
+    the modulus ignores signs), so one maximum per row over the upper
+    triangle decides everything.  It is formed `ROW_BLOCK` rows at a time,
+    rows r.. from column r on, into two buffers that every block reuses
+    (the difference and its modulus), so no second section is allocated.
+    The deviation is the largest row maximum (NaN if any entry is NaN).  The
+    first maximum in row-major order has i <= j, so it is the first maximum
+    of the first maximal row (`np.argmax` ranks NaN first), that row
+    formed once more in full.  The first block spans every column, so the
+    first three row maxima are the moments.  A |M - M*| beyond the double
+    range (entries near its top) raises DomainError naming that entry.
     """
     n = m.shape[0]
-    peak, where = -np.inf, (0, 0)
-    block = np.empty((min(ROW_BLOCK, n), n), dtype=complex)
-    modulus = np.empty(block.shape)
+    peaks = np.empty(n)
+    block = np.empty(min(ROW_BLOCK, n) * n, dtype=complex)
+    modulus = np.empty(block.size)
     with np.errstate(over="ignore"):  # refused below
         for r in range(0, n, ROW_BLOCK):
-            rows = min(ROW_BLOCK, n - r)
-            diff = np.conjugate(m[:, r : r + rows].T, out=block[:rows])
-            np.subtract(m[r : r + rows], diff, out=diff)
-            diff = np.abs(diff, out=modulus[:rows])
-            i, j = divmod(int(np.argmax(diff)), n)
-            if diff[i, j] > peak or (np.isnan(diff[i, j]) and not np.isnan(peak)):
-                peak, where = diff[i, j], (r + i, j)
-        moments = np.abs(m[:3] - np.conjugate(m[:, :3].T)).max(axis=1)
-    if peak == np.inf:
-        raise DomainError(f"|M - M*| at entry {where} is beyond the double range")
-    return float(peak), where, tuple(float(x) for x in moments)
+            rows, width = min(ROW_BLOCK, n - r), n - r
+            diff = np.conjugate(m[r:, r : r + rows].T, out=block[: rows * width].reshape(rows, width))
+            np.subtract(m[r : r + rows, r:], diff, out=diff)
+            moduli = np.abs(diff, out=modulus[: diff.size].reshape(diff.shape))
+            moduli.max(axis=1, out=peaks[r : r + rows])
+        i = int(np.argmax(peaks))
+        j = int(np.argmax(np.abs(m[i] - np.conjugate(m[:, i]))))
+    if peaks[i] == np.inf:
+        raise DomainError(f"|M - M*| at entry {(i, j)} is beyond the double range")
+    return float(peaks[i]), (i, j), tuple(float(x) for x in peaks[:3])
 
 
 def apply(sp: SymbolPair, f: TruncatedSeries) -> TruncatedSeries:
@@ -343,12 +344,14 @@ def conjugation_check(sp: SymbolPair, ws: WeightSequence) -> tuple[np.ndarray, f
     (unitary) dilation z -> sqrt(lam) z, whose matrix in the two normalized
     bases is the identity, so the two sections must agree entry by entry.
     Both pairs are filled in one pass (`_anti_diagonals`); each anti-diagonal
-    of both is normalized as it finishes, in the same operations that
-    `build_matrix` applies to the whole table, and compared there, so the
-    dilated section is never stored: the pass holds one section and O(N)
-    scratch.  The maximum is NaN-propagating.  A dilated entry that is not
-    finite raises `build_matrix`'s DomainError naming the first one (the
-    dilated section is rebuilt to find it); the symbols and the weights
+    of both is normalized as it finishes, in the operations that
+    `build_matrix` applies to the whole table, the pair's is written into
+    the section and both are compared there, so the section is normalized
+    once and the dilated section is never stored: the pass holds one
+    section and O(N) scratch.  The residual is the largest of a running
+    maximum per row, NaN-propagating.  A section entry that is not finite
+    raises `build_matrix`'s DomainError; so does a dilated one (the dilated
+    section is rebuilt to name the first).  The symbols and the weights
     must share one order (else ValueError naming both).
     """
     if not isinstance(sp.cls, Binomial):
@@ -358,6 +361,7 @@ def conjugation_check(sp: SymbolPair, ws: WeightSequence) -> tuple[np.ndarray, f
     # block a freed section left, and a second section's worth of memory
     # would stay resident
     entries = np.empty((n + 1, n + 1), dtype=complex)
+    flat, step = entries.reshape(-1), max(n, 1)  # entry (i, s - i) is flat[s + i N]
     tilted = dilate(sp)
     tilted_ws = family_weights(tilted.cls, n)
     # slot 2 i + c holds pair c's beta(i), and slot 2 (N - j) + c of `by_column` its beta(j)
@@ -366,17 +370,18 @@ def conjugation_check(sp: SymbolPair, ws: WeightSequence) -> tuple[np.ndarray, f
     scaled = np.empty(2 * (n + 1), dtype=complex)
     diff = np.empty(n + 1, dtype=complex)
     modulus = np.empty(n + 1)
-    peak = np.zeros(n + 1)
+    peaks = np.zeros(n + 1)  # row i's running maximum
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for s, lo, run in _anti_diagonals([sp, tilted], entries):
+        for s, lo, run in _anti_diagonals([sp, tilted], n):
             k, rows, col = run.size, run.size // 2, 2 * (n - s + lo)
             x = np.multiply(run, by_row[2 * lo : 2 * lo + k], scaled[:k])
             np.divide(x, by_column[col : col + k], x)
+            flat[s + lo * n :: step][:rows] = x[0::2]
             np.subtract(x[0::2], x[1::2], diff[:rows])
-            np.abs(diff[:rows], modulus[:rows])
-            np.maximum(peak[:rows], modulus[:rows], out=peak[:rows])
-    m = _normalized(entries, ws.beta)
-    residual = float(np.max(peak))
+            peak = peaks[lo : lo + rows]
+            np.maximum(peak, np.abs(diff[:rows], modulus[:rows]), out=peak)
+    m = _finite_section(entries)
+    residual = float(np.max(peaks))
     if not math.isfinite(residual):
         build_matrix(tilted, tilted_ws)
     return m, residual

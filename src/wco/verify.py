@@ -344,14 +344,14 @@ def full_report(ws: WeightSequence, a0: complex, a1: complex, c: complex) -> Ver
     checks.append(_selfmap_check(sp))
 
     # a lam < 1 binomial pair is checked against its dilate in the pass that
-    # fills its section.  A refusal of the dilated pair is held for the
-    # check's place, so the pair's own refusals (the section, the deviation)
-    # still come first.
+    # fills its section.  When the dilated pair is refused, the pair's own
+    # refusals (its section, its deviation) still come first.
     if isinstance(cls, Binomial) and not cls.normal_form:
         try:
             m, conjugation = operators.conjugation_check(sp, ws)
-        except ValueError as exc:
-            m, conjugation = operators.build_matrix(sp, ws), exc
+        except ValueError:
+            section_checks(operators.build_matrix(sp, ws))
+            raise
     else:
         m, conjugation = operators.build_matrix(sp, ws), None
     checks.extend(section_checks(m))
@@ -431,8 +431,8 @@ def quadrature_check(domain: str, series_norm: float, quad_norm: float, notes: s
 
 def _family_specific_checks(ws, cls, sp, m, conjugation) -> list[Check]:
     """The checks that depend on the space, after the section's: the norm
-    checks, or `conjugation` (`full_report`'s dilation residual, or the
-    dilated pair's refusal, raised here) for a lam < 1 binomial pair."""
+    checks, or for a lam < 1 binomial pair the dilation check of
+    `conjugation`, `full_report`'s residual (None on any other space)."""
     checks: list[Check] = []
     if isinstance(cls, NotHospitable):
         # inhospitable with a constant weight tail: the norms are equivalent
@@ -455,8 +455,6 @@ def _family_specific_checks(ws, cls, sp, m, conjugation) -> list[Check]:
         return checks
 
     if conjugation is not None:
-        if isinstance(conjugation, Exception):
-            raise conjugation
         return [
             _residual_check(
                 "dilation-conjugation",

@@ -660,6 +660,43 @@ def test_dilation_refusal_is_usage_error(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "space, extra, ignored",
+    [
+        (["--family", "hardy"], ["--eta", "3"], "--eta"),
+        (["--family", "bergman", "--eta", "2"], ["--lam", "0.5"], "--lam"),
+        (["--family", "fock", "--b", "2"], ["--level", "3", "--eta", "2"], "--eta"),
+        (["--family", "binomial", "--lam", "0.5", "--eta", "2"], ["--b", "1"], "--b"),
+        (["--family", "dirichlet"], ["--level", "2"], "--level"),
+        (["--family", "flat", "--level", "2"], ["--lam", "0.5"], "--lam"),
+    ],
+    ids=["hardy", "bergman", "fock", "binomial", "dirichlet", "flat"],
+)
+def test_space_option_the_family_ignores_is_usage_error(capsys, space, extra, ignored):
+    """A parameter that the family does not read would give a verdict on a
+    space that was not asked for (bergman with --lam 0.5 ran lam = 1): exit 2
+    naming the first ignored option (--lam, --eta, --b, --level), in check
+    and quad alike.  The family's own options still run."""
+    for command in (["check", *PAIR], ["quad", "--f", "z"]):
+        code, out, err = run_cli(capsys, *command, *space, *extra)
+        assert (code, out, err) == (2, "", f"error: {ignored} is not read with --family {space[1]}\n")
+    code, _, err = run_cli(capsys, "check", *PAIR, *space, "--order", "16")
+    assert code in (0, 1) and err == ""
+
+
+def test_space_option_with_a_weight_file_is_usage_error(capsys, tmp_path):
+    """A weight file reads no space option: --family (named first) or a
+    family parameter given with --beta-file exits 2."""
+    path = tmp_path / "hardy.json"
+    path.write_text(json.dumps({"order": 8, "beta": [1.0] * 9}))
+    for extra, ignored in ((["--family", "fock", "--b", "2"], "--family"), (["--eta", "2"], "--eta")):
+        for command in (["check", *PAIR], ["quad", "--f", "z"]):
+            code, out, err = run_cli(capsys, *command, "--beta-file", str(path), *extra)
+            assert (code, out, err) == (2, "", f"error: {ignored} is not read with --beta-file\n")
+    code, _, err = run_cli(capsys, "quad", "--beta-file", str(path), "--f", "z")
+    assert (code, err) == (0, "")
+
+
 def test_underflowing_fock_weight_is_usage_error(capsys):
     # 1/j! is subnormal from j = 171 and 0 from j = 178: the first index is named
     code, out, err = run_cli(

@@ -244,9 +244,12 @@ def dense_deviation(m):
 
 
 class TestRowBlocks:
-    """The O(N^2) checks read the section in blocks of ROW_BLOCK rows, or
-    compare it anti-diagonal by anti-diagonal as it is filled, and must give
-    bitwise what a whole-table pass gives."""
+    """The O(N^2) checks keep row maxima of |M - M*| over the upper triangle,
+    read ROW_BLOCK rows at a time, or compare the section anti-diagonal by
+    anti-diagonal as it is filled, and must give bitwise what a whole-table
+    pass gives."""
+
+    SPECIALS = [np.nan, complex(0.0, np.nan), 1e308, -1e308, 1e308j, -1e308j, 1.0, 1j]
 
     ORDERS = [2, 15, 16, 17, 63, 64, 65, 200]
 
@@ -297,6 +300,32 @@ class TestRowBlocks:
         m[1, 2], m[2, 1] = 1e308, -1e308
         with pytest.raises(DomainError, match=r"at entry \(1, 2\) is beyond the double range"):
             operators.hermitian_deviation(m)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_row_maxima_match_dense_reference(self, data):
+        """Small integer parts make ties across blocks and across the
+        diagonal common; NaN and +-1e308 entries land in either triangle."""
+        order = data.draw(st.integers(1, 3 * operators.ROW_BLOCK + 1), label="order")
+        span = data.draw(st.integers(0, 2), label="span")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (order + 1, order + 1)
+        m = rng.integers(-span, span + 1, shape) + 1j * rng.integers(-span, span + 1, shape)
+        if data.draw(st.booleans(), label="hermitian"):
+            m = m + m.conj().T  # exact: every deviation comes from the entries below
+        index = st.integers(0, order)
+        for i, j, value in data.draw(
+            st.lists(st.tuples(index, index, st.sampled_from(self.SPECIALS)), max_size=4),
+            label="specials",
+        ):
+            m[i, j] = value
+        with np.errstate(over="ignore"):
+            want = dense_deviation(m)
+        if want[0] == np.inf:
+            with pytest.raises(DomainError, match=rf"at entry \({want[1][0]}, {want[1][1]}\) is beyond"):
+                operators.hermitian_deviation(m)
+        else:
+            assert repr(operators.hermitian_deviation(m)) == repr(want)
 
 
 class TestApply:

@@ -223,9 +223,9 @@ class TestFullReport:
         calls = {"fills": [], "compose_poly": 0}
         fill = operators._anti_diagonals
 
-        def counted_fill(sps, section):
+        def counted_fill(sps, n):
             calls["fills"].append(len(sps))
-            return fill(sps, section)
+            return fill(sps, n)
 
         def counted_compose(*args, _compose=series.compose_poly, **kwargs):
             calls["compose_poly"] += 1

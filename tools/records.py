@@ -3,7 +3,7 @@
     python tools/records.py dump ROOT OUT.json
     python tools/records.py diff OLD.json NEW.json
 
-``dump`` imports ``wco`` from ``ROOT/src`` and writes 107 records, each the
+``dump`` imports ``wco`` from ``ROOT/src`` and writes 109 records, each the
 text the program prints for one input (a command's exit code and stderr
 head its stdout):
 
@@ -13,13 +13,16 @@ head its stdout):
   report-large pairs, seeds 1..3, at N = 512 (24 records);
 * ``sweep_configs(s)#k json`` and ``csv`` -- ``wco sweep`` on the 4
   sweep-grid configs, seeds 1..3, at N = 384 (24 records);
-* ``check <argv>`` -- 11 ``wco check`` commands, at a0 = 0.3, a1 = 0.2,
+* ``check <argv>`` -- 13 ``wco check`` commands, at a0 = 0.3, a1 = 0.2,
   c = 1 unless the argv names its own: 9 with large kernel tails (Bergman
   eta 100..1200 and Fock b = 0.01, 0.04 at N = 64, the larger ones with
   terms still rising past N; Fock b = 1e-11 at N = 5, whose mass is beyond
-  the double range), and two lam = 0.5, eta = 300 pairs at N = 64 that run
-  the dilation conjugation: this pair, and one (a0 = 0.9, a1 = 0.001,
-  c = 1e250) whose dilate's psi leaves the double range, which is refused.
+  the double range), and four lam < 1 pairs that run the dilation
+  conjugation: lam = 0.5, eta = 300 at N = 64, and three refusals -- the
+  same space at a0 = 0.9, a1 = 0.001, c = 1e250, whose dilate's psi leaves
+  the double range; lam = 0.3, eta = 30 at N = 32, a0 = 0.5, a1 = 1,
+  c = 1e300, whose dilated section does; and lam = 0.25, eta = 10 at
+  c = 1.5e308i, where the pair's own |M - M*| overflows first.
 
 The inputs come from ``bench/inputs.py`` next to this script, so both dumps
 of a comparison read the same inputs whichever checkout they run.
@@ -57,6 +60,9 @@ EXTRA_CHECKS = [
     ["--family", "binomial", "--lam=0.5", "--eta=300", "--order=64"],
     ["--family", "binomial", "--lam=0.5", "--eta=300", "--order=64",
      "--a0=0.9", "--a1=0.001", "--c=1e250"],
+    ["--family", "binomial", "--lam=0.3", "--eta=30", "--order=32",
+     "--a0=0.5", "--a1=1", "--c=1e300"],
+    ["--family", "binomial", "--lam=0.25", "--eta=10", "--order=64", "--c=1.5e308i"],
 ]
 PAIR = ["--a0=0.3", "--a1=0.2", "--c=1"]
 
