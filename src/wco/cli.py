@@ -314,6 +314,12 @@ def cmd_quad(args) -> int:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
+#: the keys a sweep reads: at the top of its config, in `space` for each
+#: family, and in `grid` (the axes, in grid order, with their defaults)
+SWEEP_KEYS = ("space", "grid", "order", "seed", "output")
+SWEEP_SPACE_KEYS = {"binomial": ("family", "lambda", "eta"), "fock": ("family", "b")}
+SWEEP_AXES = {"a0_mod": 0.3, "a0_arg": 0.0, "a1_fraction": 0.5, "c": 1.0}
+
 
 def _config_number(value, key: str) -> float:
     if not is_json_number(value):
@@ -325,6 +331,14 @@ def _config_object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"sweep config {key} must be a JSON object")
     return value
+
+
+def _refuse_unread(section: dict, read, where: str) -> None:
+    """A key the sweep does not read would run another space or grid without
+    a word (a binomial "lam" ran lam = 1): refuse the first one."""
+    for key in section:
+        if key not in read:
+            raise ValueError(f"sweep config key {where}{key} is not read (read: {', '.join(read)})")
 
 
 def _expand_axis(grid: dict, name: str, default: float) -> list[float]:
@@ -386,11 +400,16 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--workers must be an integer >= 1 (got {args.workers})")
     with open(args.config, "r", encoding="utf-8") as handle:
         config = _config_object(json.load(handle), "file")
+    _refuse_unread(config, SWEEP_KEYS, "")
     space = _config_object(config.get("space", {}), "space")
     grid = _config_object(config.get("grid", {}), "grid")
     require_finite(space, "space", "sweep config")
     require_finite(grid, "grid", "sweep config")
     family = space.get("family", "binomial")
+    if family not in ("binomial", "fock"):
+        raise ValueError(f"sweep supports binomial and fock families (got {family!r})")
+    _refuse_unread(space, SWEEP_SPACE_KEYS[family], "space.")
+    _refuse_unread(grid, SWEEP_AXES, "grid.")
     if family == "binomial":
         lam, eta = (
             _config_number(space.get(key, 1.0), f"space.{key}") for key in ("lambda", "eta")
@@ -398,16 +417,9 @@ def cmd_sweep(args) -> int:
         # outside (0, 1] no binomial space is hospitable: refused before any cell
         if not 0.0 < lam <= 1.0:
             raise ValueError(f"sweep config value space.lambda must lie in (0, 1] (got {lam})")
-    elif family == "fock":
-        b = _config_number(space.get("b", 1.0), "space.b")
     else:
-        raise ValueError(f"sweep supports binomial and fock families (got {family!r})")
-    axes = [
-        _expand_axis(grid, "a0_mod", 0.3),
-        _expand_axis(grid, "a0_arg", 0.0),
-        _expand_axis(grid, "a1_fraction", 0.5),
-        _expand_axis(grid, "c", 1.0),
-    ]
+        b = _config_number(space.get("b", 1.0), "space.b")
+    axes = [_expand_axis(grid, name, default) for name, default in SWEEP_AXES.items()]
     order = args.order
     if "order" in config:
         order = valid_order(config["order"], "sweep config value order")

@@ -13,14 +13,17 @@ from below by finite sections; the one quantitative upper bound available
 is the Gaussian-family estimate, in log units `fock_log_bound`.
 
 `build_matrix` walks the power chain once.  On the hospitable families phi
-is linear-fractional, so the columns psi phi^j obey a three-term recurrence
-and the section is filled one anti-diagonal at a time in O(N^2); a pair
-whose phi is only a series (the general shape over arbitrary weights) is
-convolved column by column in O(N^3).  Both summation orders are
-independent of N.  Against a 50-digit reference (tests/test_operators.py)
-the entries at N = 40 are within 2.0e-16 in the normalized basis on both
-paths, and at N = 256 the two paths agree to 1.3e-16 of the largest entry,
-with subnormal tails (lam |a0| = 0.05) or without.
+is linear-fractional, so the columns psi phi^j obey a three-term recurrence;
+run on the weight ratios rho(j) = beta(j) / beta(j + 1), it yields the
+normalized entries themselves, one anti-diagonal at a time in O(N^2).  A
+pair whose phi is only a series (the general shape over arbitrary weights)
+is convolved column by column in O(N^3) and normalized at the end.  Both
+summation orders are independent of N.  Against a 50-digit reference
+(tests/test_operators.py) the entries at N = 40 are within 3.4e-16 in the
+normalized basis on the recurrence (Bergman eta = 2 the worst) and 1.5e-16
+on the convolution (Dirichlet), and at N = 256 the two paths agree to
+1.1e-16 of the largest entry without subnormal tails and to 1.3e-16 with
+them (lam |a0| = 0.05).
 
 The section is the one power table of a pair, a read-only square complex
 array: `hermitian_deviation` keeps one maximum per row of |M - M*| over
@@ -29,14 +32,14 @@ deviation, its entry and the three moments from those row maxima;
 `kernel_identity_residual` reads W K_w off it as a matrix-vector product.
 Each check takes the section, reads the order from its shape and refuses
 symbols or weights of another order.  `_anti_diagonals` only runs the
-recurrence; its callers store what they need.  Below lam = 1,
-`conjugation_check` walks the pair and its dilated pair in one pass,
-normalizes each finished anti-diagonal once, writes the pair's into the
-section and keeps a maximum per row of |M - M'|, so the dilated section is
-never stored.  A report therefore holds one section plus an O(N) ring and
-rows of scratch: at N = 512 (one section is 4.02 MiB) one `full_report` on
-a binomial pair peaks at 1.08 sections under tracemalloc, lam < 1 or
-lam = 1.
+recurrence, and what it yields is already normalized; its callers store
+what they need.  Below lam = 1, `conjugation_check` walks the pair and its
+dilated pair in one pass, writes the pair's finished anti-diagonal into
+the section and keeps a maximum per row of |M - M'|, so the dilated
+section is never stored.  A report therefore holds one section plus an
+O(N) ring and rows of scratch: at N = 512 (one section is 4.02 MiB) one
+`full_report` on a binomial pair peaks at 1.08 sections under
+tracemalloc, lam < 1 or lam = 1.
 """
 
 from __future__ import annotations
@@ -84,23 +87,28 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
     A family pair (``sp.phi_pole`` set) has phi = a0 + a1 z / (1 - q z), so
     phi (1 - q z) = a0 + d z with d = a1 - a0 q, and the columns
     P_j = psi phi^j obey P_{j+1} (1 - q z) = P_j (a0 + d z).  Reading off
-    coefficient i gives the three-term recurrence
+    coefficient i gives E[i, j+1] = q E[i-1, j+1] + a0 E[i, j] + d E[i-1, j]
+    for E[i, j] = [z^i] P_j, and with rho(j) = beta(j) / beta(j + 1) the
+    same recurrence on the normalized M[i, j] = (beta(i) / beta(j)) E[i, j]:
 
-        E[i, j+1] = q E[i-1, j+1] + a0 E[i, j] + d E[i-1, j]
+        M[i, j+1] = (q M[i-1, j+1] + d rho(j) M[i-1, j]) (beta(i) / beta(i-1))
+                    + a0 rho(j) M[i, j]
 
-    from column 0 = psi (E[-1, .] = 0): three multiply-adds per entry.
-    Entry (i, j+1) reads anti-diagonals i + j and i + j - 1 only, so the
-    table is filled one anti-diagonal at a time (`_anti_diagonals`).
-    Any other pair (phi known only as a series) takes column j + 1 as
-    column j convolved with phi, truncated at order N.
+    from column 0 = psi beta (M[-1, .] = 0).  Entry (i, j+1) reads
+    anti-diagonals i + j and i + j - 1 only, so the section is filled one
+    anti-diagonal at a time (`_anti_diagonals`), normalized as it is
+    filled: an entry whose raw coefficient E leaves the double range is
+    still formed when M is in range.  Any other pair (phi known only as a
+    series) takes column j + 1 as column j convolved with phi, truncated at
+    order N, and the table is normalized in place, (x * beta(i)) / beta(j),
+    once it is done.
 
-    Either way every coefficient is computed from entries with smaller i
-    and j in an order that does not depend on N, so the section at order N
-    is bitwise the top-left block of the section at 2N.  The normalization
-    (x * beta(i)) / beta(j) is applied in place once the table is done; an
-    entry beyond the double range raises DomainError naming the first one.
-    Measured entry error against a 50-digit reference: at most 2.0e-16 at
-    N = 40 on Hardy, Bergman, binomial, Fock and Dirichlet pairs.
+    Either way every entry is computed from entries with smaller i and j in
+    an order that does not depend on N, so the section at order N is
+    bitwise the top-left block of the section at 2N.  An entry beyond the
+    double range raises DomainError naming the first one.  Measured entry
+    error against a 50-digit reference: at most 3.4e-16 at N = 40 on Hardy,
+    Bergman, binomial, Fock and Dirichlet pairs.
     """
     n = common_order(symbols=sp.order, weights=ws.order)
     entries = np.empty((n + 1, n + 1), dtype=complex)
@@ -110,12 +118,12 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
             entries[:, 0] = sp.psi.coeffs
             for j in range(n):
                 entries[:, j + 1] = np.convolve(entries[:, j], phi)[: n + 1]
+            entries *= ws.beta[:, None]
+            entries /= ws.beta[None, :]
         else:
             flat, step = entries.reshape(-1), max(n, 1)  # entry (i, s - i) is flat[s + i N]
-            for s, lo, run in _anti_diagonals([sp], n):
+            for s, lo, run in _anti_diagonals([sp], [ws.beta], n):
                 flat[s + lo * n :: step][: run.size] = run
-        entries *= ws.beta[:, None]
-        entries /= ws.beta[None, :]
     return _finite_section(entries)
 
 
@@ -130,34 +138,40 @@ def _finite_section(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _anti_diagonals(pairs: list[SymbolPair], n: int):
-    """Run the recurrence of `build_matrix` for the coefficients
-    E[i, j] = [z^i](psi phi^j), i, j <= n, of b family pairs side by side,
-    one anti-diagonal s = i + j at a time, and yield each finished one.  It
-    writes no section: each caller stores (and normalizes) what it needs.
+def _anti_diagonals(pairs: list[SymbolPair], betas: list[np.ndarray], n: int):
+    """Run the ratio recurrence of `build_matrix` for the normalized entries
+    M[i, j], i, j <= n, of b family pairs side by side, pair c over the
+    weights betas[c], one anti-diagonal s = i + j at a time, and yield each
+    finished one.  It writes no section: each caller stores what it needs.
 
-    The three-term recurrence reads anti-diagonals s - 1 and s - 2 only, so
-    three ring rows hold everything it needs: slot b (i + 1) + c of a row
-    holds pair c's E[i, s - i], and slots 0..b-1 stay zero for E[-1, .].
-    The entries (i, s - i), i = lo..hi, of every pair are then one
-    contiguous run, and so are their inputs: the same slots (left) and the
-    slots b before (up) in the previous row, the slots b before (up-left)
-    in the row before that.  q, a0 and d are tiled to match, so each of the
-    five ufuncs per anti-diagonal reads contiguous memory; they sum
-    (q up + a0 left) + d up-left, the order that fixes the section's bits.
-    d = a1 - a0 q is formed in Python's complex arithmetic (numpy's may fuse
-    the multiply-add and move its last bit).
+    The recurrence reads anti-diagonals s - 1 and s - 2 only, so three ring
+    rows hold everything it needs: slot b (i + 1) + c of a row holds pair
+    c's M[i, s - i], and slots 0..b-1 stay zero for M[-1, .].  The entries
+    (i, s - i), i = lo..hi, of every pair are then one contiguous run, and
+    so are their inputs: the same slots (left) and the slots b before (up)
+    in the previous row, the slots b before (up-left) in the row before
+    that.  q is tiled to match; beta(i) / beta(i - 1) is stored by row, with
+    a 1 on row 0, whose inputs are the zero slots; a0 rho(j) and d rho(j)
+    are stored by column, reversed, so the columns j = s - 1 - i of a run
+    ascend too.  Each of the six ufuncs per anti-diagonal reads contiguous
+    memory; they form ((q up + d rho up-left) beta(i) / beta(i - 1)) +
+    a0 rho left, the order that fixes the section's bits.  Column 0 is
+    psi(i) beta(i).  d = a1 - a0 q is formed in Python's complex arithmetic
+    (numpy's may fuse the multiply-add and move its last bit).
 
     Yields (s, lo, run) once anti-diagonal s is done: lo its first row and
     run the ring's slots for rows lo..min(s, n), pairs interleaved, valid
     until the next step.
     """
     b = len(pairs)
-    psi = np.stack([sp.psi.coeffs for sp in pairs], axis=1).reshape(-1)
-    q, a0, d = (
-        np.tile(np.array(x, dtype=complex), n + 1)
-        for x in zip(*((sp.phi_pole, sp.a0, sp.a1 - sp.a0 * sp.phi_pole) for sp in pairs))
-    )
+    beta = np.stack(betas, axis=1)  # row i holds each pair's beta(i)
+    psi = (np.stack([sp.psi.coeffs for sp in pairs], axis=1) * beta).reshape(-1)
+    up = np.vstack([np.ones(b), beta[1:] / beta[:-1]], dtype=complex).reshape(-1)
+    coeffs = [(sp.phi_pole, sp.a0, sp.a1 - sp.a0 * sp.phi_pole) for sp in pairs]
+    q, a0, d = np.array(coeffs, dtype=complex).T
+    q = np.tile(q, n + 1)
+    # slot b (n - 1 - j) + c holds pair c's a0 rho(j) and d rho(j)
+    a0_rho, d_rho = ((x * (beta[:-1] / beta[1:]))[::-1].reshape(-1) for x in (a0, d))
     older, old, new = np.zeros((3, b * (n + 2)), dtype=complex)
     buf = np.empty(b * (n + 1), dtype=complex)
     multiply, add = np.multiply, np.add  # bound once: the loop is ufunc dispatch
@@ -165,15 +179,16 @@ def _anti_diagonals(pairs: list[SymbolPair], n: int):
         lo, hi = (0, s - 1) if s <= n else (s - n, n)  # the rows with j >= 1
         first, stop = b * lo, b * (hi + 1)
         if stop > first:
-            k = stop - first
+            k, col = stop - first, b * (n - s + lo)
             a, t = new[first + b : stop + b], buf[:k]
             multiply(old[first:stop], q[:k], a)
-            multiply(old[first + b : stop + b], a0[:k], t)
+            multiply(older[first:stop], d_rho[col : col + k], t)
             add(a, t, a)
-            multiply(older[first:stop], d[:k], t)
+            multiply(a, up[first:stop], a)
+            multiply(old[first + b : stop + b], a0_rho[col : col + k], t)
             add(a, t, a)
         if s <= n:
-            new[stop + b : stop + 2 * b] = psi[b * s : b * (s + 1)]  # E[s, 0]
+            new[stop + b : stop + 2 * b] = psi[b * s : b * (s + 1)]  # M[s, 0]
             hi = s
         yield s, lo, new[first + b : b * (hi + 2)]
         older, old, new = old, new, older
@@ -343,16 +358,17 @@ def conjugation_check(sp: SymbolPair, ws: WeightSequence) -> tuple[np.ndarray, f
     (`symbols.dilate`, over its family weights) are intertwined by the
     (unitary) dilation z -> sqrt(lam) z, whose matrix in the two normalized
     bases is the identity, so the two sections must agree entry by entry.
-    Both pairs are filled in one pass (`_anti_diagonals`); each anti-diagonal
-    of both is normalized as it finishes, in the operations that
-    `build_matrix` applies to the whole table, the pair's is written into
-    the section and both are compared there, so the section is normalized
-    once and the dilated section is never stored: the pass holds one
-    section and O(N) scratch.  The residual is the largest of a running
-    maximum per row, NaN-propagating.  A section entry that is not finite
-    raises `build_matrix`'s DomainError; so does a dilated one (the dilated
-    section is rebuilt to name the first).  The symbols and the weights
-    must share one order (else ValueError naming both).
+    Both pairs are filled in one pass (`_anti_diagonals`), which yields
+    normalized entries, so the section is bitwise `build_matrix`'s by
+    construction.  The pair's finished anti-diagonal is written into the
+    section and compared with the dilate's, which is never stored: the pass
+    holds one section and O(N) scratch.  The residual is the largest of a
+    running maximum per row, NaN-propagating.  A section entry that is not
+    finite raises `build_matrix`'s DomainError; a residual that is not
+    finite (a dilated entry, or a difference, beyond the double range)
+    raises DomainError naming the first row whose maximum is not finite.
+    The symbols and the weights must share one order (else ValueError
+    naming both).
     """
     if not isinstance(sp.cls, Binomial):
         raise ValueError("the conjugation identity applies to binomial pairs")
@@ -363,27 +379,22 @@ def conjugation_check(sp: SymbolPair, ws: WeightSequence) -> tuple[np.ndarray, f
     entries = np.empty((n + 1, n + 1), dtype=complex)
     flat, step = entries.reshape(-1), max(n, 1)  # entry (i, s - i) is flat[s + i N]
     tilted = dilate(sp)
-    tilted_ws = family_weights(tilted.cls, n)
-    # slot 2 i + c holds pair c's beta(i), and slot 2 (N - j) + c of `by_column` its beta(j)
-    by_row = np.stack([ws.beta, tilted_ws.beta], axis=1).reshape(-1)
-    by_column = np.stack([ws.beta[::-1], tilted_ws.beta[::-1]], axis=1).reshape(-1)
-    scaled = np.empty(2 * (n + 1), dtype=complex)
+    betas = [ws.beta, family_weights(tilted.cls, n).beta]
     diff = np.empty(n + 1, dtype=complex)
     modulus = np.empty(n + 1)
     peaks = np.zeros(n + 1)  # row i's running maximum
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for s, lo, run in _anti_diagonals([sp, tilted], n):
-            k, rows, col = run.size, run.size // 2, 2 * (n - s + lo)
-            x = np.multiply(run, by_row[2 * lo : 2 * lo + k], scaled[:k])
-            np.divide(x, by_column[col : col + k], x)
-            flat[s + lo * n :: step][:rows] = x[0::2]
-            np.subtract(x[0::2], x[1::2], diff[:rows])
+        for s, lo, run in _anti_diagonals([sp, tilted], betas, n):
+            rows = run.size // 2
+            flat[s + lo * n :: step][:rows] = run[0::2]
+            np.subtract(run[0::2], run[1::2], diff[:rows])
             peak = peaks[lo : lo + rows]
             np.maximum(peak, np.abs(diff[:rows], modulus[:rows]), out=peak)
     m = _finite_section(entries)
     residual = float(np.max(peaks))
     if not math.isfinite(residual):
-        build_matrix(tilted, tilted_ws)
+        i = int(np.argmin(np.isfinite(peaks)))
+        raise DomainError(f"|M - M'| in row {i} is not finite: {peaks[i]}")
     return m, residual
 
 

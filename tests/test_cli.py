@@ -644,20 +644,48 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message
     [
         (["--lam", "0.5", "--eta", "300", "--order", "64", "--a0", "0.9", "--a1", "0.001",
           "--c", "1e250"], "psi coefficient 62 is not finite: (inf+0j)"),
-        (["--lam", "0.3", "--eta", "30", "--order", "32", "--a0", "0.5", "--a1", "1",
-          "--c", "1e300"], "section entry (32, 29) is not finite: (nan+nanj)"),
         (["--lam", "0.25", "--eta", "10", "--a0", "0.3", "--a1", "0.2", "--c", "1.5e308i"],
          "|M - M*| at entry (0, 0) is beyond the double range"),
     ],
-    ids=["dilated-psi", "dilated-section-entry", "pair-refusal-first"],
+    ids=["dilated-psi", "pair-refusal-first"],
 )
 def test_dilation_refusal_is_usage_error(capsys, argv, message):
     """The pair is finite and its dilate is not: refused with the dilate's
-    first non-finite psi coefficient, or (psi finite) section entry in
-    row-major order.  Where the pair itself is refused too (its |M - M*|
-    overflows, while the dilate's psi does), the pair's refusal comes first."""
+    first non-finite psi coefficient.  Where the pair itself is refused too
+    (its |M - M*| overflows, while the dilate's psi does), the pair's
+    refusal comes first."""
     code, out, err = run_cli(capsys, "check", "--family", "binomial", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_dilate_whose_raw_coefficients_overflow_is_judged(capsys):
+    """The dilate's raw coefficients [z^i](psi phi^j) leave the double range
+    (entry (32, 29) is inf - inf), but its normalized section is finite, so
+    the report runs and fails: a1 = 1 is no self-map, and the section
+    checks, the kernel identity and the dilation conjugation fail."""
+    code, out, err = run_cli(
+        capsys, "check", "--family", "binomial", "--lam", "0.3", "--eta", "30", "--order", "32",
+        "--a0", "0.5", "--a1", "1", "--c", "1e300",
+    )
+    assert (code, err) == (1, "")
+    failing = [check["name"] for check in json.loads(out)["checks"] if not check["pass"]]
+    assert failing == [
+        "selfmap", "hermitian-deviation", "moment-0", "moment-1", "moment-2",
+        "kernel-identity", "dilation-conjugation",
+    ]
+
+
+def test_dilated_section_beyond_the_range_is_usage_error(capsys, monkeypatch):
+    """A dilated section whose entries leave the double range (here a Bergman
+    eta = 3 pair at c = 1e305 stands in for the dilate) exits 2 with one
+    line naming the first row of |M - M'| that is not finite."""
+    monkeypatch.setattr(
+        operators, "dilate",
+        lambda sp: symbols.synthesize(Binomial(1.0, 3.0), 0.9, 0.05, 1e305, sp.order),
+    )
+    code, out, err = run_cli(capsys, "check", "--family", "binomial", "--lam", "0.5",
+                             "--eta", "3", *PAIR)
+    assert (code, out, err) == (2, "", "error: |M - M'| in row 20 is not finite: nan\n")
 
 
 @pytest.mark.parametrize(
@@ -727,6 +755,30 @@ def test_quad_beyond_the_double_range_writes_no_warning(capsys):
         code, out, err = run_cli(capsys, "quad", *space_args, "--f", f)
         assert code == 2 and out == ""
         assert err == "error: the series norm of f or its square leaves the double range\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # "lam" ran lambda = 1, and fock ran b = 1 with "lambda", "eta" and "a1" unread
+        ({"space": {"family": "binomial", "lam": 0.5, "eta": 2}, "grid": {"a0_mod": [0.3]},
+          "order": 16}, "space.lam is not read (read: family, lambda, eta)"),
+        ({"space": {"family": "fock", "lambda": 0.5, "eta": 2}, "grid": {"a1": [0.9]}},
+         "space.lambda is not read (read: family, b)"),
+        ({"space": {"family": "fock", "b": 2}, "grid": {"a1": [0.9]}, "order": 16},
+         "grid.a1 is not read (read: a0_mod, a0_arg, a1_fraction, c)"),
+        ({**SWEEP, "ordr": 32}, "ordr is not read (read: space, grid, order, seed, output)"),
+    ],
+    ids=["binomial-lam", "fock-lambda", "grid-a1", "top-level"],
+)
+@pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+def test_sweep_key_the_run_does_not_read_is_usage_error(capsys, tmp_path, config, message, as_csv):
+    """A sweep config key that the run does not read exits 2 naming the
+    first one (top level, then space, then grid), before any cell runs."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path), *(["--csv"] if as_csv else []))
+    assert (code, out, err) == (2, "", f"error: sweep config key {message}\n")
 
 
 @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])

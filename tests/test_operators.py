@@ -638,19 +638,33 @@ class TestConjugation:
         j = np.arange(21)
         assert np.allclose(ws_lam.beta, ws_one.beta * lam ** (-j / 2.0), rtol=1e-12)
 
-    def test_non_finite_dilated_entry_is_named_as_build_matrix_names_it(self):
-        # the pair's section and the dilated psi are finite, the dilated section is not
+    def test_dilate_whose_raw_coefficients_overflow_builds(self):
+        # the dilate's raw coefficients [z^i](psi phi^j) leave the double range,
+        # as the convolution path, which normalizes last, shows; filled from the
+        # weight ratios its section is finite, and so is the residual
         cls = Binomial(lam=0.3, eta=30.0)
         sp = synthesize(cls, 0.5, 1.0, 1e300, 32)
         ws = family_weights(cls, 32)
-        assert np.all(np.isfinite(operators.build_matrix(sp, ws)))
         tilted = dilate(sp)
-        with pytest.raises(DomainError) as dense:
-            operators.build_matrix(tilted, family_weights(tilted.cls, 32))
-        with pytest.raises(DomainError) as fused:
-            operators.conjugation_check(sp, ws)
-        assert str(fused.value) == str(dense.value)
-        assert str(dense.value) == "section entry (32, 29) is not finite: (nan+nanj)"
+        tilted_ws = family_weights(tilted.cls, 32)
+        with pytest.raises(DomainError, match=r"section entry \(32, 29\) is not finite"):
+            operators.build_matrix(dataclasses.replace(tilted, phi_pole=None), tilted_ws)
+        assert np.all(np.isfinite(operators.build_matrix(tilted, tilted_ws)))
+        m, residual = operators.conjugation_check(sp, ws)
+        assert np.array_equal(m, operators.build_matrix(sp, ws)) and math.isfinite(residual)
+
+    def test_non_finite_dilated_section_is_named_by_its_first_row(self, monkeypatch):
+        # a Bergman eta = 3 pair at c = 1e305, whose section leaves the double
+        # range, stands in for the dilate
+        monkeypatch.setattr(
+            operators, "dilate",
+            lambda sp: synthesize(Binomial(1.0, 3.0), 0.9, 0.05, 1e305, sp.order),
+        )
+        cls = Binomial(lam=0.5, eta=3.0)
+        sp = synthesize(cls, 0.3, 0.2, 1.0, 64)
+        with pytest.raises(DomainError) as refusal:
+            operators.conjugation_check(sp, family_weights(cls, 64))
+        assert str(refusal.value) == "|M - M'| in row 20 is not finite: nan"
 
     def test_exponential_rejected(self):
         sp = synthesize(Exponential(b_sq=1.0), 0.3, 0.2, 1.0, 8)

@@ -223,9 +223,9 @@ class TestFullReport:
         calls = {"fills": [], "compose_poly": 0}
         fill = operators._anti_diagonals
 
-        def counted_fill(sps, n):
+        def counted_fill(sps, betas, n):
             calls["fills"].append(len(sps))
-            return fill(sps, n)
+            return fill(sps, betas, n)
 
         def counted_compose(*args, _compose=series.compose_poly, **kwargs):
             calls["compose_poly"] += 1

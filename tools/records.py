@@ -18,24 +18,34 @@ head its stdout):
   eta 100..1200 and Fock b = 0.01, 0.04 at N = 64, the larger ones with
   terms still rising past N; Fock b = 1e-11 at N = 5, whose mass is beyond
   the double range), and four lam < 1 pairs that run the dilation
-  conjugation: lam = 0.5, eta = 300 at N = 64, and three refusals -- the
-  same space at a0 = 0.9, a1 = 0.001, c = 1e250, whose dilate's psi leaves
-  the double range; lam = 0.3, eta = 30 at N = 32, a0 = 0.5, a1 = 1,
-  c = 1e300, whose dilated section does; and lam = 0.25, eta = 10 at
-  c = 1.5e308i, where the pair's own |M - M*| overflows first.
+  conjugation: lam = 0.5, eta = 300 at N = 64; the same space at a0 = 0.9,
+  a1 = 0.001, c = 1e250, refused because its dilate's psi leaves the
+  double range; lam = 0.3, eta = 30 at N = 32, a0 = 0.5, a1 = 1, c = 1e300,
+  whose dilate's raw coefficients [z^i](psi phi^j) leave the range while
+  its normalized section does not, so it is judged (and fails); and
+  lam = 0.25, eta = 10 at c = 1.5e308i, refused because the pair's own
+  |M - M*| overflows.
 
 The inputs come from ``bench/inputs.py`` next to this script, so both dumps
 of a comparison read the same inputs whichever checkout they run.
 
-``diff`` prints every record whose text differs and, inside it, every field
-(a JSON path, or a CSV row and column) with its old and new value; it exits
-1 when any record differs.
+``diff`` compares the two dumps record by record and field by field (a
+field is a JSON path, or a CSV row and column).  Verdict fields -- the exit
+line (with stderr), every ``pass``, and a sweep row's ``error`` -- are
+printed in full, record by record.  Every other field that moved (residuals,
+tolerances, notes) is summed up by its name, list indices and CSV rows
+dropped: how many moved, the largest relative move |new - old| /
+max(|old|, |new|) and the largest absolute move, or an example where the
+values are not numbers.  Exit
+codes: 0 when the dumps are identical; 1 when a verdict field differs or a
+record is in one dump only; 3 when only numbers or notes moved.
 
-Bit-exact equality holds only on one numpy loop dispatch: the residuals go
-through numpy's vector and complex loops, so a dump made under
-``NPY_DISABLE_CPU_FEATURES`` differs from one made on the default loops in
-the last bits of most residuals (and in a few argmax notes).  Compare dumps
-made on the same machine with the same numpy settings.
+Verdicts must not depend on numpy's loop dispatch; numbers may: the
+residuals go through numpy's vector and complex loops, so a dump made
+under ``NPY_DISABLE_CPU_FEATURES`` differs from one made on the default
+loops in the last bits of most residuals (and in a few argmax notes).
+Bit-exact comparison of numbers needs dumps made on one machine with the
+same numpy settings.
 """
 
 from __future__ import annotations
@@ -44,6 +54,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -131,20 +143,61 @@ def fields(text: str) -> dict[str, object]:
     return leaves
 
 
+#: the fields that carry a verdict, by the last part of their name
+VERDICTS = ("exit", "pass", "error")
+
+
+def _move(a, b) -> tuple[float, float] | None:
+    """The move of a number, absolute |b - a| and relative to max(|a|, |b|)
+    (inf when one side is not finite); None when either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf, math.inf
+    return abs(y - x), abs(y - x) / max(abs(x), abs(y))
+
+
 def diff(old: dict[str, str], new: dict[str, str]) -> int:
     names = sorted(old.keys() | new.keys())
     changed = [name for name in names if old.get(name) != new.get(name)]
+    verdicts: list[str] = []
+    moves: dict[str, list] = {}
     for name in changed:
         if name not in old or name not in new:
-            print(f"{name}: only in the {'new' if name in new else 'old'} dump")
+            verdicts.append(f"{name}: only in the {'new' if name in new else 'old'} dump")
             continue
-        print(name)
         a, b = fields(old[name]), fields(new[name])
         for key in sorted(a.keys() | b.keys()):
-            if a.get(key) != b.get(key):
-                print(f"  {key}: {a.get(key)!r} -> {b.get(key)!r}")
+            x, y = a.get(key), b.get(key)
+            if x == y:
+                continue
+            if re.split(r"[.:]", key)[-1] in VERDICTS:
+                verdicts.append(f"{name} {key}: {x!r} -> {y!r}")
+            elif key not in a or key not in b:  # a check or a row came or went
+                verdicts.append(f"{name} {key}: only in the {'new' if key in b else 'old'} dump")
+            else:
+                field = re.sub(r"\[\d+\]", "[]", re.sub(r"^row \d+:", "row:", key))
+                moves.setdefault(field, []).append((_move(x, y), name, x, y))
+    print(f"verdict fields: {len(verdicts)} differ")
+    for line in verdicts:
+        print(f"  {line}")
+    print(f"numbers and notes: {len(moves)} fields moved")
+    for field, items in sorted(moves.items()):
+        sized = [item for item in items if item[0] is not None]
+        if not sized:
+            _, name, x, y = items[0]
+            print(f"  {field}: {len(items)} moved, for example in {name}: {x!r} -> {y!r}")
+            continue
+        (_, rel), name, x, y = max(sized, key=lambda item: item[0][1])
+        (size, _), far, *_ = max(sized, key=lambda item: item[0][0])
+        print(
+            f"  {field}: {len(items)} moved, largest relative move {rel:.3g} in {name}: "
+            f"{x!r} -> {y!r}; largest absolute move {size:.3g} in {far}"
+        )
     print(f"{len(names) - len(changed)} of {len(names)} records identical, {len(changed)} differ")
-    return 1 if changed else 0
+    return 1 if verdicts else 3 if changed else 0
 
 
 def main(argv: list[str]) -> int:
