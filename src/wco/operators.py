@@ -32,11 +32,13 @@ deviation, its entry and the three moments from those row maxima;
 `kernel_identity_residual` reads W K_w off it as a matrix-vector product.
 Each check takes the section, reads the order from its shape and refuses
 symbols or weights of another order.  `_anti_diagonals` only runs the
-recurrence, and what it yields is already normalized; its callers store
-what they need.  Below lam = 1, `conjugation_check` walks the pair and its
-dilated pair in one pass, writes the pair's finished anti-diagonal into
-the section and keeps a maximum per row of |M - M'|, so the dilated
-section is never stored.  A report therefore holds one section plus an
+recurrence, for one pair or several side by side, and what it yields is
+already normalized; `build_matrix` stores it.  A lam < 1 pair needs no
+second section: composing with z -> sqrt(lam) z is a unitary from the
+lam = 1 space onto it, under which its section is, in exact arithmetic,
+the same matrix as its dilate's, so a report judges it on its own
+section and checks its space by the dilated integral norm
+(`spaces.integral_norm`).  A report therefore holds one section plus an
 O(N) ring and rows of scratch: at N = 512 (one section is 4.02 MiB) one
 `full_report` on a binomial pair peaks at 1.08 sections under
 tracemalloc, lam < 1 or lam = 1.
@@ -50,15 +52,8 @@ import sys
 import numpy as np
 
 from .series import TruncatedSeries, common_order, compose_poly
-from .spaces import (
-    Binomial,
-    DomainError,
-    Exponential,
-    WeightSequence,
-    family_weights,
-    kernel,
-)
-from .symbols import SymbolPair, dilate
+from .spaces import Binomial, DomainError, Exponential, WeightSequence, kernel
+from .symbols import SymbolPair
 
 __all__ = [
     "build_matrix",
@@ -67,7 +62,6 @@ __all__ = [
     "adjoint_on_kernel",
     "kernel_identity_residual",
     "kernel_tail_bound",
-    "conjugation_check",
     "fock_log_bound",
     "finite_section_norm",
 ]
@@ -348,54 +342,6 @@ def kernel_tail_bound(cls, w: complex, order: int) -> float:
     rounding = 3.0 * (k + 1) + 2.0 * r / (1.0 - r) * rest / (total + rest)
     slack = 2.0 * eps * (log_size + abs(log_mass)) + eps * rounding
     return (log_mass + slack) / math.log(10.0)
-
-
-def conjugation_check(sp: SymbolPair, ws: WeightSequence) -> tuple[np.ndarray, float]:
-    """The pair's section, bitwise `build_matrix` (sp, ws), and the entrywise
-    residual max |M - M'| of the dilation conjugation identity.
-
-    The pair over the lam < 1 space and its dilated lam = 1 counterpart M'
-    (`symbols.dilate`, over its family weights) are intertwined by the
-    (unitary) dilation z -> sqrt(lam) z, whose matrix in the two normalized
-    bases is the identity, so the two sections must agree entry by entry.
-    Both pairs are filled in one pass (`_anti_diagonals`), which yields
-    normalized entries, so the section is bitwise `build_matrix`'s by
-    construction.  The pair's finished anti-diagonal is written into the
-    section and compared with the dilate's, which is never stored: the pass
-    holds one section and O(N) scratch.  The residual is the largest of a
-    running maximum per row, NaN-propagating.  A section entry that is not
-    finite raises `build_matrix`'s DomainError; a residual that is not
-    finite (a dilated entry, or a difference, beyond the double range)
-    raises DomainError naming the first row whose maximum is not finite.
-    The symbols and the weights must share one order (else ValueError
-    naming both).
-    """
-    if not isinstance(sp.cls, Binomial):
-        raise ValueError("the conjugation identity applies to binomial pairs")
-    n = common_order(symbols=sp.order, weights=ws.order)
-    # allocated before the small buffers, which could otherwise split the
-    # block a freed section left, and a second section's worth of memory
-    # would stay resident
-    entries = np.empty((n + 1, n + 1), dtype=complex)
-    flat, step = entries.reshape(-1), max(n, 1)  # entry (i, s - i) is flat[s + i N]
-    tilted = dilate(sp)
-    betas = [ws.beta, family_weights(tilted.cls, n).beta]
-    diff = np.empty(n + 1, dtype=complex)
-    modulus = np.empty(n + 1)
-    peaks = np.zeros(n + 1)  # row i's running maximum
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for s, lo, run in _anti_diagonals([sp, tilted], betas, n):
-            rows = run.size // 2
-            flat[s + lo * n :: step][:rows] = run[0::2]
-            np.subtract(run[0::2], run[1::2], diff[:rows])
-            peak = peaks[lo : lo + rows]
-            np.maximum(peak, np.abs(diff[:rows], modulus[:rows]), out=peak)
-    m = _finite_section(entries)
-    residual = float(np.max(peaks))
-    if not math.isfinite(residual):
-        i = int(np.argmin(np.isfinite(peaks)))
-        raise DomainError(f"|M - M'| in row {i} is not finite: {peaks[i]}")
-    return m, residual
 
 
 def fock_log_bound(sp: SymbolPair) -> float:

@@ -215,11 +215,6 @@ class Binomial:
         if self.gamma is None:
             object.__setattr__(self, "gamma", (self.eta + 1.0) / self.eta)
 
-    @property
-    def normal_form(self) -> bool:
-        """lam = 1 (to 1e-12): the undilated kernel (1 - z)**(-eta)."""
-        return abs(self.lam - 1.0) < 1e-12
-
     def generating_series(self, order: int, scale: complex = 1.0) -> TruncatedSeries:
         """k(scale z) truncated at ``order``."""
         return binomial_series(self.lam * scale, self.eta, order)
@@ -462,27 +457,31 @@ def integral_norm(cls: SpaceClass, f: TruncatedSeries) -> tuple[str, float]:
 
     * "gaussian-plane" (exponential family), (1/(pi b^2)) integral
       |f|^2 e^(-|z|^2/b^2) dA = integral_0^inf e^(-t) M(b^2 t) dt;
-    * "disk" (lam = 1, eta > 1), (eta - 1)/pi integral |f|^2
-      (1 - |z|^2)^(eta-2) dA = (eta - 1) integral_0^1 (1 - s)^(eta-2) M(s) ds;
-    * "circle" (lam = 1, eta = 1), M(1).
+    * "disk" (binomial family, eta > 1), the lam = 1 norm of f(z / sqrt(lam)),
+      (eta - 1)/pi integral |f|^2 (1 - lam |z|^2)^(eta-2) lam dA over the
+      disk of radius 1/sqrt(lam), = (eta - 1) integral_0^1 (1 - s)^(eta-2)
+      M(s / lam) ds;
+    * "circle" (binomial family, eta = 1), M(1 / lam).
 
+    The binomial rules are the dilation of the lam = 1 space: z -> sqrt(lam) z
+    carries the weights beta(j) lam^(-j/2) onto beta(j), so the norm over
+    (lam, eta) of f is the norm over (1, eta) of f(z / sqrt(lam)) (Cowen &
+    MacCluer, Composition Operators on Spaces of Analytic Functions, 1995).
     The (deg f // 2 + 1)-point Gauss rule of the radial weight and 2 deg f + 1
     uniform angular nodes make it exact.  Any other space raises DomainError
     (eta < 1 has the derivative sandwich); a value past the range, QuadratureError.
     """
     n_radial, n_angular = _degree(f) // 2 + 1, _angular_nodes(f)
-    scale, r_sq = 1.0, 1.0
+    scale = 1.0
     if isinstance(cls, Exponential):
         domain, r_sq, (t, w) = "gaussian-plane", cls.b_sq, _gauss_laguerre(n_radial)
-    elif not (isinstance(cls, Binomial) and cls.normal_form):
-        raise DomainError(
-            "integral norms are available for the fock family and the "
-            "lam = 1 binomial family only"
-        )
+    elif not isinstance(cls, Binomial):
+        raise DomainError("integral norms are available for the family spaces only")
     elif cls.eta > 1.0 + 1e-9:
-        domain, scale, (t, w) = "disk", cls.eta - 1.0, _gauss_jacobi(n_radial, cls.eta - 2.0)
+        domain, r_sq, scale = "disk", 1.0 / cls.lam, cls.eta - 1.0
+        t, w = _gauss_jacobi(n_radial, cls.eta - 2.0)
     elif abs(cls.eta - 1.0) <= 1e-9:
-        domain, t, w = "circle", np.ones(1), np.ones(1)
+        domain, r_sq, t, w = "circle", 1.0 / cls.lam, np.ones(1), np.ones(1)
     else:
         raise DomainError(
             "no integral norm for eta < 1; use the series norm "

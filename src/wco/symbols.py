@@ -12,6 +12,11 @@ a0 + a1 z / (1 - lam conj(a0) z): lam in (0, 1] for the binomial family and
 lam = 0 (an affine phi) for the exponential one.  `synthesize` materializes
 these closed forms; `synthesize_from_weights` builds the same shape over an
 arbitrary weight sequence, which is what makes inhospitable spaces testable.
+A lam < 1 pair is the lam = 1 pair at sqrt(lam) a0 seen through the
+dilation z -> sqrt(lam) z, psi(z) = psi_1(sqrt(lam) z) and
+phi(z) = phi_1(sqrt(lam) z) / sqrt(lam), a unitary equivalence under which
+the two finite sections are the same matrix in exact arithmetic; so no
+dilated pair is built, and a lam < 1 pair is judged on its own section.
 
 The self-map region of phi is an exact closed interval in real a1
 (`selfmap_interval`, for 0 <= lam <= 1), and sup |phi| over the disk has a
@@ -28,7 +33,6 @@ import numpy as np
 
 from .series import TruncatedSeries
 from .spaces import (
-    Binomial,
     DomainError,
     NotHospitable,
     SpaceClass,
@@ -48,7 +52,6 @@ __all__ = [
     "SelfMapInterval",
     "selfmap_interval",
     "selfmap_excess",
-    "dilate",
     "mobius_circle_max",
     "a1_from_fraction",
 ]
@@ -280,29 +283,3 @@ def mobius_circle_max(a0: complex, a1: float, lam: float, rho: float = 1.0) -> f
         z = np.concatenate([z, [rho * direction, -rho * direction]])
     vals = complex(a0) + a1 * z / (1.0 - np.conj(complex(a0)) * lam * z)
     return float(np.max(np.abs(vals)))
-
-
-# ---------------------------------------------------------------------------
-# dilation to the lam = 1 normal form
-
-
-def dilate(sp: SymbolPair) -> SymbolPair:
-    """Conjugate a binomial pair to its lam = 1 normal form, at the pair's order.
-
-    Replaces a0 by sqrt(lam) a0 (same a1, same c) over the space with
-    generating function (1 - z)^(-eta).  Composing with the dilation
-    z -> sqrt(lam) z is a surjective isometry between the two spaces, so
-    the two operators are unitarily equivalent; `conjugation_check`
-    verifies the resulting matrix identity, filling both pairs in one pass
-    from their weight ratios and comparing the normalized entries as they
-    are filled: it stores one section (the pair's) plus an O(N) ring, 1.08
-    sections at N = 512 under tracemalloc.  Only the normalized entries
-    must stay in the double range: at lam = 0.3, eta = 30, a0 = 0.5, a1 = 1,
-    c = 1e300 (N = 32) the dilate's raw coefficients [z^i](psi phi^j)
-    overflow, yet its section is finite and the identity is judged.
-    """
-    cls = sp.cls
-    if not isinstance(cls, Binomial):
-        raise ValueError("dilation applies to binomial-family pairs only")
-    target = Binomial(lam=1.0, eta=cls.eta)
-    return synthesize(target, math.sqrt(cls.lam) * sp.a0, sp.a1, sp.c, sp.order)

@@ -225,7 +225,14 @@ def test_criterion_11_dilation_conjugation():
                 sp = synthesize(
                     cls, 0.45 * np.exp(0.8j), a1_from_fraction(interval, 0.5), 1.0, 64
                 )
-                assert operators.conjugation_check(sp, family_weights(cls, 64))[1] <= 1e-10
+                # the lam = 1 pair at sqrt(lam) a0 that z -> sqrt(lam) z carries it to
+                tilted = synthesize(
+                    Binomial(1.0, eta), math.sqrt(lam) * sp.a0, sp.a1, sp.c, 64
+                )
+                m, m_one = (
+                    operators.build_matrix(p, family_weights(p.cls, 64)) for p in (sp, tilted)
+                )
+                assert np.max(np.abs(m - m_one)) <= 1e-10
 
 
 def test_criterion_12_fock_bound_dominance():

@@ -642,27 +642,43 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--lam", "0.5", "--eta", "300", "--order", "64", "--a0", "0.9", "--a1", "0.001",
-          "--c", "1e250"], "psi coefficient 62 is not finite: (inf+0j)"),
         (["--lam", "0.25", "--eta", "10", "--a0", "0.3", "--a1", "0.2", "--c", "1.5e308i"],
          "|M - M*| at entry (0, 0) is beyond the double range"),
     ],
-    ids=["dilated-psi", "pair-refusal-first"],
+    ids=["pair-refusal-first"],
 )
 def test_dilation_refusal_is_usage_error(capsys, argv, message):
-    """The pair is finite and its dilate is not: refused with the dilate's
-    first non-finite psi coefficient.  Where the pair itself is refused too
-    (its |M - M*| overflows, while the dilate's psi does), the pair's
-    refusal comes first."""
+    """A lam < 1 pair is refused on its own section, as a lam = 1 pair is:
+    here its |M - M*| overflows."""
     code, out, err = run_cli(capsys, "check", "--family", "binomial", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.xfail(strict=True, reason="absolute identity tolerance, ROADMAP item 1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lam", "0.5", "--eta", "300", "--a0", "0.9", "--a1", "0.001", "--c", "1e250"],
+        ["--lam", "1", "--eta", "300", "--a0", "0.6364", "--a1", "0.001", "--c", "1e200"],
+    ],
+    ids=["lam-0.5", "lam-1"],
+)
+def test_exact_pair_with_huge_entries_passes_the_section_checks(capsys, argv):
+    """Two exactly Hermitian pairs (real a0, a1 and c, a self-map phi) whose
+    sections reach max |M| = 1.1e297 and 1.1e247: |M - M*| is rounding at
+    that size, 9.4e281 and 4.3e231, but the identity tolerance is absolute."""
+    _, out, _ = run_cli(capsys, "check", "--family", "binomial", "--order", "64", *argv)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["selfmap"]["pass"]
+    section = ("hermitian-deviation", "moment-0", "moment-1", "moment-2")
+    assert all(checks[name]["pass"] for name in section)
+
+
 def test_dilate_whose_raw_coefficients_overflow_is_judged(capsys):
-    """The dilate's raw coefficients [z^i](psi phi^j) leave the double range
-    (entry (32, 29) is inf - inf), but its normalized section is finite, so
-    the report runs and fails: a1 = 1 is no self-map, and the section
-    checks, the kernel identity and the dilation conjugation fail."""
+    """The pair's lam = 1 dilate has raw coefficients [z^i](psi phi^j) that
+    leave the double range (entry (32, 29) is inf - inf), but the section,
+    filled normalized, is finite, so the report runs and fails: a1 = 1 is no
+    self-map, and the section checks and the kernel identity fail."""
     code, out, err = run_cli(
         capsys, "check", "--family", "binomial", "--lam", "0.3", "--eta", "30", "--order", "32",
         "--a0", "0.5", "--a1", "1", "--c", "1e300",
@@ -670,22 +686,19 @@ def test_dilate_whose_raw_coefficients_overflow_is_judged(capsys):
     assert (code, err) == (1, "")
     failing = [check["name"] for check in json.loads(out)["checks"] if not check["pass"]]
     assert failing == [
-        "selfmap", "hermitian-deviation", "moment-0", "moment-1", "moment-2",
-        "kernel-identity", "dilation-conjugation",
+        "selfmap", "hermitian-deviation", "moment-0", "moment-1", "moment-2", "kernel-identity",
     ]
 
 
-def test_dilated_section_beyond_the_range_is_usage_error(capsys, monkeypatch):
-    """A dilated section whose entries leave the double range (here a Bergman
-    eta = 3 pair at c = 1e305 stands in for the dilate) exits 2 with one
-    line naming the first row of |M - M'| that is not finite."""
-    monkeypatch.setattr(
-        operators, "dilate",
-        lambda sp: symbols.synthesize(Binomial(1.0, 3.0), 0.9, 0.05, 1e305, sp.order),
+def test_dilated_section_beyond_the_range_is_usage_error(capsys):
+    """A lam < 1 section whose entries leave the double range (its dilate is
+    the Bergman eta = 3 pair at a0 = 0.9, c = 1e305) exits 2 with one line
+    naming the first entry that is not finite."""
+    code, out, err = run_cli(
+        capsys, "check", "--family", "binomial", "--lam", "0.5", "--eta", "3",
+        "--a0", repr(0.9 / math.sqrt(0.5)), "--a1", "0.05", "--c", "1e305",
     )
-    code, out, err = run_cli(capsys, "check", "--family", "binomial", "--lam", "0.5",
-                             "--eta", "3", *PAIR)
-    assert (code, out, err) == (2, "", "error: |M - M'| in row 20 is not finite: nan\n")
+    assert (code, out, err) == (2, "", "error: section entry (20, 48) is not finite: (inf+0j)\n")
 
 
 @pytest.mark.parametrize(
@@ -1153,7 +1166,7 @@ QUAD_ORACLES = {
         (["--family", "hardy"], None),
         (["--family", "bergman", "--eta", "2"], None),
         (["--family", "bergman", "--eta", "0.5"], "derivative-norm-sandwich"),
-        (["--family", "binomial", "--lam", "0.5", "--eta", "2"], "dilation-conjugation"),
+        (["--family", "binomial", "--lam", "0.5", "--eta", "2"], None),
     ],
     ids=["fock", "hardy", "bergman-2", "bergman-0.5", "binomial-lam-0.5"],
 )
@@ -1260,11 +1273,10 @@ def test_ratio_beyond_the_double_range_is_a_mismatch(capsys, tmp_path, b, weight
 
 def test_bergman_eta_1e5_is_in_normal_form_and_gets_the_disk_quadrature(capsys):
     # the secant through t_0 and t_63 puts lam within 1e-12 of 1; the first
-    # slope alone read lam = 1 - 3.8e-11 and sent the report to the dilation
+    # slope alone read lam = 1 - 3.8e-11
     cls = spaces.classify_weights(spaces.bergman_weights(1e5, 64))
-    assert cls.normal_form
+    assert abs(cls.lam - 1.0) < 1e-12
     code, out, _ = run_cli(capsys, "check", "--family", "bergman", "--eta", "1e5", *PAIR)
     checks = {c["name"]: c for c in strict_json(out)["checks"]}
-    assert "dilation-conjugation" not in checks
     quad = checks["quadrature-vs-series-norm"]
     assert quad["oracle"] == "disk quadrature" and quad["pass"] is True

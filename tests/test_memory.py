@@ -1,6 +1,5 @@
 """Memory contract: a report holds its one section and no other
-(N+1)^2-sized array; below lam = 1 the dilated pair is compared as it is
-filled, never stored.
+(N+1)^2-sized array, below lam = 1 as at lam = 1.
 
 Peaks are measured with tracemalloc, which numpy reports its data buffers
 to, after one untraced warm-up call (first-use imports).  One section is
@@ -47,7 +46,7 @@ def test_lam_lt1_report_holds_one_section():
     ws = family_weights(Binomial(0.8, 1.5), order)
     report = verify.full_report(ws, a0, 0.1, 1.0)
     assert report.passed, report.to_json()
-    assert "dilation-conjugation" in {c.name for c in report.checks}
+    assert "quadrature-vs-series-norm" in {c.name for c in report.checks}
     assert sections_at_peak(lambda: verify.full_report(ws, a0, 0.1, 1.0), order) <= 1.2
 
 

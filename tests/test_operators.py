@@ -27,7 +27,6 @@ from wco.spaces import (
 )
 from wco.symbols import (
     a1_from_fraction,
-    dilate,
     selfmap_interval,
     synthesize,
     synthesize_from_weights,
@@ -38,6 +37,19 @@ HARDY = Binomial(lam=1.0, eta=1.0, gamma=2.0)
 
 def hardy_pair(a0=0.5, a1=0.1, c=1.0, order=64):
     return synthesize(HARDY, a0, a1, c, order), hardy_weights(order)
+
+
+def dilate(sp):
+    """The lam = 1 pair at sqrt(lam) a0 that the dilation z -> sqrt(lam) z
+    carries the binomial pair ``sp`` to: the two operators are unitarily
+    equivalent, and their sections are one matrix in exact arithmetic."""
+    target = Binomial(lam=1.0, eta=sp.cls.eta)
+    return synthesize(target, math.sqrt(sp.cls.lam) * sp.a0, sp.a1, sp.c, sp.order)
+
+
+def family_section(sp):
+    """`build_matrix` of a family pair over its family weights."""
+    return operators.build_matrix(sp, family_weights(sp.cls, sp.order))
 
 
 class TestBuildMatrix:
@@ -245,9 +257,9 @@ def dense_deviation(m):
 
 class TestRowBlocks:
     """The O(N^2) checks keep row maxima of |M - M*| over the upper triangle,
-    read ROW_BLOCK rows at a time, or compare the section anti-diagonal by
-    anti-diagonal as it is filled, and must give bitwise what a whole-table
-    pass gives."""
+    read ROW_BLOCK rows at a time, and the walker fills several pairs in one
+    ring: each must give bitwise what a whole-table pass, or a fill of one
+    pair, gives."""
 
     SPECIALS = [np.nan, complex(0.0, np.nan), 1e308, -1e308, 1e308j, -1e308j, 1.0, 1j]
 
@@ -266,15 +278,19 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_conjugation_matches_dense_reference(self, order):
-        cls = Binomial(lam=0.7, eta=2.5)
-        sp = synthesize(cls, 0.6 * np.exp(2.1j), 0.15, 1.0 - 0.5j, order)
-        ws = family_weights(cls, order)
-        m = operators.build_matrix(sp, ws)
-        tilted = dilate(sp)
-        m_one = operators.build_matrix(tilted, family_weights(tilted.cls, order))
-        section, residual = operators.conjugation_check(sp, ws)
-        assert section.tobytes() == m.tobytes()
-        assert residual == float(np.max(np.abs(m - m_one)))
+        """Two pairs walked side by side, interleaved in one ring, give each
+        pair's own fill bitwise: a lam < 1 pair and its dilate, whose
+        sections then agree entry by entry to rounding."""
+        sp = synthesize(Binomial(lam=0.7, eta=2.5), 0.6 * np.exp(2.1j), 0.15, 1.0 - 0.5j, order)
+        pairs = [sp, dilate(sp)]
+        betas = [family_weights(p.cls, order).beta for p in pairs]
+        walked = np.zeros((2, order + 1, order + 1), dtype=complex)
+        for s, lo, run in operators._anti_diagonals(pairs, betas, order):
+            rows = np.arange(lo, lo + run.size // 2)
+            walked[:, rows, s - rows] = run.reshape(-1, 2).T
+        sections = [family_section(p) for p in pairs]
+        assert [w.tobytes() for w in walked] == [m.tobytes() for m in sections]
+        assert np.max(np.abs(sections[0] - sections[1])) <= 1e-10
 
     def test_tie_across_blocks_keeps_the_first_in_row_major_order(self):
         block = operators.ROW_BLOCK
@@ -616,8 +632,8 @@ class TestKernelIdentity:
 
 
 def conjugation_residual(sp):
-    """The dilation identity on the pair's section over the family weights."""
-    return operators.conjugation_check(sp, family_weights(sp.cls, sp.order))[1]
+    """max |M - M'| between the sections of the pair and of its dilate."""
+    return float(np.max(np.abs(family_section(sp) - family_section(dilate(sp)))))
 
 
 class TestConjugation:
@@ -642,34 +658,22 @@ class TestConjugation:
         # the dilate's raw coefficients [z^i](psi phi^j) leave the double range,
         # as the convolution path, which normalizes last, shows; filled from the
         # weight ratios its section is finite, and so is the residual
-        cls = Binomial(lam=0.3, eta=30.0)
-        sp = synthesize(cls, 0.5, 1.0, 1e300, 32)
-        ws = family_weights(cls, 32)
+        sp = synthesize(Binomial(lam=0.3, eta=30.0), 0.5, 1.0, 1e300, 32)
         tilted = dilate(sp)
         tilted_ws = family_weights(tilted.cls, 32)
         with pytest.raises(DomainError, match=r"section entry \(32, 29\) is not finite"):
             operators.build_matrix(dataclasses.replace(tilted, phi_pole=None), tilted_ws)
         assert np.all(np.isfinite(operators.build_matrix(tilted, tilted_ws)))
-        m, residual = operators.conjugation_check(sp, ws)
-        assert np.array_equal(m, operators.build_matrix(sp, ws)) and math.isfinite(residual)
+        assert math.isfinite(conjugation_residual(sp))
 
-    def test_non_finite_dilated_section_is_named_by_its_first_row(self, monkeypatch):
-        # a Bergman eta = 3 pair at c = 1e305, whose section leaves the double
-        # range, stands in for the dilate
-        monkeypatch.setattr(
-            operators, "dilate",
-            lambda sp: synthesize(Binomial(1.0, 3.0), 0.9, 0.05, 1e305, sp.order),
-        )
-        cls = Binomial(lam=0.5, eta=3.0)
-        sp = synthesize(cls, 0.3, 0.2, 1.0, 64)
-        with pytest.raises(DomainError) as refusal:
-            operators.conjugation_check(sp, family_weights(cls, 64))
-        assert str(refusal.value) == "|M - M'| in row 20 is not finite: nan"
-
-    def test_exponential_rejected(self):
-        sp = synthesize(Exponential(b_sq=1.0), 0.3, 0.2, 1.0, 8)
-        with pytest.raises(ValueError):
-            operators.conjugation_check(sp, fock_weights(1.0, 8))
+    def test_non_finite_dilated_section_is_named_by_its_first_row(self):
+        # a lam < 1 pair whose dilate is the Bergman eta = 3 pair at a0 = 0.9,
+        # c = 1e305: both sections leave the double range at the same entry
+        sp = synthesize(Binomial(lam=0.5, eta=3.0), 0.9 / math.sqrt(0.5), 0.05, 1e305, 64)
+        for pair in (sp, dilate(sp)):
+            with pytest.raises(DomainError) as refusal:
+                family_section(pair)
+            assert str(refusal.value) == "section entry (20, 48) is not finite: (inf+0j)"
 
 
 class TestFockBound:

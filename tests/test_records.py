@@ -41,7 +41,7 @@ def sweep_csv(deviation, passed="True", error=""):
          "b row 0:error: '' -> 'psi overflows'"),
         ({"a": report(1e-17)}, 1, "b: only in the old dump"),
         ({"a": "exit 2 stderr \"error: refused\\n\"\n", "b": sweep_csv(2e-17)}, 1,
-         "a .checks[hermitian-deviation].residual: only in the old dump"),
+         "a output: only in the old dump"),
     ],
     ids=["identical", "residual", "note", "csv-cell", "exit", "sweep-error", "missing", "refused"],
 )
@@ -49,3 +49,13 @@ def test_diff_exit_code_separates_verdicts_from_numbers(records, capsys, new, co
     old = {"a": report(1e-17), "b": sweep_csv(2e-17)}
     assert records.diff(old, new) == code
     assert printed in capsys.readouterr().out
+
+
+def test_a_check_in_one_dump_only_is_one_line(records, capsys):
+    """A renamed check prints one line per record and side, not one per field."""
+    renamed = report(1e-17).replace("hermitian-deviation", "deviation")
+    assert records.diff({"a": report(1e-17)}, {"a": renamed}) == 1
+    out = capsys.readouterr().out
+    assert "verdict fields: 2 differ" in out
+    assert "a .checks[hermitian-deviation]: only in the old dump" in out
+    assert "a .checks[deviation]: only in the new dump" in out

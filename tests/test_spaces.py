@@ -491,6 +491,25 @@ class TestDiskQuadrature:
             f = TruncatedSeries(rng.standard_normal(13) + 1j * rng.standard_normal(13))
             assert abs(circle_norm(f) - norm(f, ws)) <= 1e-6 * norm(f, ws)
 
+    @pytest.mark.parametrize(
+        "lam, eta",
+        [(0.5, 3.0), (0.3, 30.0), (0.9, 1.0), (0.05, 2.0), (0.7, 500.0), (0.999, 1000.0)],
+    )
+    def test_dilated_rule_matches_the_series_norm(self, lam, eta):
+        """Below lam = 1 the rule is the lam = 1 one on the disk of radius
+        1/sqrt(lam): the norm of f over (lam, eta) is that of f(z / sqrt(lam))
+        over (1, eta)."""
+        f = polynomial([1.0, 0.5, -0.25, 1 / 3, 0.0, -0.125, 0.2]).truncated(64)
+        domain, got = integral_norm(Binomial(lam, eta), f)
+        assert domain == ("circle" if eta == 1.0 else "disk")
+        want = norm(f, family_weights(Binomial(lam, eta), 64))
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_dilated_rule_sees_a_wrong_lambda(self):
+        f = polynomial([1.0, 0.5, -0.25, 1 / 3, 0.0, -0.125, 0.2]).truncated(64)
+        want = norm(f, family_weights(Binomial(0.5, 3.0), 64))
+        assert abs(integral_norm(Binomial(0.6, 3.0), f)[1] - want) > 1e-6 * want
+
 
 class TestDerivativeSandwich:
     def test_single_monomial_by_hand(self):

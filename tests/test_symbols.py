@@ -1,4 +1,4 @@
-"""Symbol synthesis, triviality, self-map intervals, dilation."""
+"""Symbol synthesis, triviality, self-map intervals, the dilation to lam = 1."""
 
 import math
 
@@ -13,7 +13,6 @@ from wco.symbols import (
     RANK_ONE,
     ZERO_WEIGHT,
     a1_from_fraction,
-    dilate,
     mobius_circle_max,
     selfmap_excess,
     selfmap_interval,
@@ -65,7 +64,6 @@ class TestSynthesize:
         z = 0.3 + 0.1j
         assert abs(sp.phi(z) - (a0 + a1 * z / (1.0 - sp.phi_pole * z))) < 1e-14
         assert synthesize(Exponential(b_sq=1.0), a0, a1, 1.0, 24).phi_pole == 0
-        assert dilate(sp).phi_pole == pytest.approx(math.sqrt(0.5) * np.conj(a0), abs=1e-16)
         # a phi known only as a series quotient has no closed-form pole
         assert synthesize_from_weights(dirichlet_weights(24), a0, a1, 1.0).phi_pole is None
 
@@ -254,28 +252,40 @@ class TestSqrtLambdaLift:
 
 
 class TestDilate:
+    """A binomial pair is the lam = 1 pair at sqrt(lam) a0 seen through the
+    dilation z -> sqrt(lam) z: psi(z) = psi_1(sqrt(lam) z) and
+    phi(z) = phi_1(sqrt(lam) z) / sqrt(lam), coefficient j scaled by
+    lam^(j/2) and lam^((j - 1)/2)."""
+
+    @staticmethod
+    def normal_form(sp):
+        return synthesize(
+            Binomial(lam=1.0, eta=sp.cls.eta), math.sqrt(sp.cls.lam) * sp.a0, sp.a1, sp.c, sp.order
+        )
+
     def test_lambda_one_is_identity(self):
         sp = synthesize(HARDY, 0.5, 0.1, 1.0, 16)
-        out = dilate(sp)
+        out = self.normal_form(sp)
         assert out.a0 == sp.a0 and out.a1 == sp.a1 and out.c == sp.c
-        assert np.allclose(out.psi.coeffs, sp.psi.coeffs)
+        assert np.array_equal(out.psi.coeffs, sp.psi.coeffs)
+        assert np.array_equal(out.phi.coeffs, sp.phi.coeffs)
 
     def test_quarter_lambda(self):
         cls = Binomial(lam=0.25, eta=2.0, gamma=1.5)
         sp = synthesize(cls, 0.4, 0.05, 1.0, 16)
-        out = dilate(sp)
-        assert isinstance(out.cls, Binomial)
-        assert out.cls.lam == 1.0 and out.cls.eta == 2.0
+        out = self.normal_form(sp)
         assert abs(out.a0 - 0.2) < 1e-15
         # phi~(z) = 0.2 + a1 z / (1 - 0.2 z)
         z = 0.5
         want = 0.2 + 0.05 * z / (1 - 0.2 * z)
         assert abs(out.phi(z) - want) < 1e-12
-
-    def test_exponential_rejected(self):
-        sp = synthesize(Exponential(b_sq=1.0), 0.3, 0.2, 1.0, 8)
-        with pytest.raises(ValueError):
-            dilate(sp)
+        assert abs(sp.phi(z) - out.phi(0.5 * z) / 0.5) < 1e-15
+        assert sp.phi_pole == pytest.approx(0.5 * out.phi_pole, abs=1e-16)
+        scale = 0.5 ** np.arange(17)  # sqrt(lam)^j
+        assert np.allclose(sp.psi.coeffs, out.psi.coeffs * scale, rtol=1e-14, atol=0.0)
+        assert np.allclose(
+            sp.phi.coeffs[1:], out.phi.coeffs[1:] * scale[:-1], rtol=1e-14, atol=0.0
+        )
 
 
 def test_conjugate_convention_nonreal_a0():

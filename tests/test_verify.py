@@ -24,6 +24,7 @@ from wco.symbols import NONTRIVIAL, SymbolPair, synthesize_from_weights
 from wco.verify import (
     NORM_BOUND_SLACK,
     NormEquivalence,
+    _probe_polynomial,
     _selfmap_check,
     full_report,
     norm_equivalence_check,
@@ -214,12 +215,12 @@ class TestNormEquivalence:
 class TestFullReport:
     @pytest.mark.parametrize(
         "cls, pairs",
-        [(Binomial(lam=0.6, eta=1.5), 2), (Binomial(lam=1.0, eta=2.0), 1)],
+        [(Binomial(lam=0.6, eta=1.5), 1), (Binomial(lam=1.0, eta=2.0), 1)],
         ids=["lam-below-1", "lam-1"],
     )
     def test_one_power_chain_per_section(self, monkeypatch, cls, pairs):
-        """The report fills its section in one pass, which serves the kernel
-        identity too; below lam = 1 the dilated pair rides in the same pass."""
+        """The report fills its section in one pass of one pair, which serves
+        the kernel identity too, below lam = 1 as at lam = 1."""
         calls = {"fills": [], "compose_poly": 0}
         fill = operators._anti_diagonals
 
@@ -243,14 +244,14 @@ class TestFullReport:
         [
             (Binomial(lam=1.0, eta=2.0), 1),
             (Exponential(b_sq=1.0), 1),
-            (Binomial(lam=0.6, eta=1.5), 3),
+            (Binomial(lam=0.6, eta=1.5), 1),
         ],
         ids=["lam-1", "fock", "lam-below-1"],
     )
     def test_no_family_series_to_classify_or_for_the_ode(self, monkeypatch, cls, series_built):
         """The classifier holds the weights' own ratios to the family's and the
         ODE reads the weights' own 1/beta^2: a family series is built only for
-        psi (and, below lam = 1, for the dilated pair and its weights)."""
+        psi."""
         ws = family_weights(cls, 48)
         calls = []
         for family in (Binomial, Exponential):
@@ -342,10 +343,35 @@ class TestFullReport:
         assert [c.name for c in report.checks if not c.passed] == ["derivative-norm-sandwich"]
 
     def test_dilation_check_for_small_lambda(self):
+        """Below lam = 1 the space is checked by the dilated integral norm,
+        the disk rule at radius 1/sqrt(lam)."""
         ws = family_weights(Binomial(0.5, 2.0, 1.5), 64)
         report = full_report(ws, 0.4, 0.1, 1.0)
         assert report.passed, report.to_json()
-        assert "dilation-conjugation" in {c.name for c in report.checks}
+        quad = next(c for c in report.checks if c.name == "quadrature-vs-series-norm")
+        assert quad.oracle == "disk quadrature" and quad.residual <= 1e-14
+
+    @pytest.mark.parametrize("lam, eta", [(0.5, 0.5), (0.05, 0.3), (0.9, 0.9)])
+    def test_small_lambda_and_eta_sandwich_the_rescaled_probe(self, lam, eta):
+        """Below lam = 1 and eta = 1 the sandwich runs in the lam = 1 space on
+        the probe's dilate g(z) = f(z / sqrt(lam)): its T, the norm of g less
+        |g(0)|^2 there, is the norm of f over (lam, eta) less |f(0)|^2."""
+        ws = family_weights(Binomial(lam, eta), 64)
+        report = full_report(ws, 0.4, 0.1, 1.0)
+        assert report.passed, report.to_json()
+        sandwich = next(c for c in report.checks if c.name == "derivative-norm-sandwich")
+        assert "rescaled probe f(z / sqrt(lam))" in sandwich.notes
+        bounds = spaces.derivative_norm_bounds(_probe_polynomial(64, lam), eta)
+        tail = spaces.norm(_probe_polynomial(64), ws) ** 2 - 1.0
+        assert bounds.upper / (eta + 1.0) == pytest.approx(tail, rel=1e-14)
+
+    def test_small_lambda_pair_with_imaginary_c_fails_only_the_section(self):
+        """c = i breaks the pair, not the space: the section sees it and the
+        dilated integral norm still passes."""
+        ws = family_weights(Binomial(0.5, 3.0), 64)
+        checks = {c.name: c for c in full_report(ws, 0.4, 0.1, 1j).checks}
+        assert not checks["hermitian-deviation"].passed
+        assert checks["quadrature-vs-series-norm"].passed
 
     def test_oracle_verdicts_agree(self):
         # matrix, kernel, and symbol-side oracles must give one verdict

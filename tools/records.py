@@ -17,14 +17,16 @@ head its stdout):
   c = 1 unless the argv names its own: 9 with large kernel tails (Bergman
   eta 100..1200 and Fock b = 0.01, 0.04 at N = 64, the larger ones with
   terms still rising past N; Fock b = 1e-11 at N = 5, whose mass is beyond
-  the double range), and four lam < 1 pairs that run the dilation
-  conjugation: lam = 0.5, eta = 300 at N = 64; the same space at a0 = 0.9,
-  a1 = 0.001, c = 1e250, refused because its dilate's psi leaves the
-  double range; lam = 0.3, eta = 30 at N = 32, a0 = 0.5, a1 = 1, c = 1e300,
-  whose dilate's raw coefficients [z^i](psi phi^j) leave the range while
-  its normalized section does not, so it is judged (and fails); and
-  lam = 0.25, eta = 10 at c = 1.5e308i, refused because the pair's own
-  |M - M*| overflows.
+  the double range), and four lam < 1 pairs, judged on their own sections
+  and on the dilated integral norm: lam = 0.5, eta = 300 at N = 64; the
+  same space at a0 = 0.9, a1 = 0.001, c = 1e250, an exactly Hermitian pair
+  whose |M - M*| (9.4e281, rounding at max |M| = 1.1e297) fails the
+  absolute identity tolerance; lam = 0.3, eta = 30 at N = 32, a0 = 0.5,
+  a1 = 1, c = 1e300, whose lam = 1 dilate's raw coefficients
+  [z^i](psi phi^j) leave the range while the normalized section does not,
+  so it is judged (and fails: a1 = 1 is no self-map); and lam = 0.25,
+  eta = 10 at c = 1.5e308i, refused because the pair's own |M - M*|
+  overflows.
 
 The inputs come from ``bench/inputs.py`` next to this script, so both dumps
 of a comparison read the same inputs whichever checkout they run.
@@ -32,13 +34,14 @@ of a comparison read the same inputs whichever checkout they run.
 ``diff`` compares the two dumps record by record and field by field (a
 field is a JSON path, or a CSV row and column).  Verdict fields -- the exit
 line (with stderr), every ``pass``, and a sweep row's ``error`` -- are
-printed in full, record by record.  Every other field that moved (residuals,
-tolerances, notes) is summed up by its name, list indices and CSV rows
-dropped: how many moved, the largest relative move |new - old| /
-max(|old|, |new|) and the largest absolute move, or an example where the
-values are not numbers.  Exit
-codes: 0 when the dumps are identical; 1 when a verdict field differs or a
-record is in one dump only; 3 when only numbers or notes moved.
+printed in full, record by record.  A check or a CSV row in one dump only,
+or a whole output (against a refusal), is one line for its record.  Every
+other field that moved (residuals, tolerances, notes) is summed up by its
+name, list indices and CSV rows dropped: how many moved, the largest
+relative move |new - old| / max(|old|, |new|) and the largest absolute
+move, or an example where the values are not numbers.  Exit codes: 0 when
+the dumps are identical; 1 when a verdict field differs, or a record, a
+check or a row is in one dump only; 3 when only numbers or notes moved.
 
 Verdicts must not depend on numpy's loop dispatch; numbers may: the
 residuals go through numpy's vector and complex loops, so a dump made
@@ -147,6 +150,13 @@ def fields(text: str) -> dict[str, object]:
 VERDICTS = ("exit", "pass", "error")
 
 
+def _entry(key: str) -> str:
+    """The part of a record a field belongs to: a CSV row, or the first
+    component of a JSON path with its list key (a check, by its name)."""
+    match = re.match(r"row \d+|\.[^.\[]*(\[[^\]]*\])?", key)
+    return match.group(0) if match else key
+
+
 def _move(a, b) -> tuple[float, float] | None:
     """The move of a number, absolute |b - a| and relative to max(|a|, |b|)
     (inf when one side is not finite); None when either is not a number."""
@@ -169,13 +179,20 @@ def diff(old: dict[str, str], new: dict[str, str]) -> int:
             verdicts.append(f"{name}: only in the {'new' if name in new else 'old'} dump")
             continue
         a, b = fields(old[name]), fields(new[name])
+        held = [{_entry(key) for key in side} for side in (a, b)]
         for key in sorted(a.keys() | b.keys()):
             x, y = a.get(key), b.get(key)
             if x == y:
                 continue
-            if re.split(r"[.:]", key)[-1] in VERDICTS:
+            entry = _entry(key)
+            if not all(entry in side for side in held):  # a check or a row came or went
+                entry = "output" if {"exit"} in held else entry  # one side only exited
+                line = f"{name} {entry}: only in the {'new' if key in b else 'old'} dump"
+                if line not in verdicts[-1:]:  # the fields of an entry sort together
+                    verdicts.append(line)
+            elif re.split(r"[.:]", key)[-1] in VERDICTS:
                 verdicts.append(f"{name} {key}: {x!r} -> {y!r}")
-            elif key not in a or key not in b:  # a check or a row came or went
+            elif key not in a or key not in b:  # a field of a check came or went
                 verdicts.append(f"{name} {key}: only in the {'new' if key in b else 'old'} dump")
             else:
                 field = re.sub(r"\[\d+\]", "[]", re.sub(r"^row \d+:", "row:", key))
