@@ -642,14 +642,17 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, content, argv, message
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["--lam", "0.5", "--eta", "300", "--order", "64", "--a0", "0.9", "--a1", "0.001",
+          "--c", "1e290"], "psi coefficient 14 is not finite: (inf+0j)"),
         (["--lam", "0.25", "--eta", "10", "--a0", "0.3", "--a1", "0.2", "--c", "1.5e308i"],
          "|M - M*| at entry (0, 0) is beyond the double range"),
     ],
-    ids=["pair-refusal-first"],
+    ids=["dilated-psi", "pair-refusal-first"],
 )
 def test_dilation_refusal_is_usage_error(capsys, argv, message):
-    """A lam < 1 pair is refused on its own section, as a lam = 1 pair is:
-    here its |M - M*| overflows."""
+    """A pair on a dilated (lam < 1) space is refused on its own symbols and
+    section, as a lam = 1 pair is: first its psi leaves the double range
+    (the pair of the xfail below at c = 1e290), then its |M - M*| overflows."""
     code, out, err = run_cli(capsys, "check", "--family", "binomial", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
