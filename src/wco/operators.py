@@ -29,19 +29,21 @@ The section is the one power table of a pair, a read-only square complex
 array: `hermitian_deviation` keeps one maximum per row of |M - M*| over
 the upper triangle, read `ROW_BLOCK` rows at a time, and takes the
 deviation, its entry and the three moments from those row maxima;
-`kernel_identity_residual` reads W K_w off it as a matrix-vector product.
-Each check takes the section, reads the order from its shape and refuses
-symbols or weights of another order.  `_anti_diagonals` only runs the
-recurrence, for one pair or several side by side, and what it yields is
-already normalized; `build_matrix` stores it.  A lam < 1 pair needs no
-second section: composing with z -> sqrt(lam) z is a unitary from the
-lam = 1 space onto it, under which its section is, in exact arithmetic,
-the same matrix as its dilate's, so a report judges it on its own
-section and checks its space by the dilated integral norm
-(`spaces.integral_norm`).  A report therefore holds one section plus an
-O(N) ring and rows of scratch: at N = 512 (one section is 4.02 MiB) one
-`full_report` on a binomial pair peaks at 1.08 sections under
-tracemalloc, lam < 1 or lam = 1.
+`kernel_identity_residual` reads W K_w off it as a matrix-vector product,
+`ROW_BLOCK` columns at a time.  Each check takes the section, reads the
+order from its shape and refuses symbols or weights of another order.
+`_anti_diagonals` only runs the recurrence, for one pair or several side
+by side, and yields its anti-diagonals `ROW_BLOCK` at a time, already
+normalized; `build_matrix` stores each block with one masked copy.  A
+lam < 1 pair needs no second section: composing with z -> sqrt(lam) z is
+a unitary from the lam = 1 space onto it, under which its section is, in
+exact arithmetic, the same matrix as its dilate's, so a report judges it
+on its own section and checks its space by the dilated integral norm
+(`spaces.integral_norm`).  A report therefore holds one section plus a
+ring of `ROW_BLOCK` + 2 anti-diagonals (0.035 sections at N = 512) and
+rows of scratch: at N = 512 (one section is 4.02 MiB) one `full_report`
+on a binomial pair peaks at 1.08 sections under tracemalloc, lam < 1 or
+lam = 1.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import math
 import sys
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .series import TruncatedSeries, common_order, compose_poly
 from .spaces import Binomial, DomainError, Exponential, WeightSequence, kernel
@@ -89,13 +92,18 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
                     + a0 rho(j) M[i, j]
 
     from column 0 = psi beta (M[-1, .] = 0).  Entry (i, j+1) reads
-    anti-diagonals i + j and i + j - 1 only, so the section is filled one
-    anti-diagonal at a time (`_anti_diagonals`), normalized as it is
-    filled: an entry whose raw coefficient E leaves the double range is
-    still formed when M is in range.  Any other pair (phi known only as a
-    series) takes column j + 1 as column j convolved with phi, truncated at
-    order N, and the table is normalized in place, (x * beta(i)) / beta(j),
-    once it is done.
+    anti-diagonals i + j and i + j - 1 only, so the entries are formed one
+    anti-diagonal at a time (`_anti_diagonals`), normalized as they are
+    formed: an entry whose raw coefficient E leaves the double range is
+    still formed when M is in range.  The walker yields them `ROW_BLOCK`
+    anti-diagonals at a time, and each block is stored with one masked
+    copy: entry (i, s - i) lies at flat offset s + i N of the section, so
+    a strided view of it with rows N entries apart is indexed by row and
+    anti-diagonal, and in it a block's entries in one row are consecutive
+    (a band mask drops the slots outside the section).  Any other pair (phi known
+    only as a series) takes column j + 1 as column j convolved with phi,
+    truncated at order N, and the table is normalized in place,
+    (x * beta(i)) / beta(j), once it is done.
 
     Either way every entry is computed from entries with smaller i and j in
     an order that does not depend on N, so the section at order N is
@@ -115,9 +123,20 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
             entries *= ws.beta[:, None]
             entries /= ws.beta[None, :]
         else:
-            flat, step = entries.reshape(-1), max(n, 1)  # entry (i, s - i) is flat[s + i N]
-            for s, lo, run in _anti_diagonals([sp], [ws.beta], n):
-                flat[s + lo * n :: step][: run.size] = run
+            # by_diagonal[i, s] is entry (i, s - i) where 0 <= s - i <= n
+            size = entries.itemsize
+            by_diagonal = as_strided(entries, (n + 1, 2 * n + 1), (n * size, size))
+            # band[n + i - s0, k]: entry (i, s0 + k - i) lies in the section
+            d, k = np.arange(-n, ROW_BLOCK)[:, None], np.arange(ROW_BLOCK)
+            band = (d <= k) & (k - d <= n)
+            for s0, block in _anti_diagonals([sp], [ws.beta], n):
+                width = len(block)
+                lo, hi = max(0, s0 - n), min(n, s0 + width - 1)
+                np.copyto(
+                    by_diagonal[lo : hi + 1, s0 : s0 + width],
+                    block[:, lo + 1 : hi + 2].T,
+                    where=band[n + lo - s0 : n + hi + 1 - s0, :width],
+                )
     return _finite_section(entries)
 
 
@@ -138,9 +157,12 @@ def _anti_diagonals(pairs: list[SymbolPair], betas: list[np.ndarray], n: int):
     weights betas[c], one anti-diagonal s = i + j at a time, and yield each
     finished one.  It writes no section: each caller stores what it needs.
 
-    The recurrence reads anti-diagonals s - 1 and s - 2 only, so three ring
-    rows hold everything it needs: slot b (i + 1) + c of a row holds pair
-    c's M[i, s - i], and slots 0..b-1 stay zero for M[-1, .].  The entries
+    The recurrence reads anti-diagonals s - 1 and s - 2 only, so a ring of
+    `ROW_BLOCK` + 2 rows holds everything it needs: rows 0 and 1 hold
+    anti-diagonals s0 - 2 and s0 - 1, rows 2.. the block s0.. being formed,
+    and after each block its last two rows move to the front.  Slot
+    b (i + 1) + c of a row holds pair c's M[i, s - i], and slots 0..b-1
+    stay zero for M[-1, .].  The entries
     (i, s - i), i = lo..hi, of every pair are then one contiguous run, and
     so are their inputs: the same slots (left) and the slots b before (up)
     in the previous row, the slots b before (up-left) in the row before
@@ -153,9 +175,12 @@ def _anti_diagonals(pairs: list[SymbolPair], betas: list[np.ndarray], n: int):
     psi(i) beta(i).  d = a1 - a0 q is formed in Python's complex arithmetic
     (numpy's may fuse the multiply-add and move its last bit).
 
-    Yields (s, lo, run) once anti-diagonal s is done: lo its first row and
-    run the ring's slots for rows lo..min(s, n), pairs interleaved, valid
-    until the next step.
+    Yields (s0, block) once anti-diagonals s0..s0 + len(block) - 1 are
+    done, `ROW_BLOCK` of them (fewer in the last block): block[k] is the
+    ring row of s = s0 + k, whose slot b (i + 1) + c holds pair c's
+    M[i, s - i] for max(0, s - n) <= i <= min(s, n).  Its other slots hold
+    zeros or entries of earlier anti-diagonals; the block is valid until
+    the next step.
     """
     b = len(pairs)
     beta = np.stack(betas, axis=1)  # row i holds each pair's beta(i)
@@ -166,26 +191,28 @@ def _anti_diagonals(pairs: list[SymbolPair], betas: list[np.ndarray], n: int):
     q = np.tile(q, n + 1)
     # slot b (n - 1 - j) + c holds pair c's a0 rho(j) and d rho(j)
     a0_rho, d_rho = ((x * (beta[:-1] / beta[1:]))[::-1].reshape(-1) for x in (a0, d))
-    older, old, new = np.zeros((3, b * (n + 2)), dtype=complex)
+    ring = np.zeros((ROW_BLOCK + 2, b * (n + 2)), dtype=complex)
+    rows = list(ring)
     buf = np.empty(b * (n + 1), dtype=complex)
     multiply, add = np.multiply, np.add  # bound once: the loop is ufunc dispatch
-    for s in range(2 * n + 1):
-        lo, hi = (0, s - 1) if s <= n else (s - n, n)  # the rows with j >= 1
-        first, stop = b * lo, b * (hi + 1)
-        if stop > first:
-            k, col = stop - first, b * (n - s + lo)
-            a, t = new[first + b : stop + b], buf[:k]
-            multiply(old[first:stop], q[:k], a)
-            multiply(older[first:stop], d_rho[col : col + k], t)
-            add(a, t, a)
-            multiply(a, up[first:stop], a)
-            multiply(old[first + b : stop + b], a0_rho[col : col + k], t)
-            add(a, t, a)
-        if s <= n:
-            new[stop + b : stop + 2 * b] = psi[b * s : b * (s + 1)]  # M[s, 0]
-            hi = s
-        yield s, lo, new[first + b : b * (hi + 2)]
-        older, old, new = old, new, older
+    for s0 in range(0, 2 * n + 1, ROW_BLOCK):
+        for r, s in enumerate(range(s0, min(s0 + ROW_BLOCK, 2 * n + 1)), 2):
+            older, old, new = rows[r - 2], rows[r - 1], rows[r]
+            lo, hi = (0, s - 1) if s <= n else (s - n, n)  # the rows with j >= 1
+            first, stop = b * lo, b * (hi + 1)
+            if stop > first:
+                k, col = stop - first, b * (n - s + lo)
+                a, t = new[first + b : stop + b], buf[:k]
+                multiply(old[first:stop], q[:k], a)
+                multiply(older[first:stop], d_rho[col : col + k], t)
+                add(a, t, a)
+                multiply(a, up[first:stop], a)
+                multiply(old[first + b : stop + b], a0_rho[col : col + k], t)
+                add(a, t, a)
+            if s <= n:
+                new[stop + b : stop + 2 * b] = psi[b * s : b * (s + 1)]  # M[s, 0]
+        yield s0, ring[2 : r + 1]
+        ring[:2] = ring[r - 1 : r + 1]
 
 
 def hermitian_deviation(m: np.ndarray) -> tuple[float, tuple[int, int], tuple[float, ...]]:
@@ -256,8 +283,11 @@ def kernel_identity_residual(
     Zero (up to truncation and roundoff) exactly when the operator is
     Hermitian; `kernel_tail_bound` quantifies what truncating K_w dropped.
     The forward side W K_w = sum_j K_w(j) psi phi^j is the pair's section
-    ``m`` applied to the kernel in the normalized basis, M (K_w * beta).
-    The backward side conj(psi(w)) K_{phi(w)} is evaluated in closed form.
+    ``m`` applied to the kernel in the normalized basis, M (K_w * beta),
+    summed by blocks of `ROW_BLOCK` columns whose terms are scaled by a
+    power of two (`_section_times`), so that no product of a normal entry
+    with a term falls to a subnormal; never through BLAS.  The backward
+    side conj(psi(w)) K_{phi(w)} is evaluated in closed form.
     The section, the symbols and the weights must share one order (else
     ValueError naming the orders).  A residual the double range cannot hold
     (Fock b = 0.0012, eta = 1e5 at N = 64) raises DomainError.
@@ -270,9 +300,7 @@ def kernel_identity_residual(
     common_order(section=m.shape[0] - 1, weights=ws.order)
     with np.errstate(over="ignore", invalid="ignore"):
         backward = adjoint_on_kernel(sp, w, ws).coeffs * ws.beta
-        # einsum's own loop, not BLAS gemv: its summation order does not depend
-        # on the BLAS library numpy links, so the residual's bits do not either
-        forward = np.einsum("ij,j->i", m, kernel(w, ws).coeffs * ws.beta)
+        forward = _section_times(m, kernel(w, ws).coeffs * ws.beta)
         # scaled by a power of two before squaring (bitwise the same, unless
         # entries near the top of the double range would overflow: Fock b = 0.01,
         # or subnormal ones underflow: c = 1e-300)
@@ -282,6 +310,32 @@ def kernel_identity_residual(
     if not math.isfinite(residual):
         raise DomainError("the kernel terms at w leave the double range")
     return residual
+
+
+def _section_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x, summed by blocks of `ROW_BLOCK` columns, each block in block
+    order: its terms scaled by an exact 2^-e, its partial products summed
+    by `np.einsum`'s own loop, not BLAS gemv (so the bits do not depend on
+    the BLAS library numpy links), and the sum scaled back by 2^e.
+
+    e is the exponent of the block's largest |x_j| plus the bits of
+    ROW_BLOCK, so a block's terms are below 1 / (2 ROW_BLOCK) and its
+    partial sums stay below max |M| / 2: only a block whose own sum leaves
+    the double range overflows.  The terms K_w(j) beta(j) fall like
+    |w|^j, and unscaled their products with a section whose entries are
+    normal doubles fall below the normal range (at N = 512, w = 0.3 + 0.2i,
+    a tenth of the products on some binomial pairs, which slows the loop
+    severalfold); scaled, a block's terms span only |w|^ROW_BLOCK.
+    """
+    starts = np.arange(0, x.size, ROW_BLOCK)
+    exps = np.frexp(np.maximum.reduceat(np.abs(x), starts))[1] + ROW_BLOCK.bit_length()
+    shifts = np.repeat(-exps, 2 * ROW_BLOCK)[: 2 * x.size]  # by real and imaginary part
+    scaled = np.ldexp(x.view(float), shifts).view(complex)
+    total, part = np.zeros_like(x), np.empty_like(x)
+    for c, e in zip(starts.tolist(), exps.tolist()):
+        np.einsum("ij,j->i", m[:, c : c + ROW_BLOCK], scaled[c : c + ROW_BLOCK], out=part)
+        total += np.ldexp(part.view(float), e).view(complex)
+    return total
 
 
 def kernel_tail_bound(cls, w: complex, order: int) -> float:

@@ -125,14 +125,22 @@ class TruncatedSeries:
     def __call__(self, z):
         """Horner evaluation of the truncation at scalar or array ``z``.
 
-        The result approximates the underlying function only within its
-        radius of convergence; the error is the dropped tail.
+        At a scalar the result is a Python complex, formed in Python's
+        complex arithmetic (no warning where a term overflows); at an array,
+        an array of the same shape.  The result approximates the underlying
+        function only within its radius of convergence; the error is the
+        dropped tail.
         """
+        if np.ndim(z) == 0:
+            z, val = complex(z), 0j
+            for c in self.coeffs[::-1].tolist():
+                val = val * z + c
+            return val
         z = np.asarray(z, dtype=complex)
         vals = np.zeros_like(z)
         for c in self.coeffs[::-1]:
             vals = vals * z + c
-        return complex(vals) if vals.ndim == 0 else vals
+        return vals
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """Drop (or zero-pad) to the requested order."""

@@ -110,6 +110,30 @@ class TestBuildMatrix:
         m128 = operators.build_matrix(synthesize(cls, a0, a1, -1.2, 128), weights(128))
         assert np.array_equal(m64, m128[:65, :65])
 
+    @pytest.mark.parametrize("order", [17, 33])
+    def test_entries_stable_across_orders_off_the_block(self, order):
+        """N and 2N that are not multiples of ROW_BLOCK: blocks of
+        anti-diagonals end at other places in the two fills."""
+        cls = Binomial(lam=0.6, eta=2.2)
+        a0 = 0.55 * np.exp(-1.3j)
+        a1 = a1_from_fraction(selfmap_interval(a0, cls.lam, 1.0), 0.4)
+        small, large = (
+            operators.build_matrix(synthesize(cls, a0, a1, 0.7 + 0.2j, n), family_weights(cls, n))
+            for n in (order, 2 * order)
+        )
+        assert small.tobytes() == np.ascontiguousarray(large[: order + 1, : order + 1]).tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 15, 16, 17, 33, 200])
+    @pytest.mark.parametrize(
+        "cls", [Binomial(lam=0.7, eta=1.4), Exponential(b_sq=0.02)], ids=["binomial", "fock"]
+    )
+    def test_block_store_matches_one_anti_diagonal_at_a_time(self, cls, order):
+        sp = synthesize(cls, 0.45 * np.exp(2.4j), 0.2 - 0.03j, -1.1 + 0.4j, order)
+        ws = family_weights(cls, order)
+        want = stored_one_anti_diagonal_at_a_time(sp, ws)
+        assert not np.isnan(want).any()
+        assert operators.build_matrix(sp, ws).tobytes() == want.tobytes()
+
     def test_hermitian_across_families_and_lambdas(self):
         for lam in (0.1, 0.25, 0.5, 0.75, 1.0):
             cls = Binomial(lam=lam, eta=1.3, gamma=2.3 / 1.3)
@@ -255,6 +279,29 @@ def dense_deviation(m):
     return float(diff[i, j]), (i, j), tuple(float(x) for x in diff[:, :3].max(axis=0))
 
 
+def walked_anti_diagonals(pairs, betas, order):
+    """(s, rows, diagonal) for each anti-diagonal s that the walker's blocks
+    hold, rows those of its entries (i, s - i) inside the section and
+    diagonal its ring row: slot b (i + 1) + c holds pair c's M[i, s - i]."""
+    count = 0
+    for s0, block in operators._anti_diagonals(pairs, betas, order):
+        assert s0 == count and 1 <= len(block) <= operators.ROW_BLOCK
+        for s, diagonal in enumerate(block, s0):
+            yield s, np.arange(max(0, s - order), min(s, order) + 1), diagonal
+        count += len(block)
+    assert count == 2 * order + 1
+
+
+def stored_one_anti_diagonal_at_a_time(sp, ws):
+    """The section that `build_matrix` fills from the walker, each
+    anti-diagonal stored on its own by fancy indexing."""
+    n = ws.order
+    section = np.full((n + 1, n + 1), np.nan, dtype=complex)
+    for s, rows, diagonal in walked_anti_diagonals([sp], [ws.beta], n):
+        section[rows, s - rows] = diagonal[rows + 1]
+    return section
+
+
 class TestRowBlocks:
     """The O(N^2) checks keep row maxima of |M - M*| over the upper triangle,
     read ROW_BLOCK rows at a time, and the walker fills several pairs in one
@@ -285,9 +332,9 @@ class TestRowBlocks:
         pairs = [sp, dilate(sp)]
         betas = [family_weights(p.cls, order).beta for p in pairs]
         walked = np.zeros((2, order + 1, order + 1), dtype=complex)
-        for s, lo, run in operators._anti_diagonals(pairs, betas, order):
-            rows = np.arange(lo, lo + run.size // 2)
-            walked[:, rows, s - rows] = run.reshape(-1, 2).T
+        for s, rows, diagonal in walked_anti_diagonals(pairs, betas, order):
+            for c in range(2):
+                walked[c, rows, s - rows] = diagonal[2 * (rows + 1) + c]
         sections = [family_section(p) for p in pairs]
         assert [w.tobytes() for w in walked] == [m.tobytes() for m in sections]
         assert np.max(np.abs(sections[0] - sections[1])) <= 1e-10
@@ -407,6 +454,74 @@ class TestKernelIdentity:
         want = (c * scale) * binomial_series(ratio, cls.eta, 48)
         got = operators.adjoint_on_kernel(sp, w, ws)
         assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-12
+
+    # a report-large pair (bench/inputs.py report_pool, seed 2): at N = 512
+    # unscaled, 24,061 of the 263,169 products M[i, j] K_w(j) beta(j) at
+    # w = 0.3 + 0.2i have a subnormal part
+    SUBNORMAL_PRODUCTS_PAIR = (
+        Binomial(lam=0.6177077277870756, eta=1.0399959885521741),
+        complex(0.682040615123931, 0.5050483446449394),
+        -0.09926292767294383,
+        -0.9979547146425415,
+    )
+
+    def subnormal_products_section(self):
+        cls, a0, a1, c = self.SUBNORMAL_PRODUCTS_PAIR
+        ws = family_weights(cls, 512)
+        m = operators.build_matrix(synthesize(cls, a0, a1, c, 512), ws)
+        return m, kernel(0.3 + 0.2j, ws).coeffs * ws.beta
+
+    def test_forward_product_against_a_50_digit_reference(self):
+        m, terms = self.subnormal_products_section()
+        got = operators._section_times(m, terms)
+        rows = range(0, m.shape[0], 8)
+        with mpmath.workdps(50):
+            xs = [mpmath.mpc(x.real, x.imag) for x in terms.tolist()]
+            want = [
+                complex(mpmath.fsum(mpmath.mpc(a.real, a.imag) * x for a, x in zip(m[i].tolist(), xs)))
+                for i in rows
+            ]
+        size = np.abs(m[rows]) @ np.abs(terms)  # sum_j |M[i, j] terms(j)|
+        assert np.max(np.abs(got[rows] - want) / size) <= 1e-15
+
+    def test_no_scaled_block_product_is_subnormal(self, monkeypatch):
+        m, terms = self.subnormal_products_section()
+        tiny = np.finfo(float).tiny
+
+        def subnormal_parts(products):
+            parts = products.view(float)
+            return np.count_nonzero((parts != 0) & (np.abs(parts) < tiny))
+
+        assert subnormal_parts(m * terms) > 20_000  # unscaled
+        operands, einsum = [], np.einsum
+
+        def recorded(spec, section, scaled, **kwargs):
+            operands.append((section, scaled.copy()))
+            return einsum(spec, section, scaled, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recorded)
+        operators._section_times(m, terms)
+        monkeypatch.undo()
+        assert sum(scaled.size for _, scaled in operands) == terms.size
+        assert [subnormal_parts(section * scaled) for section, scaled in operands] == [0] * len(operands)
+
+    def test_scaled_block_sums_overflow_nothing_the_plain_product_holds(self):
+        """Scaled terms stay below 1 / (2 ROW_BLOCK), so a block of entries
+        near the top of the double range sums to a double."""
+        m = np.full((33, 33), 1e308, dtype=complex)
+        terms = np.full(33, 2.0**-60, dtype=complex)
+        terms[0] = 1.0
+        plain = np.einsum("ij,j->i", m, terms)
+        assert np.all(np.isfinite(plain))
+        assert np.allclose(operators._section_times(m, terms), plain, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("c", [1e300, -1e306])
+    def test_pair_with_huge_entries_is_judged_not_refused(self, c):
+        cls = Binomial(lam=0.5, eta=3.0)
+        sp = synthesize(cls, 0.9, 0.05, c, 256)
+        ws = family_weights(cls, 256)
+        m = operators.build_matrix(sp, ws)
+        assert operators.kernel_identity_residual(m, sp, ws, 0.3 + 0.2j) <= 1e-14 * abs(c)
 
     def test_residual_small_for_hermitian_pair(self):
         sp, ws = hardy_pair(order=96)

@@ -1,5 +1,7 @@
 """Truncated-series arithmetic: worked examples and ring properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,25 @@ class TestEvaluate:
         f = polynomial([1, 2, 3])
         z = np.array([0.0, 1.0, 1j])
         assert np.allclose(f(z), [1, 6, 1 + 2j + 3 * 1j**2])
+
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, np.complex128(-0.5j), np.float64(0.7), np.array(0.1 - 0.6j), 2])
+    def test_scalar_point_gives_a_python_complex(self, z):
+        assert type(rand_series(np.random.default_rng(5), 12)(z)) is complex
+
+    def test_scalar_point_agrees_with_the_array_path(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            f = rand_series(rng, int(rng.integers(0, 300)))
+            z = complex(*rng.uniform(-0.9, 0.9, 2))
+            size = np.sum(np.abs(f.coeffs) * abs(z) ** np.arange(f.order + 1))
+            assert abs(f(z) - f(np.array([z]))[0]) <= 8 * np.finfo(float).eps * size
+
+    def test_scalar_point_overflows_without_a_warning(self):
+        f = TruncatedSeries(np.full(40, 1e308 + 1e308j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = f(10.0 - 3.0j)
+        assert not np.isfinite(value)
 
 
 class TestCompose:
