@@ -4,14 +4,17 @@ Output is JSON by default (CSV where it makes sense for tables); exit codes
 follow the verification contract: 0 all checks passed, 1 some check failed,
 2 usage or domain error.  Every subcommand reads its weights at one order
 (`_weights_from_args`) and classifies them by their coefficient ratios
-(`spaces.classify_weights`).  Every verdict is a report check: `check` and
-`report` print `verify.full_report`, a `sweep` row reads its section's
+(`spaces.classify_weights`).  A `--family` is an entry of `FAMILIES`, which
+alone says which parameters the family reads, their defaults and how its
+weights are built.  Every verdict is a report check: `check` and `report`
+print `verify.full_report`, a `sweep` row reads its section's
 `verify.section_checks` and `quad` its `verify.quadrature_check`.  No option
 overrides their thresholds, `verify.DEFAULT_TOLERANCES` and the classifier's
 `spaces.CLASSIFICATION_TOL` and `spaces.FIT_TOL`.
-`sweep` runs its cells one after another in this process; `--workers` is
-still accepted (an integer >= 1) so that existing command lines run, but it
-starts no other process.
+`sweep` reads its space, grid and order from its config only, and writes to
+`--output` (else stdout).  It runs its cells one after another in this
+process; `--workers` is still accepted (an integer >= 1) so that existing
+command lines run, but it starts no other process.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from . import operators, spaces, symbols, verify
 from .series import TruncatedSeries, is_json_number, require_finite, series_from_json
 from .spaces import (
     Binomial,
-    DomainError,
     Exponential,
     NotHospitable,
     QuadratureError,
@@ -158,30 +160,37 @@ def parse_polynomial(text: str, order: int) -> TruncatedSeries:
 
 #: the space options, in the order a run that ignores some names the first
 SPACE_OPTIONS = ("family", "lam", "eta", "b", "level")
-#: the parameters each --family reads; a --beta-file reads no space option
-FAMILY_OPTIONS = {
-    "hardy": (),
-    "bergman": ("eta",),
-    "fock": ("b",),
-    "binomial": ("lam", "eta"),
-    "dirichlet": (),
-    "flat": ("level",),
+#: each --family: the parameters it reads, with their defaults (None: the
+#: parameter is required), and its weights from them at an order; a
+#: --beta-file reads no space option
+FAMILIES = {
+    "hardy": ({}, hardy_weights),
+    "bergman": ({"eta": None}, bergman_weights),
+    "fock": ({"b": 1.0}, fock_weights),
+    "binomial": (
+        {"lam": None, "eta": None},
+        lambda lam, eta, order: family_weights(Binomial(lam=lam, eta=eta), order),
+    ),
+    "dirichlet": ({}, dirichlet_weights),
+    "flat": ({"level": 2.0}, flat_weights),
 }
 
 
 def _weights_from_args(args) -> WeightSequence:
     """The weights a subcommand works on, at the one order of its run: a
-    family at --order (default 64); a --beta-file at its own order, cut when
-    --order is smaller and refused, naming both orders, when it is larger.
-    A space option that the space does not read (--family or a parameter
-    with --beta-file, another family's parameter) is refused, naming the
-    first one in `SPACE_OPTIONS` order, so no verdict is given on a space
-    that was not asked for."""
+    family of `FAMILIES` at --order (default 64); a --beta-file at its own
+    order, cut when --order is smaller and refused, naming both orders, when
+    it is larger.  A space option that the space does not read (--family or
+    a parameter with --beta-file, another family's parameter) is refused,
+    naming the first one in `SPACE_OPTIONS` order, so no verdict is given on
+    a space that was not asked for; so is a family without a parameter it
+    requires."""
     family = (getattr(args, "family", None) or "").lower()
+    options, weights = FAMILIES.get(family, (SPACE_OPTIONS, None))
     if args.beta_file:
         space, read = "--beta-file", ()
     else:
-        space, read = f"--family {family}", ("family", *FAMILY_OPTIONS.get(family, SPACE_OPTIONS))
+        space, read = f"--family {family}", ("family", *options)
     for name in SPACE_OPTIONS:
         if getattr(args, name, None) is not None and name not in read:
             raise ValueError(f"--{name} is not read with {space}")
@@ -193,27 +202,17 @@ def _weights_from_args(args) -> WeightSequence:
         if args.order > ws.order:
             raise ValueError(f"--order {args.order} exceeds the weight file's order {ws.order}")
         return WeightSequence(ws.beta[: args.order + 1])
-    order = DEFAULT_ORDER if args.order is None else args.order
-    if family == "hardy":
-        return hardy_weights(order)
-    if family == "bergman":
-        if args.eta is None:
-            raise ValueError("--eta is required for the bergman family")
-        return bergman_weights(args.eta, order)
-    if family == "fock":
-        return fock_weights(args.b if args.b is not None else 1.0, order)
-    if family == "binomial":
-        if args.lam is None or args.eta is None:
-            raise ValueError("--lam and --eta are required for the binomial family")
-        return family_weights(Binomial(lam=args.lam, eta=args.eta), order)
-    if family == "dirichlet":
-        return dirichlet_weights(order)
-    if family == "flat":
-        return flat_weights(order, level=args.level if args.level is not None else 2.0)
-    raise ValueError(
-        "specify a space: --beta-file FILE or --family "
-        "{hardy,bergman,fock,binomial,dirichlet,flat}"
-    )
+    if weights is None:
+        raise ValueError(
+            "specify a space: --beta-file FILE or --family {" + ",".join(FAMILIES) + "}"
+        )
+    given = {name: getattr(args, name) for name in options}
+    values = {name: options[name] if value is None else value for name, value in given.items()}
+    if None in values.values():  # a required parameter was not given
+        required = [f"--{name}" for name, default in options.items() if default is None]
+        verb = "is" if len(required) == 1 else "are"
+        raise ValueError(f"{' and '.join(required)} {verb} required for the {family} family")
+    return weights(**values, order=DEFAULT_ORDER if args.order is None else args.order)
 
 
 def _print_json(payload) -> None:
@@ -314,11 +313,20 @@ def cmd_quad(args) -> int:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-#: the keys a sweep reads: at the top of its config, in `space` for each
-#: family, and in `grid` (the axes, in grid order, with their defaults)
-SWEEP_KEYS = ("space", "grid", "order", "seed", "output")
-SWEEP_SPACE_KEYS = {"binomial": ("family", "lambda", "eta"), "fock": ("family", "b")}
+#: the keys a sweep reads: at the top of its config, and in `grid` (the
+#: axes, in grid order, with their defaults)
+SWEEP_KEYS = ("space", "grid", "order", "seed")
 SWEEP_AXES = {"a0_mod": 0.3, "a0_arg": 0.0, "a1_fraction": 0.5, "c": 1.0}
+#: each family a sweep runs (the first where `space` names none): the other
+#: `space` keys it reads, with their defaults, and its weights and class
+#: from them at an order
+SWEEP_FAMILIES = {
+    "binomial": (
+        {"lambda": 1.0, "eta": 1.0},
+        lambda lam, eta, order: (family_weights(cls := Binomial(lam, eta), order), cls),
+    ),
+    "fock": ({"b": 1.0}, lambda b, order: (fock_weights(b, order), Exponential(b_sq=b * b))),
+}
 
 
 def _config_number(value, key: str) -> float:
@@ -405,31 +413,22 @@ def cmd_sweep(args) -> int:
     grid = _config_object(config.get("grid", {}), "grid")
     require_finite(space, "space", "sweep config")
     require_finite(grid, "grid", "sweep config")
-    family = space.get("family", "binomial")
-    if family not in ("binomial", "fock"):
-        raise ValueError(f"sweep supports binomial and fock families (got {family!r})")
-    _refuse_unread(space, SWEEP_SPACE_KEYS[family], "space.")
+    family = space.get("family", next(iter(SWEEP_FAMILIES)))
+    if family not in tuple(SWEEP_FAMILIES):  # a tuple: the family may be any JSON value
+        raise ValueError(f"sweep supports {' and '.join(SWEEP_FAMILIES)} families (got {family!r})")
+    keys, weights = SWEEP_FAMILIES[family]
+    _refuse_unread(space, ("family", *keys), "space.")
     _refuse_unread(grid, SWEEP_AXES, "grid.")
-    if family == "binomial":
-        lam, eta = (
-            _config_number(space.get(key, 1.0), f"space.{key}") for key in ("lambda", "eta")
-        )
-        # outside (0, 1] no binomial space is hospitable: refused before any cell
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"sweep config value space.lambda must lie in (0, 1] (got {lam})")
-    else:
-        b = _config_number(space.get("b", 1.0), "space.b")
+    values = {key: _config_number(space.get(key, keys[key]), f"space.{key}") for key in keys}
+    # outside (0, 1] no binomial space is hospitable: refused before any cell
+    lam = values.get("lambda", 1.0)
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"sweep config value space.lambda must lie in (0, 1] (got {lam})")
     axes = [_expand_axis(grid, name, default) for name, default in SWEEP_AXES.items()]
-    order = args.order
-    if "order" in config:
-        order = valid_order(config["order"], "sweep config value order")
+    order = valid_order(config.get("order", DEFAULT_ORDER), "sweep config value order")
     # every cell shares one space; one that cannot be built (eta <= 0, b <= 0,
     # a generating coefficient that is not a normal double) is a usage error
-    if family == "binomial":
-        cls = Binomial(lam, eta)
-        ws = family_weights(cls, order)
-    else:
-        ws, cls = fock_weights(b, order), Exponential(b_sq=b * b)
+    ws, cls = weights(*values.values(), order)
     rows = [_sweep_cell(idx, cls, ws, *cell) for idx, cell in enumerate(itertools.product(*axes))]
 
     result = {
@@ -441,7 +440,7 @@ def cmd_sweep(args) -> int:
         "pass": all(r["pass"] for r in rows),
     }
     text = _rows_to_csv(rows) if args.csv else json.dumps(result, indent=2, allow_nan=False)
-    _write_or_print(args.output or (config.get("output") or None), text)
+    _write_or_print(args.output, text)
     return EXIT_OK if result["pass"] else EXIT_FAIL
 
 
@@ -477,8 +476,7 @@ def _add_order_option(cmd) -> None:
 
 
 def _add_space_options(cmd) -> None:
-    cmd.add_argument("--family", type=str, default=None,
-                     help="hardy | bergman | fock | binomial | dirichlet | flat")
+    cmd.add_argument("--family", type=str, default=None, help=" | ".join(FAMILIES))
     cmd.add_argument("--eta", type=finite_float, default=None, help="binomial/bergman exponent")
     cmd.add_argument("--lam", type=finite_float, default=None, help="binomial lambda in (0, 1]")
     cmd.add_argument("--b", type=finite_float, default=None, help="fock scale (default 1)")
@@ -523,10 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     region_cmd.set_defaults(func=cmd_region)
 
     sweep_cmd = sub.add_parser("sweep", help="grid sweep driven by a JSON config")
-    sweep_cmd.add_argument(
-        "--order", type=int, default=DEFAULT_ORDER,
-        help=f"truncation order N (default {DEFAULT_ORDER}); a config's order wins",
-    )
     sweep_cmd.add_argument("--config", type=str, required=True)
     sweep_cmd.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     sweep_cmd.add_argument("--output", type=str, default=None)
@@ -553,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "order", None) is not None:
             valid_order(args.order, "--order")
         return args.func(args)
-    except (ValueError, DomainError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuadratureError as exc:

@@ -127,7 +127,10 @@ class TruncatedSeries:
 
         At a scalar the result is a Python complex, formed in Python's
         complex arithmetic (no warning where a term overflows); at an array,
-        an array of the same shape.  The result approximates the underlying
+        an array of the same shape, formed in place from the last nonzero
+        coefficient (the zero padding would only multiply zeros), with no
+        temporary array per step; numpy's warnings on overflow follow the
+        caller's `np.errstate`.  The result approximates the underlying
         function only within its radius of convergence; the error is the
         dropped tail.
         """
@@ -138,8 +141,9 @@ class TruncatedSeries:
             return val
         z = np.asarray(z, dtype=complex)
         vals = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            vals = vals * z + c
+        for c in np.trim_zeros(self.coeffs, "b")[::-1]:
+            vals *= z
+            vals += c
         return vals
 
     def truncated(self, order: int) -> "TruncatedSeries":

@@ -341,21 +341,18 @@ def norm(f: TruncatedSeries, ws: WeightSequence) -> float:
 def _eval_on_grid(f: TruncatedSeries, radii: np.ndarray, n_angular: int) -> np.ndarray:
     """Angular means of |f|^2 on circles of the given radii.
 
-    Evaluates f pointwise by Horner on the full polar grid; deliberately
-    does *not* shortcut through the coefficient formula, so the quadrature
-    stays an independent check on the series-side norms.  Horner starts at
-    the last nonzero coefficient: the zero padding of a low-degree f would
-    only multiply zeros, and the result is bitwise the same.  The steps run
-    in place, so the grid and the values are the only arrays of its size.
+    Evaluates f pointwise on the full polar grid by its own Horner
+    (`TruncatedSeries.__call__`, in place from the last nonzero
+    coefficient); deliberately does *not* shortcut through the coefficient
+    formula, so the quadrature stays an independent check on the
+    series-side norms.  The grid and the values are the only arrays of its
+    size.
     """
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     grid = radii[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.zeros_like(grid)
     # a value beyond the double range comes back as inf or nan, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in np.trim_zeros(f.coeffs, "b")[::-1]:
-            vals *= grid
-            vals += c
+        vals = f(grid)
         return np.mean(vals.real**2 + vals.imag**2, axis=1)
 
 

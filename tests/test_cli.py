@@ -79,6 +79,17 @@ class TestParsers:
         with pytest.raises(ValueError, match=re.escape(f"{term!r} is not finite")):
             parse_polynomial(text, 4)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty polynomial"),
+        ("  ", "empty polynomial"),
+        ("1 + (1+2x)*z", "cannot parse coefficient in term '+(1+2x)*z'"),
+        ("z + z^5", "term '+z^5' exceeds the truncation order 4"),
+    ], ids=["empty", "blank", "bad-coefficient", "above-order"])
+    def test_polynomial_refusals_name_their_term(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_polynomial(text, 4)
+        assert str(info.value) == message
+
 
 def complex_bits(z) -> bytes:
     """The bytes of a complex double: equal values with different signed
@@ -356,6 +367,19 @@ class TestRegionCommand:
             code, out, err = run_usage_error(capsys, "region", *argv)
             assert code == 2 and out == ""
             assert "not finite" in err
+
+    def test_unparsable_a0_is_usage_error(self, capsys):
+        code, out, err = run_usage_error(capsys, "region", "abc", "1")
+        assert code == 2 and out == ""
+        assert err.endswith("wco region: error: argument a0: cannot parse complex number 'abc'\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("0.5", "1", "0"), "rho must be positive (got 0.0)"),
+        (("1", "1"), "rho*|a0|*lam must be < 1 (got 1.0); "
+                     "phi is not analytic on the closed disk otherwise"),
+    ], ids=["rho-0", "pole-on-the-circle"])
+    def test_interval_that_does_not_exist_is_usage_error(self, capsys, argv, message):
+        assert run_cli(capsys, "region", *argv) == (2, "", f"error: {message}\n")
 
 
 class TestQuadCommand:
@@ -741,6 +765,73 @@ def test_space_option_with_a_weight_file_is_usage_error(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        (["--family", "bergman"], "--eta is required for the bergman family"),
+        (["--family", "binomial", "--lam", "0.5"],
+         "--lam and --eta are required for the binomial family"),
+        (["--family", "binomial", "--eta", "2"],
+         "--lam and --eta are required for the binomial family"),
+        ([], "specify a space: --beta-file FILE or --family "
+             "{hardy,bergman,fock,binomial,dirichlet,flat}"),
+        (["--family", "bargman", "--eta", "2"], "specify a space: --beta-file FILE or --family "
+                                                "{hardy,bergman,fock,binomial,dirichlet,flat}"),
+    ],
+    ids=["bergman-without-eta", "binomial-without-eta", "binomial-without-lam", "no-space",
+         "unknown-family"],
+)
+def test_space_that_is_not_named_in_full_is_usage_error(capsys, space, message):
+    """A family without a parameter it needs, or no space at all, exits 2
+    with one line naming what is missing, in check and quad alike."""
+    for command in (["check", *PAIR], ["quad", "--f", "z"]):
+        assert run_cli(capsys, *command, *space) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "space, weights",
+    [
+        (["--family", "hardy"], spaces.hardy_weights(16)),
+        (["--family", "Bergman", "--eta", "3"], spaces.bergman_weights(3.0, 16)),
+        (["--family", "fock"], spaces.fock_weights(1.0, 16)),
+        (["--family", "fock", "--b", "0.5"], spaces.fock_weights(0.5, 16)),
+        (["--family", "binomial", "--lam", "0.5", "--eta", "3"],
+         spaces.family_weights(Binomial(lam=0.5, eta=3.0), 16)),
+        (["--family", "dirichlet"], spaces.dirichlet_weights(16)),
+        (["--family", "flat"], spaces.flat_weights(16, level=2.0)),
+        (["--family", "flat", "--level", "3"], spaces.flat_weights(16, level=3.0)),
+    ],
+    ids=["hardy", "bergman", "fock-default", "fock", "binomial", "dirichlet", "flat-default",
+         "flat"],
+)
+def test_each_family_builds_its_library_weights(space, weights):
+    """--family NAME at --order 16 reads the library constructor's weights,
+    bit for bit, with --b 1 and --level 2 when they are not given."""
+    args = cli.build_parser().parse_args(["quad", "--f", "z", "--order", "16", *space])
+    assert cli._weights_from_args(args).beta.tobytes() == weights.beta.tobytes()
+
+
+@pytest.mark.parametrize("command", ["check", "report", "quad"])
+def test_family_help_lists_every_family(capsys, command):
+    code, out, _ = run_usage_error(capsys, command, "--help")
+    assert code == 0
+    assert "--family FAMILY hardy | bergman | fock | binomial | dirichlet | flat" in " ".join(
+        out.split()
+    )
+
+
+def test_report_below_order_three_skips_the_ode(capsys):
+    """At order 2 the generating ODE has nothing to check: the report says
+    so with a null residual and fails that check, and every other runs."""
+    code, out, err = run_cli(capsys, "check", "--family", "hardy", "--order", "2", *PAIR)
+    assert code == 1 and err == ""
+    payload = strict_json(out)
+    ode = next(check for check in payload["checks"] if check["name"] == "generating-ode")
+    assert ode["residual"] is None and ode["pass"] is False
+    assert ode["notes"].startswith("the generating ODE needs order >= 3 (got 2)")
+    assert payload["pass"] is False and len(payload["checks"]) == 9
+
+
 def test_underflowing_fock_weight_is_usage_error(capsys):
     # 1/j! is subnormal from j = 171 and 0 from j = 178: the first index is named
     code, out, err = run_cli(
@@ -783,7 +874,7 @@ def test_quad_beyond_the_double_range_writes_no_warning(capsys):
          "space.lambda is not read (read: family, b)"),
         ({"space": {"family": "fock", "b": 2}, "grid": {"a1": [0.9]}, "order": 16},
          "grid.a1 is not read (read: a0_mod, a0_arg, a1_fraction, c)"),
-        ({**SWEEP, "ordr": 32}, "ordr is not read (read: space, grid, order, seed, output)"),
+        ({**SWEEP, "ordr": 32}, "ordr is not read (read: space, grid, order, seed)"),
     ],
     ids=["binomial-lam", "fock-lambda", "grid-a1", "top-level"],
 )
@@ -795,6 +886,50 @@ def test_sweep_key_the_run_does_not_read_is_usage_error(capsys, tmp_path, config
     path.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "sweep", "--config", str(path), *(["--csv"] if as_csv else []))
     assert (code, out, err) == (2, "", f"error: sweep config key {message}\n")
+
+
+@pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+def test_sweep_over_a_family_it_does_not_sweep_is_usage_error(capsys, tmp_path, as_csv):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**SWEEP, "space": {"family": "hardy"}}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path), *(["--csv"] if as_csv else []))
+    assert (code, out, err) == (2, "", "error: sweep supports binomial and fock families (got 'hardy')\n")
+
+
+def test_sweep_axis_given_as_a_number_is_one_point(capsys, tmp_path):
+    """A bare number on a grid axis is the axis of that one point."""
+    outputs = []
+    for axis in (0.3, [0.3]):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP, "grid": {"a0_mod": axis, "a1_fraction": [0.5, -0.5]}}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert [row["a0_mod"] for row in strict_json(outputs[0])["rows"]] == [0.3, 0.3]
+
+
+def test_sweep_takes_its_order_from_the_config_only(capsys, tmp_path):
+    """A sweep's order is its config's "order" (default 64): sweep has no
+    --order option."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"space": SWEEP["space"], "grid": {"a0_mod": [0.2]}}))
+    code, out, err = run_usage_error(capsys, "sweep", "--config", str(path), "--order", "32")
+    assert code == 2 and out == ""
+    assert err.endswith("wco: error: unrecognized arguments: --order 32\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert (code, err) == (0, "") and strict_json(out)["order"] == cli.DEFAULT_ORDER
+
+
+@pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+def test_sweep_writes_only_where_its_output_option_says(capsys, tmp_path, as_csv):
+    """A sweep's output path is --output; a config "output" key is not read
+    and exits 2 before any cell runs, with nothing written."""
+    path, rows = tmp_path / "sweep.json", tmp_path / "rows.txt"
+    path.write_text(json.dumps({**SWEEP, "output": str(rows)}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path), *(["--csv"] if as_csv else []))
+    assert (code, out) == (2, "") and not rows.exists()
+    assert err == "error: sweep config key output is not read (read: space, grid, order, seed)\n"
 
 
 @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])

@@ -3,7 +3,7 @@
     python tools/records.py dump ROOT OUT.json
     python tools/records.py diff OLD.json NEW.json
 
-``dump`` imports ``wco`` from ``ROOT/src`` and writes 109 records, each the
+``dump`` imports ``wco`` from ``ROOT/src`` and writes 118 records, each the
 text the program prints for one input (a command's exit code and stderr
 head its stdout):
 
@@ -26,7 +26,13 @@ head its stdout):
   [z^i](psi phi^j) leave the range while the normalized section does not,
   so it is judged (and fails: a1 = 1 is no self-map); and lam = 0.25,
   eta = 10 at c = 1.5e308i, refused because the pair's own |M - M*|
-  overflows.
+  overflows;
+* ``<argv>`` -- 9 commands that reach the rest of the command line:
+  ``classify 2 2``, ``quad`` of z^3 on Hardy and on lam = 0.5, eta = 3,
+  ``region 0.5 1``, ``check`` at order 2 (whose generating-ode check is
+  skipped), and the family refusals: bergman without ``--eta``, binomial
+  without ``--eta``, ``check`` with no space, and a sweep over
+  ``"family": "hardy"`` (recorded as ``sweep {"family": "hardy"}``).
 
 The inputs come from ``bench/inputs.py`` next to this script, so both dumps
 of a comparison read the same inputs whichever checkout they run.
@@ -80,6 +86,16 @@ EXTRA_CHECKS = [
     ["--family", "binomial", "--lam=0.25", "--eta=10", "--order=64", "--c=1.5e308i"],
 ]
 PAIR = ["--a0=0.3", "--a1=0.2", "--c=1"]
+COMMANDS = [
+    ["classify", "2", "2"],
+    ["quad", "--family", "hardy", "--f", "z^3"],
+    ["quad", "--family", "binomial", "--lam=0.5", "--eta=3", "--f", "z^3"],
+    ["region", "0.5", "1"],
+    ["check", *PAIR, "--family", "hardy", "--order=2"],
+    ["check", *PAIR, "--family", "bergman"],
+    ["check", *PAIR, "--family", "binomial", "--lam=0.5"],
+    ["check", *PAIR],
+]
 
 
 def dump(root: Path) -> dict[str, str]:
@@ -115,8 +131,13 @@ def dump(root: Path) -> dict[str, str]:
                 argv = ["sweep", "--config", str(path), "--workers", str(inputs.SWEEP_WORKERS)]
                 records[f"sweep_configs({seed})#{k} json"] = cli(argv)
                 records[f"sweep_configs({seed})#{k} csv"] = cli(argv + ["--csv"])
+        path = Path(tmp) / "sweep-hardy.json"
+        path.write_text(json.dumps({"space": {"family": "hardy"}}))
+        records['sweep {"family": "hardy"}'] = cli(["sweep", "--config", str(path)])
     for argv in EXTRA_CHECKS:
         records["check " + " ".join(argv)] = cli(["check", *PAIR, *argv])  # argv's own win
+    for argv in COMMANDS:
+        records[" ".join(argv)] = cli(argv)
     return records
 
 
