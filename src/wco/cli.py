@@ -2,9 +2,12 @@
 
 Output is JSON by default (CSV where it makes sense for tables); exit codes
 follow the verification contract: 0 all checks passed, 1 some check failed,
-2 usage or domain error.  Every subcommand reads its weights at one order
-(`_weights_from_args`) and classifies them by their coefficient ratios
-(`spaces.classify_weights`).  A `--family` is an entry of `FAMILIES`, which
+2 usage or domain error.  `check`, `report`, `quad` and `classify
+--beta-file` read their weights at one order (`_weights_from_args`) and
+classify them by their coefficient ratios (`spaces.classify_weights`);
+`classify BETA1 BETA2` classifies the order-2 weights (1, BETA1, BETA2),
+`sweep` builds its space and class from its config (`SWEEP_FAMILIES`), and
+`region` reads no weights.  A `--family` is an entry of `FAMILIES`, which
 alone says which parameters the family reads, their defaults and how its
 weights are built.  Every verdict is a report check: `check` and `report`
 print `verify.full_report`, a `sweep` row reads its section's
@@ -26,7 +29,6 @@ import io
 import itertools
 import json
 import math
-import os
 import re
 import sys
 
@@ -273,8 +275,9 @@ def cmd_region(args) -> int:
 
 
 def _polynomial_from_arg(text: str, order: int) -> TruncatedSeries:
-    """Inline polynomial expression, or a path to a series JSON file."""
-    if text.endswith(".json") and os.path.exists(text):
+    """Inline polynomial expression, or a path to a series JSON file: an
+    argument ending in .json is always opened, so a missing file is named."""
+    if text.endswith(".json"):
         with open(text, "r", encoding="utf-8") as handle:
             f = series_from_json(json.load(handle))
         return f.truncated(order) if f.order != order else f

@@ -33,8 +33,12 @@ deviation, its entry and the three moments from those row maxima;
 `ROW_BLOCK` columns at a time.  Each check takes the section, reads the
 order from its shape and refuses symbols or weights of another order.
 `_anti_diagonals` only runs the recurrence, for one pair or several side
-by side, and yields its anti-diagonals `ROW_BLOCK` at a time, already
-normalized; `build_matrix` stores each block with one masked copy.  A
+by side over one weight sequence, each given by its recurrence numbers
+q, a0 and d and its column 0 (so a pair's modulus pair |q|, |a0|, |d|,
+|psi|, whose section bounds |M| entry by entry, is one more input), and
+yields its anti-diagonals `ROW_BLOCK` at a time, already normalized;
+`build_matrix` alone forms those numbers from a `SymbolPair`, and stores
+each block with one masked copy.  A
 lam < 1 pair needs no second section: composing with z -> sqrt(lam) z is
 a unitary from the lam = 1 space onto it, under which its section is, in
 exact arithmetic, the same matrix as its dilate's, so a report judges it
@@ -127,9 +131,12 @@ def build_matrix(sp: SymbolPair, ws: WeightSequence) -> np.ndarray:
             size = entries.itemsize
             by_diagonal = as_strided(entries, (n + 1, 2 * n + 1), (n * size, size))
             # band[n + i - s0, k]: entry (i, s0 + k - i) lies in the section
-            d, k = np.arange(-n, ROW_BLOCK)[:, None], np.arange(ROW_BLOCK)
-            band = (d <= k) & (k - d <= n)
-            for s0, block in _anti_diagonals([sp], [ws.beta], n):
+            shift, k = np.arange(-n, ROW_BLOCK)[:, None], np.arange(ROW_BLOCK)
+            band = (shift <= k) & (k - shift <= n)
+            # d = a1 - a0 q in Python's complex arithmetic (numpy's may fuse
+            # the multiply-add and move its last bit)
+            q, d = sp.phi_pole, sp.a1 - sp.a0 * sp.phi_pole
+            for s0, block in _anti_diagonals([q], [sp.a0], [d], sp.psi.coeffs[:, None], ws.beta):
                 width = len(block)
                 lo, hi = max(0, s0 - n), min(n, s0 + width - 1)
                 np.copyto(
@@ -151,11 +158,14 @@ def _finite_section(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _anti_diagonals(pairs: list[SymbolPair], betas: list[np.ndarray], n: int):
+def _anti_diagonals(q, a0, d, psi: np.ndarray, beta: np.ndarray):
     """Run the ratio recurrence of `build_matrix` for the normalized entries
-    M[i, j], i, j <= n, of b family pairs side by side, pair c over the
-    weights betas[c], one anti-diagonal s = i + j at a time, and yield each
-    finished one.  It writes no section: each caller stores what it needs.
+    M[i, j], i, j <= N, of b pairs side by side over the one weight sequence
+    ``beta``, one anti-diagonal s = i + j at a time, and yield each finished
+    one.  Pair c is given by its recurrence numbers q[c], a0[c] and d[c] and
+    by column c of the (N + 1) x b array ``psi``, its column 0 before the
+    factor beta(i); N and b are read from that shape.  It reads no
+    `SymbolPair` and writes no section: each caller stores what it needs.
 
     The recurrence reads anti-diagonals s - 1 and s - 2 only, so a ring of
     `ROW_BLOCK` + 2 rows holds everything it needs: rows 0 and 1 hold
@@ -166,31 +176,29 @@ def _anti_diagonals(pairs: list[SymbolPair], betas: list[np.ndarray], n: int):
     (i, s - i), i = lo..hi, of every pair are then one contiguous run, and
     so are their inputs: the same slots (left) and the slots b before (up)
     in the previous row, the slots b before (up-left) in the row before
-    that.  q is tiled to match; beta(i) / beta(i - 1) is stored by row, with
-    a 1 on row 0, whose inputs are the zero slots; a0 rho(j) and d rho(j)
-    are stored by column, reversed, so the columns j = s - 1 - i of a run
-    ascend too.  Each of the six ufuncs per anti-diagonal reads contiguous
-    memory; they form ((q up + d rho up-left) beta(i) / beta(i - 1)) +
-    a0 rho left, the order that fixes the section's bits.  Column 0 is
-    psi(i) beta(i).  d = a1 - a0 q is formed in Python's complex arithmetic
-    (numpy's may fuse the multiply-add and move its last bit).
+    that.  q is tiled to match; beta(i) / beta(i - 1) is stored by row, each
+    ratio b times, with a 1 on row 0, whose inputs are the zero slots;
+    a0 rho(j) and d rho(j) are stored by column, reversed, so the columns
+    j = s - 1 - i of a run ascend too.  One ratio array serves every pair.
+    Each of the six ufuncs per anti-diagonal reads contiguous memory; they
+    form ((q up + d rho up-left) beta(i) / beta(i - 1)) + a0 rho left, the
+    order that fixes the section's bits.
 
     Yields (s0, block) once anti-diagonals s0..s0 + len(block) - 1 are
     done, `ROW_BLOCK` of them (fewer in the last block): block[k] is the
     ring row of s = s0 + k, whose slot b (i + 1) + c holds pair c's
-    M[i, s - i] for max(0, s - n) <= i <= min(s, n).  Its other slots hold
+    M[i, s - i] for max(0, s - N) <= i <= min(s, N).  Its other slots hold
     zeros or entries of earlier anti-diagonals; the block is valid until
     the next step.
     """
-    b = len(pairs)
-    beta = np.stack(betas, axis=1)  # row i holds each pair's beta(i)
-    psi = (np.stack([sp.psi.coeffs for sp in pairs], axis=1) * beta).reshape(-1)
-    up = np.vstack([np.ones(b), beta[1:] / beta[:-1]], dtype=complex).reshape(-1)
-    coeffs = [(sp.phi_pole, sp.a0, sp.a1 - sp.a0 * sp.phi_pole) for sp in pairs]
-    q, a0, d = np.array(coeffs, dtype=complex).T
+    n, b = psi.shape[0] - 1, psi.shape[1]
+    psi = (psi * beta[:, None]).reshape(-1)  # slot b i + c holds pair c's M[i, 0]
+    up = np.repeat(np.hstack([1.0, beta[1:] / beta[:-1]], dtype=complex), b)
+    q, a0, d = (np.asarray(x, dtype=complex) for x in (q, a0, d))
     q = np.tile(q, n + 1)
     # slot b (n - 1 - j) + c holds pair c's a0 rho(j) and d rho(j)
-    a0_rho, d_rho = ((x * (beta[:-1] / beta[1:]))[::-1].reshape(-1) for x in (a0, d))
+    rho = (beta[:-1] / beta[1:])[:, None]
+    a0_rho, d_rho = ((x * rho)[::-1].reshape(-1) for x in (a0, d))
     ring = np.zeros((ROW_BLOCK + 2, b * (n + 2)), dtype=complex)
     rows = list(ring)
     buf = np.empty(b * (n + 1), dtype=complex)

@@ -425,6 +425,14 @@ class TestQuadCommand:
         assert code == 0
         assert json.loads(out)["series_norm"] == pytest.approx(1.0)
 
+    def test_missing_series_json_file_is_named(self, capsys, tmp_path):
+        """A --f ending in .json is a file: a missing one is named, not
+        parsed as a polynomial term."""
+        path = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "quad", "--family", "hardy", "--f", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
 
 class TestSweepCommand:
     def test_small_grid_json(self, capsys, tmp_path):

@@ -279,12 +279,18 @@ def dense_deviation(m):
     return float(diff[i, j]), (i, j), tuple(float(x) for x in diff[:, :3].max(axis=0))
 
 
-def walked_anti_diagonals(pairs, betas, order):
+def recurrence_numbers(sp):
+    """q, a0 and d = a1 - a0 q of a family pair, as `build_matrix` forms
+    them (d in Python's complex arithmetic)."""
+    return sp.phi_pole, sp.a0, sp.a1 - sp.a0 * sp.phi_pole
+
+
+def walked_anti_diagonals(q, a0, d, psi, beta):
     """(s, rows, diagonal) for each anti-diagonal s that the walker's blocks
     hold, rows those of its entries (i, s - i) inside the section and
     diagonal its ring row: slot b (i + 1) + c holds pair c's M[i, s - i]."""
-    count = 0
-    for s0, block in operators._anti_diagonals(pairs, betas, order):
+    order, count = psi.shape[0] - 1, 0
+    for s0, block in operators._anti_diagonals(q, a0, d, psi, beta):
         assert s0 == count and 1 <= len(block) <= operators.ROW_BLOCK
         for s, diagonal in enumerate(block, s0):
             yield s, np.arange(max(0, s - order), min(s, order) + 1), diagonal
@@ -297,7 +303,8 @@ def stored_one_anti_diagonal_at_a_time(sp, ws):
     anti-diagonal stored on its own by fancy indexing."""
     n = ws.order
     section = np.full((n + 1, n + 1), np.nan, dtype=complex)
-    for s, rows, diagonal in walked_anti_diagonals([sp], [ws.beta], n):
+    q, a0, d = recurrence_numbers(sp)
+    for s, rows, diagonal in walked_anti_diagonals([q], [a0], [d], sp.psi.coeffs[:, None], ws.beta):
         section[rows, s - rows] = diagonal[rows + 1]
     return section
 
@@ -305,8 +312,8 @@ def stored_one_anti_diagonal_at_a_time(sp, ws):
 class TestRowBlocks:
     """The O(N^2) checks keep row maxima of |M - M*| over the upper triangle,
     read ROW_BLOCK rows at a time, and the walker fills several pairs in one
-    ring: each must give bitwise what a whole-table pass, or a fill of one
-    pair, gives."""
+    ring over one weight sequence: each must give bitwise what a whole-table
+    pass, or a fill of one pair, gives."""
 
     SPECIALS = [np.nan, complex(0.0, np.nan), 1e308, -1e308, 1e308j, -1e308j, 1.0, 1j]
 
@@ -323,21 +330,37 @@ class TestRowBlocks:
         for m in (noise, section):
             assert operators.hermitian_deviation(m) == dense_deviation(m)
 
-    @pytest.mark.parametrize("order", ORDERS)
-    def test_conjugation_matches_dense_reference(self, order):
-        """Two pairs walked side by side, interleaved in one ring, give each
-        pair's own fill bitwise: a lam < 1 pair and its dilate, whose
-        sections then agree entry by entry to rounding."""
-        sp = synthesize(Binomial(lam=0.7, eta=2.5), 0.6 * np.exp(2.1j), 0.15, 1.0 - 0.5j, order)
-        pairs = [sp, dilate(sp)]
-        betas = [family_weights(p.cls, order).beta for p in pairs]
+    #: Hardy, Bergman eta = 300 and Fock b = 1 at a complex a0, so the
+    #: entries' phases vary, and the lam = 0.5, eta = 300 pair at c = 1e250,
+    #: whose modulus section reaches 4.4e305 at N = 64
+    MODULUS_PAIRS = {
+        "hardy": (HARDY, 0.5 * np.exp(2.1j), 0.1, 1.0),
+        "bergman-eta-300": (Binomial(lam=1.0, eta=300.0), 0.3 + 0.2j, 0.2, 1.0),
+        "fock-b-1": (Exponential(b_sq=1.0), 0.3 - 0.4j, 0.2, 1.0),
+        "c-1e250": (Binomial(lam=0.5, eta=300.0), 0.9, 0.001, 1e250),
+    }
+
+    @pytest.mark.parametrize("order", [2, 16, 17, 64])
+    @pytest.mark.parametrize("cls, a0, a1, c", MODULUS_PAIRS.values(), ids=MODULUS_PAIRS)
+    def test_modulus_pair_walked_beside_the_pair_bounds_it(self, cls, a0, a1, c, order):
+        """A pair and its modulus pair (|q|, |a0|, |d|, |psi|) walked side by
+        side over one weight sequence, interleaved in one ring: the pair's
+        entries are bitwise its own section, and the modulus pair's, whose
+        recurrence has no negative coefficient, bound them entry by entry
+        up to rounding, |M| <= Mbar (1 + 8u (i + j + 2)) with u = 2^-53."""
+        sp = synthesize(cls, a0, a1, c, order)
+        ws = family_weights(cls, order)
+        qs, a0s, ds = ([x, abs(x)] for x in recurrence_numbers(sp))
+        psi = np.stack([sp.psi.coeffs, np.abs(sp.psi.coeffs)], axis=1)
         walked = np.zeros((2, order + 1, order + 1), dtype=complex)
-        for s, rows, diagonal in walked_anti_diagonals(pairs, betas, order):
-            for c in range(2):
-                walked[c, rows, s - rows] = diagonal[2 * (rows + 1) + c]
-        sections = [family_section(p) for p in pairs]
-        assert [w.tobytes() for w in walked] == [m.tobytes() for m in sections]
-        assert np.max(np.abs(sections[0] - sections[1])) <= 1e-10
+        for s, rows, diagonal in walked_anti_diagonals(qs, a0s, ds, psi, ws.beta):
+            for k in range(2):
+                walked[k, rows, s - rows] = diagonal[2 * (rows + 1) + k]
+        m, majorant = walked
+        assert m.tobytes() == operators.build_matrix(sp, ws).tobytes()
+        assert np.all(majorant.imag == 0) and np.all(np.isfinite(majorant))
+        i, j = np.indices(m.shape)
+        assert np.all(np.abs(m) <= majorant.real * (1.0 + 8.0 * 2.0**-53 * (i + j + 2)))
 
     def test_tie_across_blocks_keeps_the_first_in_row_major_order(self):
         block = operators.ROW_BLOCK

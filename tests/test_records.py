@@ -59,3 +59,13 @@ def test_a_check_in_one_dump_only_is_one_line(records, capsys):
     assert "verdict fields: 2 differ" in out
     assert "a .checks[hermitian-deviation]: only in the old dump" in out
     assert "a .checks[deviation]: only in the new dump" in out
+
+
+def test_a_dump_that_cannot_be_read_exits_2(records, capsys, tmp_path):
+    """Exit 2 is a diff that did not run, never a verdict change (exit 1)."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"a": report(1e-17)}))
+    bad.write_text("{")
+    for pair in ((good, tmp_path / "missing.json"), (bad, good)):
+        assert records.main(["diff", *map(str, pair)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -3,7 +3,7 @@
     python tools/records.py dump ROOT OUT.json
     python tools/records.py diff OLD.json NEW.json
 
-``dump`` imports ``wco`` from ``ROOT/src`` and writes 118 records, each the
+``dump`` imports ``wco`` from ``ROOT/src`` and writes 128 records, each the
 text the program prints for one input (a command's exit code and stderr
 head its stdout):
 
@@ -27,12 +27,20 @@ head its stdout):
   so it is judged (and fails: a1 = 1 is no self-map); and lam = 0.25,
   eta = 10 at c = 1.5e308i, refused because the pair's own |M - M*|
   overflows;
-* ``<argv>`` -- 9 commands that reach the rest of the command line:
+* ``<argv>`` -- 10 commands that reach the rest of the command line:
   ``classify 2 2``, ``quad`` of z^3 on Hardy and on lam = 0.5, eta = 3,
   ``region 0.5 1``, ``check`` at order 2 (whose generating-ode check is
-  skipped), and the family refusals: bergman without ``--eta``, binomial
+  skipped), the family refusals: bergman without ``--eta``, binomial
   without ``--eta``, ``check`` with no space, and a sweep over
-  ``"family": "hardy"`` (recorded as ``sweep {"family": "hardy"}``).
+  ``"family": "hardy"`` (recorded as ``sweep {"family": "hardy"}``), and
+  ``report`` on a Hardy pair;
+* ``<argv>`` -- 9 commands on files, run in the dump's temporary directory
+  so that no record names it: ``check --beta-file`` on 6 weight files at
+  N = 64 (exact Fock b = 1; it with beta(60) (1 + 1e-8), which fails only
+  the classification; Bergman eta = 2 with beta(40) (1 + 1e-12) and
+  khat(j) = (1 + 5e-11)^j, inhospitable files that classify as binomial
+  and pass; Dirichlet; flat), ``classify --beta-file`` on the khat file,
+  and ``quad --f`` on a series file of z^3 and on a missing one.
 
 The inputs come from ``bench/inputs.py`` next to this script, so both dumps
 of a comparison read the same inputs whichever checkout they run.
@@ -47,7 +55,8 @@ name, list indices and CSV rows dropped: how many moved, the largest
 relative move |new - old| / max(|old|, |new|) and the largest absolute
 move, or an example where the values are not numbers.  Exit codes: 0 when
 the dumps are identical; 1 when a verdict field differs, or a record, a
-check or a row is in one dump only; 3 when only numbers or notes moved.
+check or a row is in one dump only; 3 when only numbers or notes moved;
+2 when the diff did not run (usage, or a dump that cannot be read).
 
 Verdicts must not depend on numpy's loop dispatch; numbers may: the
 residuals go through numpy's vector and complex loops, so a dump made
@@ -64,6 +73,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -95,6 +105,25 @@ COMMANDS = [
     ["check", *PAIR, "--family", "bergman"],
     ["check", *PAIR, "--family", "binomial", "--lam=0.5"],
     ["check", *PAIR],
+    ["report", "--family", "hardy", "--a0", "0.5", "--a1", "0.1", "--c", "1"],
+]
+#: weight files at N = 64, beta(j) from the closed forms: exact Fock b = 1,
+#: it with beta(60) (1 + 1e-8), Bergman eta = 2 with beta(40) (1 + 1e-12),
+#: khat(j) = 1 / beta(j)^2 = (1 + 5e-11)^j, Dirichlet and flat level 2
+WEIGHT_FILES = {
+    "fock.json": [math.sqrt(math.factorial(j)) for j in range(65)],
+    "fock-beta60.json": [math.sqrt(math.factorial(j)) * (1 + 1e-8) ** (j == 60) for j in range(65)],
+    "bergman-beta40.json": [(j + 1) ** -0.5 * (1 + 1e-12) ** (j == 40) for j in range(65)],
+    "khat.json": [(1 + 5e-11) ** (-j / 2) for j in range(65)],
+    "dirichlet.json": [math.sqrt(j + 1) for j in range(65)],
+    "flat.json": [1.0] + [2.0] * 64,
+}
+#: commands run in the directory of the weight files: a check of each, a
+#: classification, and a --f series file that exists (z^3) and one that does not
+FILE_COMMANDS = [["check", *PAIR, "--beta-file", name] for name in WEIGHT_FILES] + [
+    ["classify", "--beta-file", "khat.json"],
+    ["quad", "--family", "hardy", "--f", "z3.json"],
+    ["quad", "--family", "hardy", "--f", "missing.json"],
 ]
 
 
@@ -134,6 +163,17 @@ def dump(root: Path) -> dict[str, str]:
         path = Path(tmp) / "sweep-hardy.json"
         path.write_text(json.dumps({"space": {"family": "hardy"}}))
         records['sweep {"family": "hardy"}'] = cli(["sweep", "--config", str(path)])
+        for name, beta in WEIGHT_FILES.items():
+            (Path(tmp) / name).write_text(json.dumps({"order": len(beta) - 1, "beta": beta}))
+        z3 = {"order": 3, "coeffs": [[0.0, 0.0]] * 3 + [[1.0, 0.0]]}
+        (Path(tmp) / "z3.json").write_text(json.dumps(z3))
+        cwd = os.getcwd()
+        os.chdir(tmp)  # the argvs and outputs name the files, not the directory
+        try:
+            for argv in FILE_COMMANDS:
+                records[" ".join(argv)] = cli(argv)
+        finally:
+            os.chdir(cwd)
     for argv in EXTRA_CHECKS:
         records["check " + " ".join(argv)] = cli(["check", *PAIR, *argv])  # argv's own win
     for argv in COMMANDS:
@@ -245,7 +285,12 @@ def main(argv: list[str]) -> int:
         print(f"{len(records)} records written to {argv[2]}")
         return 0
     if len(argv) == 3 and argv[0] == "diff":
-        return diff(*(json.loads(Path(p).read_text()) for p in argv[1:]))
+        try:
+            old, new = (json.loads(Path(p).read_text()) for p in argv[1:])
+        except (OSError, ValueError) as exc:  # exit 1 would read as a verdict change
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return diff(old, new)
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
 
